@@ -24,13 +24,16 @@ race:
 # mappings, coarse graphs, hierarchies, and embeddings at p = 1, 2, 4, 8)
 # checked with enough OS threads that the p = 8 runs actually interleave,
 # plus the coarse-graph invariant harness (every mapper × builder × worker
-# count) and the SGD trainer's schedule-independence sweep. The embed sweep
-# additionally runs under -race (it is cheap enough); the full coarsen
-# suite keeps its race coverage in `make race` where the per-package
-# timeout budget is not shared with a p=8 interleaving sweep.
+# count), the SGD trainer's schedule-independence sweep, and multilevel
+# spectral bisection (same partition and cut at every worker count). The
+# embed and spectral sweeps additionally run under -race (they are cheap
+# enough); the full coarsen suite keeps its race coverage in `make race`
+# where the per-package timeout budget is not shared with a p=8
+# interleaving sweep.
 test-determinism:
 	GOMAXPROCS=8 $(GO) test -run 'Determinism|Deterministic|Canonicalize|CoarseInvariants|WorkspaceReuse' ./internal/par/... ./internal/coarsen/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse' ./internal/embed/...
+	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/partition/...
 
 # Static analysis: vet always; staticcheck when it is installed (the
 # pinned dev container has no network to fetch it, CI installs it).
@@ -52,17 +55,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=30s -run=Fuzz ./internal/hierfmt/
+	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 
 # The CI slice of `fuzz`: 20s per target on the structured-input targets
 # (CSR construction, the legacy and versioned hierarchy containers, the
-# mis2fast worklist kernel's D2-independence/maximality invariants, and
-# hierarchy projection over hostile level maps).
+# mis2fast worklist kernel's D2-independence/maximality invariants,
+# hierarchy projection over hostile level maps, and the matrix-free
+# Fiedler solvers' bit-identity to their explicit-Laplacian reference).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=20s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzHierIO -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=20s -run=Fuzz ./internal/hierfmt/
+	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
 
 # End-to-end smoke of the mlcg-serve daemon over a real socket: start,
 # ingest, build, query, scrape /metrics (left at $(METRICS_FILE)), lint

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,24 @@ func TestRunSpectral(t *testing.T) {
 	}
 	if !strings.Contains(out, "method=spectral") {
 		t.Errorf("output %q", out)
+	}
+}
+
+// TestRunSpectralMetrics: -metrics shows where spectral time goes — the
+// fiedler spans and their exact work counters.
+func TestRunSpectralMetrics(t *testing.T) {
+	out, errs, code := runCLI(t, "-gen", "grid2d", "-method", "spectral", "-metrics")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errs)
+	}
+	for _, name := range []string{"fiedler_iters", "spmv_nnz"} {
+		m := regexp.MustCompile(`(?m)^` + name + ` +(\d+)$`).FindStringSubmatch(out)
+		if m == nil || m[1] == "0" {
+			t.Errorf("counter %s missing or zero:\n%s", name, out)
+		}
+	}
+	if !strings.Contains(out, "  fiedler ") {
+		t.Errorf("no fiedler span in the dump:\n%s", out)
 	}
 }
 

@@ -71,6 +71,13 @@ const (
 	CtrEmbedNegatives
 	CtrEmbedProjRows
 
+	// The spectral counters instrument the power-iteration eigensolvers
+	// (internal/partition Fiedler and FiedlerK): CtrFiedlerIters counts
+	// iterations run, and CtrSpMVNNZ counts the Laplacian nonzeros their
+	// matrix-free multiplies touch, 2m+n per multiply. Both are exact.
+	CtrFiedlerIters
+	CtrSpMVNNZ
+
 	numCounters
 )
 
@@ -100,6 +107,9 @@ var counterNames = [numCounters]string{
 	CtrEmbedSGDSteps:  "embed_sgd_steps",
 	CtrEmbedNegatives: "embed_negatives",
 	CtrEmbedProjRows:  "embed_proj_rows",
+
+	CtrFiedlerIters: "fiedler_iters",
+	CtrSpMVNNZ:      "spmv_nnz",
 }
 
 // String returns the stable metric name of c.

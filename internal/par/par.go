@@ -110,6 +110,10 @@ func ForChunked(n, p, chunk int, fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
+	// The workers capture an unmodified copy of chunk: capturing the
+	// reassigned parameter itself would move it to the heap on every call,
+	// the inline path above included.
+	step := chunk
 	var next int64
 	var wg sync.WaitGroup
 	wg.Add(p)
@@ -118,11 +122,11 @@ func ForChunked(n, p, chunk int, fn func(worker, lo, hi int)) {
 			defer wg.Done()
 			loop := func() {
 				for {
-					lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
+					lo := int(atomic.AddInt64(&next, int64(step))) - step
 					if lo >= n {
 						return
 					}
-					hi := lo + chunk
+					hi := lo + step
 					if hi > n {
 						hi = n
 					}

@@ -5,8 +5,8 @@ import (
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
-	"mlcg/internal/spmat"
 )
 
 // FiedlerK computes the eigenvectors of the k smallest non-trivial
@@ -21,24 +21,9 @@ func FiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOpt
 	if n == 0 || k <= 0 {
 		return nil, 0
 	}
-	l := spmat.Laplacian(g)
-	p := opt.Workers
-
-	var sigma float64
-	for i := 0; i < n; i++ {
-		cols, vals := l.Row(int32(i))
-		for kk := range cols {
-			if cols[kk] == int32(i) {
-				if 2*vals[kk] > sigma {
-					sigma = 2 * vals[kk]
-				}
-				break
-			}
-		}
-	}
-	if sigma == 0 {
-		sigma = 1
-	}
+	sp := obs.StartKernel("fiedler")
+	defer sp.Done()
+	op := newLaplacianOp(g, opt.Workers)
 
 	xs := make([][]float64, k)
 	for j := range xs {
@@ -66,18 +51,17 @@ func FiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOpt
 	}
 	orthonormalize()
 
+	// y receives each vector's next iterate and takes over the vector's
+	// old buffer afterwards, which the stopping rule compares against.
 	tol := opt.tol()
 	y := make([]float64, n)
-	prev := make([]float64, n)
 	iters := 0
 	for ; iters < opt.maxIter(); iters++ {
 		maxDelta := 0.0
 		for j := range xs {
-			copy(prev, xs[j])
-			l.MulVec(y, xs[j], p)
-			for i := 0; i < n; i++ {
-				xs[j][i] = sigma*xs[j][i] - y[i]
-			}
+			prev := xs[j]
+			op.apply(y, prev)
+			xs[j], y = y, prev
 			deflate(xs[j])
 			for pj := 0; pj < j; pj++ {
 				dot := dotVec(xs[j], xs[pj])
@@ -102,6 +86,8 @@ func FiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOpt
 			break
 		}
 	}
+	sp.Add(obs.CtrFiedlerIters, int64(iters))
+	sp.Add(obs.CtrSpMVNNZ, int64(iters*k)*g.Size())
 	// Power iteration on σI−L converges to the LARGEST shifted eigenvalues
 	// = the smallest Laplacian ones; the Gram–Schmidt sweep keeps vector j
 	// orthogonal to the previous, so xs comes out eigenvalue-ordered.

@@ -5,8 +5,8 @@ import (
 	"sort"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
-	"mlcg/internal/spmat"
 )
 
 // FiedlerOptions controls the power iteration for the eigenvector of the
@@ -42,6 +42,11 @@ func (o FiedlerOptions) maxIter() int {
 // the constant vector after every multiply. x0 seeds the iteration; pass
 // nil for a deterministic pseudo-random start derived from seed. Returns
 // the vector and the number of iterations performed.
+//
+// Each iteration is one parallel matrix-free multiply (laplacianOp) and
+// three sequential sweeps: the mean, the centred norm, and the scale fused
+// with the stopping rule. The reductions run in index order on one
+// goroutine, so the result is bit-identical at every worker count.
 func Fiedler(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) ([]float64, int) {
 	n := g.N()
 	if n == 0 {
@@ -50,72 +55,58 @@ func Fiedler(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) ([]f
 	if n == 1 {
 		return []float64{0}, 0
 	}
-	l := spmat.Laplacian(g)
-	p := opt.Workers
-
-	// Gershgorin bound: every Laplacian eigenvalue lies in [0, 2·maxdeg_w].
-	var sigma float64
-	for i := 0; i < n; i++ {
-		cols, vals := l.Row(int32(i))
-		var d float64
-		for k := range cols {
-			if cols[k] == int32(i) {
-				d = vals[k]
-				break
-			}
-		}
-		if 2*d > sigma {
-			sigma = 2 * d
-		}
-	}
-	if sigma == 0 {
-		sigma = 1 // edgeless graph: any vector is an eigenvector
-	}
+	sp := obs.StartKernel("fiedler")
+	defer sp.Done()
+	op := newLaplacianOp(g, opt.Workers)
 
 	x := make([]float64, n)
 	if x0 != nil {
 		copy(x, x0)
 	} else {
-		par.ForEach(n, p, func(i int) {
+		par.ForEach(n, opt.Workers, func(i int) {
 			x[i] = float64(par.Mix64(seed^uint64(i))%2000)/1000 - 1
 		})
 	}
-	deflateNormalize(x, p)
+	inv := 1 / center(x)
+	for i := range x {
+		x[i] *= inv
+	}
 
+	// x holds the current iterate and y receives the next; the two
+	// buffers swap roles every iteration, so x doubles as the previous
+	// iterate the stopping rule compares against.
 	y := make([]float64, n)
-	prev := make([]float64, n)
 	tol := opt.tol()
 	iters := 0
 	for ; iters < opt.maxIter(); iters++ {
-		copy(prev, x)
-		// y = (σI - L)x
-		l.MulVec(y, x, p)
-		par.ForEach(n, p, func(i int) {
-			y[i] = sigma*x[i] - y[i]
-		})
-		x, y = y, x
-		deflateNormalize(x, p)
+		op.apply(y, x)
+		inv := 1 / center(y)
 		// Stopping rule: ||x_k - x_{k-1}||_2 < tol, sign-adjusted (the
 		// power iteration may flip sign each step when the dominant
 		// shifted eigenvalue is near σ).
 		var dPos, dNeg float64
-		for i := 0; i < n; i++ {
-			dp := x[i] - prev[i]
-			dn := x[i] + prev[i]
+		for i := range y {
+			y[i] *= inv
+			dp := y[i] - x[i]
+			dn := y[i] + x[i]
 			dPos += dp * dp
 			dNeg += dn * dn
 		}
+		x, y = y, x
 		if math.Sqrt(math.Min(dPos, dNeg)) < tol {
 			iters++
 			break
 		}
 	}
+	sp.Add(obs.CtrFiedlerIters, int64(iters))
+	sp.Add(obs.CtrSpMVNNZ, int64(iters)*g.Size())
 	return x, iters
 }
 
-// deflateNormalize removes the component along the all-ones vector and
-// scales to unit 2-norm.
-func deflateNormalize(x []float64, p int) {
+// center subtracts the mean from x and returns the 2-norm of the result.
+// A constant x (zero norm after centring) is a degenerate start: it is
+// replaced by a fixed ramp and the ramp's norm is returned.
+func center(x []float64) float64 {
 	n := len(x)
 	var sum float64
 	for _, v := range x {
@@ -129,17 +120,116 @@ func deflateNormalize(x []float64, p int) {
 	}
 	norm := math.Sqrt(norm2)
 	if norm == 0 {
-		// Degenerate start (x was constant): restart from a fixed ramp.
 		for i := range x {
 			x[i] = float64(i) - float64(n-1)/2
 			norm2 += x[i] * x[i]
 		}
 		norm = math.Sqrt(norm2)
 	}
-	inv := 1 / norm
-	par.ForEach(n, p, func(i int) {
-		x[i] *= inv
-	})
+	return norm
+}
+
+// laplacianOp is the shifted Laplacian σI − L of a graph, applied without
+// forming L = D − A: a row reads the graph's own adjacency. σ is the
+// Gershgorin bound 2·max weighted degree (1 for an edgeless graph), so
+// every eigenvalue of σI − L lies in [0, σ].
+//
+// Row i of an apply computes exactly what the explicit Laplacian's SpMV
+// followed by the shift computed: the row sum starts from the diagonal
+// term deg[i]·x[i] and adds −w·x[c] per neighbour in adjacency order, then
+// y[i] = σx[i] − sum. Rows are independent, so the parallel apply is
+// bit-identical at every worker count.
+type laplacianOp struct {
+	xadj  []int64
+	adj   []int32
+	wgt   []int64
+	deg   []float64 // weighted degrees; nil when every edge weight is 1
+	sigma float64
+	p     int
+
+	// x and y are the operands of the apply in progress. kernel is bound
+	// once to applyRange, so an apply allocates nothing.
+	x, y   []float64
+	kernel func(w, lo, hi int)
+}
+
+func newLaplacianOp(g *graph.Graph, p int) *laplacianOp {
+	n := g.N()
+	op := &laplacianOp{xadj: g.Xadj, adj: g.Adj, wgt: g.Wgt, p: p}
+	op.kernel = op.applyRange
+	unit := true
+	for _, w := range g.Wgt {
+		if w != 1 {
+			unit = false
+			break
+		}
+	}
+	if unit {
+		// The weighted degree is the degree: a sum of ones is exact.
+		for i := 0; i < n; i++ {
+			if d := float64(g.Xadj[i+1] - g.Xadj[i]); 2*d > op.sigma {
+				op.sigma = 2 * d
+			}
+		}
+	} else {
+		op.deg = make([]float64, n)
+		par.ForChunked(n, p, 512, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				var d float64
+				for _, w := range g.Wgt[g.Xadj[i]:g.Xadj[i+1]] {
+					d += float64(w)
+				}
+				op.deg[i] = d
+			}
+		})
+		for _, d := range op.deg {
+			if 2*d > op.sigma {
+				op.sigma = 2 * d
+			}
+		}
+	}
+	if op.sigma == 0 {
+		op.sigma = 1 // edgeless graph: any vector is an eigenvector
+	}
+	return op
+}
+
+// apply sets y = (σI − L)x in one parallel pass over the rows.
+func (op *laplacianOp) apply(y, x []float64) {
+	op.x, op.y = x, y
+	par.ForChunked(len(x), op.p, 512, op.kernel)
+}
+
+func (op *laplacianOp) applyRange(_, lo, hi int) {
+	x, y, sigma := op.x, op.y, op.sigma
+	if op.deg == nil {
+		for i := lo; i < hi; i++ {
+			s, e := op.xadj[i], op.xadj[i+1]
+			// The sum starts at zero and adds the diagonal term first,
+			// as the explicit SpMV did, so even the sign of a zero row
+			// sum matches. sum -= x[c] is exactly the SpMV's
+			// sum += (−1)·x[c].
+			var sum float64
+			sum += float64(e-s) * x[i]
+			for _, c := range op.adj[s:e] {
+				sum -= x[c]
+			}
+			y[i] = sigma*x[i] - sum
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		s, e := op.xadj[i], op.xadj[i+1]
+		adj, wgt := op.adj[s:e], op.wgt[s:e]
+		wgt = wgt[:len(adj)]
+		var sum float64
+		sum += op.deg[i] * x[i]
+		for k, c := range adj {
+			v := -float64(wgt[k])
+			sum += v * x[c]
+		}
+		y[i] = sigma*x[i] - sum
+	}
 }
 
 // SplitByVector bisects g at the weighted median of the given per-vertex

@@ -23,6 +23,10 @@ func TestWarmRestart(t *testing.T) {
 	s1, ts1 := testServer(t, Config{CacheDir: dir})
 	info := ingest(t, ts1, metisBytes(t, g), "")
 	st := buildWait(t, ts1, buildParams{Graph: info.ID})
+	// The spill runs on the build worker after ?wait=1 is released; Close
+	// drains the build workers, so the spill is done once it returns.
+	ts1.Close()
+	s1.Close()
 	if got := s1.stats.hierSpills.Load(); got != 1 {
 		t.Fatalf("spills after build: %d, want 1", got)
 	}
@@ -36,8 +40,6 @@ func TestWarmRestart(t *testing.T) {
 	} else if !strings.Contains(string(meta), info.ID) {
 		t.Fatalf("META %q does not reference the graph id", meta)
 	}
-	ts1.Close()
-	s1.Close()
 
 	// Incarnation two: empty caches, same dir. The build request must be
 	// answered from disk — note the graph is NOT re-ingested first.
@@ -152,7 +154,10 @@ func TestCorruptCacheFile(t *testing.T) {
 	if got := s2.stats.buildsCompleted.Load(); got != 1 {
 		t.Errorf("rebuild after corruption: builds_completed=%d, want 1", got)
 	}
-	// The rebuild's spill replaced the corrupt file with a valid one.
+	// The rebuild's spill replaced the corrupt file with a valid one. The
+	// spill follows the waiter's release; Close waits for it.
+	ts2.Close()
+	s2.Close()
 	if _, _, err := hierfmt.LoadFile(path, hierfmt.LoadOptions{}); err != nil {
 		t.Errorf("respilled container still unreadable: %v", err)
 	}
