@@ -25,11 +25,11 @@ race:
 # checked with enough OS threads that the p = 8 runs actually interleave,
 # plus the coarse-graph invariant harness (every mapper × builder × worker
 # count), the SGD trainer's schedule-independence sweep, and multilevel
-# spectral bisection (same partition and cut at every worker count). The
-# embed and spectral sweeps additionally run under -race (they are cheap
-# enough); the full coarsen suite keeps its race coverage in `make race`
-# where the per-package timeout budget is not shared with a p=8
-# interleaving sweep.
+# spectral and FM bisection and k-way FM with and without pairwise
+# refinement (same partition and cut at every worker count). The embed and
+# partition sweeps additionally run under -race (they are cheap enough);
+# the full coarsen suite keeps its race coverage in `make race` where the
+# per-package timeout budget is not shared with a p=8 interleaving sweep.
 test-determinism:
 	GOMAXPROCS=8 $(GO) test -run 'Determinism|Deterministic|Canonicalize|CoarseInvariants|WorkspaceReuse' ./internal/par/... ./internal/coarsen/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse' ./internal/embed/...
@@ -56,12 +56,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=30s -run=Fuzz ./internal/hierfmt/
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
+	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 
 # The CI slice of `fuzz`: 20s per target on the structured-input targets
 # (CSR construction, the legacy and versioned hierarchy containers, the
 # mis2fast worklist kernel's D2-independence/maximality invariants,
-# hierarchy projection over hostile level maps, and the matrix-free
-# Fiedler solvers' bit-identity to their explicit-Laplacian reference).
+# hierarchy projection over hostile level maps, the matrix-free Fiedler
+# solvers' bit-identity to their explicit-Laplacian reference, and FM
+# refinement's identity to its per-pass reference).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=20s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzHierIO -fuzztime=20s -run=Fuzz ./internal/coarsen/
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=20s -run=Fuzz ./internal/hierfmt/
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
+	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
 
 # End-to-end smoke of the mlcg-serve daemon over a real socket: start,
 # ingest, build, query, scrape /metrics (left at $(METRICS_FILE)), lint

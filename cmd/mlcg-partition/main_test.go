@@ -59,6 +59,24 @@ func TestRunSpectralMetrics(t *testing.T) {
 	}
 }
 
+// TestRunFMMetrics: -metrics shows where FM time goes — one fm span per
+// refinement and the exact pass, move and rollback counters.
+func TestRunFMMetrics(t *testing.T) {
+	out, errs, code := runCLI(t, "-gen", "trimesh", "-method", "fm", "-metrics")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errs)
+	}
+	for _, name := range []string{"fm_passes", "fm_moves", "fm_rollbacks"} {
+		m := regexp.MustCompile(`(?m)^` + name + ` +(\d+)$`).FindStringSubmatch(out)
+		if m == nil || m[1] == "0" {
+			t.Errorf("counter %s missing or zero:\n%s", name, out)
+		}
+	}
+	if !strings.Contains(out, "  fm ") {
+		t.Errorf("no fm span in the dump:\n%s", out)
+	}
+}
+
 func TestRunKWayWithPairwise(t *testing.T) {
 	out, errs, code := runCLI(t, "-gen", "grid2d", "-k", "4", "-pairwise", "1")
 	if code != 0 {

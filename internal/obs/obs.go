@@ -78,6 +78,15 @@ const (
 	CtrFiedlerIters
 	CtrSpMVNNZ
 
+	// The FM counters instrument Fiduccia–Mattheyses refinement
+	// (internal/partition RefineFM): CtrFMPasses counts passes run,
+	// CtrFMMoves counts every vertex move a pass makes, including the
+	// ones its rollback undoes, and CtrFMRollbacks counts the undone
+	// moves. All three are exact.
+	CtrFMPasses
+	CtrFMMoves
+	CtrFMRollbacks
+
 	numCounters
 )
 
@@ -110,6 +119,10 @@ var counterNames = [numCounters]string{
 
 	CtrFiedlerIters: "fiedler_iters",
 	CtrSpMVNNZ:      "spmv_nnz",
+
+	CtrFMPasses:    "fm_passes",
+	CtrFMMoves:     "fm_moves",
+	CtrFMRollbacks: "fm_rollbacks",
 }
 
 // String returns the stable metric name of c.

@@ -8,7 +8,10 @@ package partition
 //	multiple eigenvectors (drawing/embedding)... FiedlerK, SpectralCoordinates
 //	cascadic multigrid Fiedler (ref [14],
 //	  where HEC originates)..................... CascadicFiedler (+ ACE option)
-//	Fiduccia–Mattheyses refinement [27]......... RefineFM, fmPass, gainBuckets
+//	Fiduccia–Mattheyses refinement [27]......... RefineFM, fmState (one per
+//	                                             call: gain buckets, move
+//	                                             log, gains carried across
+//	                                             passes)
 //	greedy graph growing initial partition...... GreedyGrow(Target)
 //	multilevel FM pipeline (Table VI)........... FMBisector
 //	Metis / mt-Metis baselines (Table VI)....... NewMetisLike, NewMtMetisLike

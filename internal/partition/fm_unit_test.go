@@ -10,46 +10,50 @@ func TestGainBucketsBasics(t *testing.T) {
 	// Path 0-1-2-3 split [0,0,1,1]: gains are -1, 0, 0, -1.
 	g := pathGraph(4)
 	part := []int32{0, 0, 1, 1}
-	b := newGainBuckets(g, part)
-	if got := b.peekBest(0); got != 0 {
+	s := newFMState(g, part)
+	s.fill()
+	if got := s.peek(0); got != 0 {
 		t.Errorf("side 0 best gain %d, want 0 (vertex 1)", got)
 	}
-	if got := b.peekBest(1); got != 0 {
+	if got := s.peek(1); got != 0 {
 		t.Errorf("side 1 best gain %d, want 0 (vertex 2)", got)
 	}
-	v := b.popBest(0, func(int32) bool { return true })
+	v := s.pop(0, true, 0, 0)
 	if v != 1 {
 		t.Errorf("popped %d, want 1", v)
 	}
 	// After popping vertex 1, side 0's best is vertex 0 with gain -1.
-	if got := b.peekBest(0); got != -1 {
+	if got := s.peek(0); got != -1 {
 		t.Errorf("side 0 best now %d, want -1", got)
 	}
-	// Gain update reinserts at the right bucket. Legal gains are bounded
-	// by the maximum weighted degree (2 on this path), which is the
-	// structure's documented contract.
-	b.updateGain(0, 2)
-	if got := b.peekBest(0); got != 2 {
+	// A gain update relinks at the right bucket. Legal gains are bounded
+	// by the maximum weighted degree (2 on this path), which sizes the
+	// buckets.
+	s.unlink(0)
+	s.insert(0, 2)
+	if got := s.peek(0); got != 2 {
 		t.Errorf("after update best %d, want 2", got)
 	}
-	// Removing a vertex empties its side eventually.
-	b.remove(0)
-	if got := b.popBest(0, func(int32) bool { return true }); got != -1 {
+	// Unlinking the last vertex empties the side.
+	s.unlink(0)
+	if got := s.pop(0, true, 0, 0); got != -1 {
 		t.Errorf("side 0 should be empty, popped %d", got)
 	}
 }
 
 func TestPopBestRespectsFilter(t *testing.T) {
+	// Vertex 1 (the best on side 0) weighs 3: from a balanced start, moving
+	// it would leave deviation -6, beyond a mid-pass tolerance of 2.
 	g := pathGraph(4)
+	g.VWgt = []int64{1, 3, 1, 1}
 	part := []int32{0, 0, 1, 1}
-	b := newGainBuckets(g, part)
-	// Disallow vertex 1 (the best): pop must return vertex 0 instead.
-	v := b.popBest(0, func(u int32) bool { return u != 1 })
-	if v != 0 {
+	s := newFMState(g, part)
+	s.fill()
+	if v := s.pop(0, false, 0, 2); v != 0 {
 		t.Errorf("popped %d, want 0", v)
 	}
-	// Vertex 1 stayed in its bucket.
-	if got := b.popBest(0, func(int32) bool { return true }); got != 1 {
+	// Vertex 1 stayed in its bucket, and a forced pop takes it.
+	if got := s.pop(0, true, 0, 2); got != 1 {
 		t.Errorf("popped %d, want 1", got)
 	}
 }

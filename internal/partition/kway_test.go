@@ -1,9 +1,12 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"mlcg/internal/coarsen"
+	"mlcg/internal/gen"
+	"mlcg/internal/par"
 )
 
 func TestKWayFMPowersOfTwo(t *testing.T) {
@@ -166,6 +169,31 @@ func TestRefineKWayPairwiseDirect(t *testing.T) {
 	// All four parts still present and roughly balanced.
 	if imb := KWayImbalance(g, part, 4); imb > 0.10 {
 		t.Errorf("imbalance %.3f", imb)
+	}
+}
+
+// TestKWayPairwiseDeterminism: pairwise refinement visits the adjacent
+// part pairs in a fixed order, so repeated runs on one input agree. On a
+// random 8-way start every one of the 28 pairs is adjacent, and the order
+// changes which refinements see which parts.
+func TestKWayPairwiseDeterminism(t *testing.T) {
+	g := gen.BA(2000, 4, 3)
+	start := make([]int32, g.N())
+	for u := range start {
+		start[u] = int32(par.Mix64(uint64(u)) % 8)
+	}
+	var want []int32
+	var wantCut int64
+	for run := 0; run < 6; run++ {
+		part := slices.Clone(start)
+		cut := RefineKWayPairwise(g, part, 8, FMOptions{}, 3)
+		if want == nil {
+			want, wantCut = part, cut
+			continue
+		}
+		if cut != wantCut || !slices.Equal(part, want) {
+			t.Fatalf("run %d: cut %d, first run %d (or the parts differ)", run, cut, wantCut)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"cmp"
+	"slices"
+
 	"mlcg/internal/graph"
 )
 
@@ -9,7 +12,8 @@ import (
 // subproblem is re-refined with the bisection FM and written back. Rounds
 // repeat until no pair improves or maxRounds is hit. Returns the final
 // k-way cut. This is the classic Kernighan–Lin-style k-way cleanup on top
-// of recursive bisection.
+// of recursive bisection. A round visits the pairs in (a, b) order, so the
+// result is deterministic.
 func RefineKWayPairwise(g *graph.Graph, part []int32, k int, opt FMOptions, maxRounds int) int64 {
 	if maxRounds <= 0 {
 		maxRounds = 2
@@ -31,8 +35,17 @@ func RefineKWayPairwise(g *graph.Graph, part []int32, k int, opt FMOptions, maxR
 				adjacent[[2]int32{a, b}] = true
 			}
 		}
-		improved := false
+		// Each refinement changes the parts the next one sees, so the
+		// visiting order fixes the result.
+		pairs := make([][2]int32, 0, len(adjacent))
 		for pair := range adjacent {
+			pairs = append(pairs, pair)
+		}
+		slices.SortFunc(pairs, func(x, y [2]int32) int {
+			return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+		})
+		improved := false
+		for _, pair := range pairs {
 			if refinePair(g, part, pair[0], pair[1], opt) {
 				improved = true
 			}

@@ -73,18 +73,3 @@ func CheckBisection(g *graph.Graph, part []int32, tol int64) error {
 	}
 	return nil
 }
-
-// gainOf returns the FM gain of moving u to the other side: external minus
-// internal incident edge weight.
-func gainOf(g *graph.Graph, part []int32, u int32) int64 {
-	adj, wgt := g.Neighbors(u)
-	var gain int64
-	for k, v := range adj {
-		if part[v] == part[u] {
-			gain -= wgt[k]
-		} else {
-			gain += wgt[k]
-		}
-	}
-	return gain
-}

@@ -113,18 +113,19 @@ func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
 
 	fm := b.FM
 	fm.TargetW0 = b.TargetW0
-	refine := func(gg *graph.Graph, pp []int32) {
+	// Both refinements return the exact cut of the partition they leave,
+	// so the last one's result is the cut of the finest partition.
+	refine := func(gg *graph.Graph, pp []int32) int64 {
 		if b.ParallelRefine {
-			RefineParallelGreedy(gg, pp, ParallelRefineOptions{
+			return RefineParallelGreedy(gg, pp, ParallelRefineOptions{
 				Tol: fm.Tol, TargetW0: b.TargetW0, Workers: b.Coarsener.Workers,
 			})
-			return
 		}
-		RefineFM(gg, pp, fm)
+		return RefineFM(gg, pp, fm)
 	}
 	coarsest := h.Coarsest()
 	part := GreedyGrowTarget(coarsest, b.Seed^0x99, trials, b.TargetW0)
-	refine(coarsest, part)
+	cut := refine(coarsest, part)
 	t2 := time.Now()
 
 	for i := len(h.Maps) - 1; i >= 0; i-- {
@@ -134,14 +135,14 @@ func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
 		for u := range m {
 			pf[u] = part[m[u]]
 		}
-		refine(fineG, pf)
+		cut = refine(fineG, pf)
 		part = pf
 	}
 	t3 := time.Now()
 
 	return &Result{
 		Part:        part,
-		Cut:         EdgeCut(g, part),
+		Cut:         cut,
 		Weights:     SideWeights(g, part),
 		Levels:      h.Levels(),
 		CoarsenTime: t1.Sub(t0),

@@ -91,20 +91,25 @@ func TestEdgeCutAndWeights(t *testing.T) {
 	}
 }
 
+// TestGainOf checks the gains of FM's opening sweep, and the reference
+// implementation's gainOf, on a path.
 func TestGainOf(t *testing.T) {
 	g := pathGraph(3)
 	part := []int32{0, 0, 1}
-	// Vertex 1: edge to 0 internal (w1), edge to 2 external (w1): gain 0.
-	if got := gainOf(g, part, 1); got != 0 {
-		t.Errorf("gain(1) = %d, want 0", got)
+	s := newFMState(g, part)
+	// Vertex 0: single internal edge: gain -1. Vertex 1: edge to 0
+	// internal (w1), edge to 2 external (w1): gain 0. Vertex 2: single
+	// external edge: gain +1.
+	for u, want := range []int64{-1, 0, 1} {
+		if got := s.exact[u]; got != want {
+			t.Errorf("gain(%d) = %d, want %d", u, got, want)
+		}
+		if got := gainOf(g, part, int32(u)); got != want {
+			t.Errorf("reference gain(%d) = %d, want %d", u, got, want)
+		}
 	}
-	// Vertex 2: single external edge: gain +1.
-	if got := gainOf(g, part, 2); got != 1 {
-		t.Errorf("gain(2) = %d, want 1", got)
-	}
-	// Vertex 0: single internal edge: gain -1.
-	if got := gainOf(g, part, 0); got != -1 {
-		t.Errorf("gain(0) = %d, want -1", got)
+	if s.cut != 1 {
+		t.Errorf("opening cut %d, want 1", s.cut)
 	}
 }
 

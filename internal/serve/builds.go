@@ -186,8 +186,11 @@ func (s *Server) runBuild(b *build) {
 			} else {
 				s.stats.buildsCompleted.Add(1)
 			}
-			b.finish(h, runErr, elapsed, counters)
+			// Record the telemetry before releasing the waiters, so a
+			// client that has its response also finds the build's log
+			// line, flight record and histogram observations.
 			s.observeBuild(b, h, runErr, elapsed, counters)
+			b.finish(h, runErr, elapsed, counters)
 			if runErr == nil && s.cfg.CacheDir != "" {
 				// Waiters are already released; the spill only costs the
 				// build worker, never a request.
@@ -198,8 +201,8 @@ func (s *Server) runBuild(b *build) {
 	}
 	// Unreachable in practice: names are validated at admission.
 	s.stats.buildsFailed.Add(1)
-	b.finish(nil, err, 0, nil)
 	s.observeBuild(b, nil, err, 0, nil)
+	b.finish(nil, err, 0, nil)
 }
 
 // observeBuild records a finished build's telemetry: the run and per-level
