@@ -51,7 +51,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadMetis -fuzztime=30s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=30s -run=Fuzz ./internal/graph/
-	$(GO) test -fuzz=FuzzHierIO -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=30s -run=Fuzz ./internal/hierfmt/
@@ -59,14 +58,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 
 # The CI slice of `fuzz`: 20s per target on the structured-input targets
-# (CSR construction, the legacy and versioned hierarchy containers, the
-# mis2fast worklist kernel's D2-independence/maximality invariants,
-# hierarchy projection over hostile level maps, the matrix-free Fiedler
-# solvers' bit-identity to their explicit-Laplacian reference, and FM
-# refinement's identity to its per-pass reference).
+# (CSR construction, the versioned hierarchy container, the mis2fast
+# worklist kernel's D2-independence/maximality invariants, hierarchy
+# projection over hostile level maps, the matrix-free Fiedler solvers'
+# bit-identity to their explicit-Laplacian reference, and FM refinement's
+# identity to its per-pass reference).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=20s -run=Fuzz ./internal/graph/
-	$(GO) test -fuzz=FuzzHierIO -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=20s -run=Fuzz ./internal/hierfmt/

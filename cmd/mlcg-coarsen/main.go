@@ -1,16 +1,15 @@
 // mlcg-coarsen runs multilevel coarsening on a graph file (or a generated
-// graph) and prints per-level statistics. It also saves, loads, inspects,
-// and migrates hierarchy containers (internal/hierfmt, docs/FORMAT.md).
+// graph) and prints per-level statistics. It also saves, loads, and
+// inspects hierarchy containers (internal/hierfmt, docs/FORMAT.md).
 //
 // Usage:
 //
-//	mlcg-coarsen -in graph.txt -mapper hec -builder sort
+//	mlcg-coarsen -in graph.txt -mapper hec -construct sort
 //	mlcg-coarsen -in graph.graph -format metis -quality
 //	mlcg-coarsen -gen rmat -mapper twohop -verify
 //	mlcg-coarsen -gen rgg -out coarsest.graph -outformat metis
 //	mlcg-coarsen -gen rmat -save h.mlcg            # persist the hierarchy
 //	mlcg-coarsen -load h.mlcg -quality -verify     # inspect without rebuilding
-//	mlcg-coarsen -loadhier old.hier -save new.mlcg # migrate the legacy format
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"mlcg/internal/cli"
 	"mlcg/internal/coarsen"
@@ -38,7 +36,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	genName := fs.String("gen", "", "generate input instead: "+cli.Generators())
 	mapper := fs.String("mapper", "hec", "mapping algorithm: "+cli.Mappers())
 	construct := fs.String("construct", "auto", "construction policy: "+cli.ConstructPolicies())
-	builder := fs.String("builder", "", "fixed construction strategy (overrides -construct): "+strings.Join(coarsen.BuilderNames(), ", "))
 	cutoff := fs.Int("cutoff", 50, "coarsening cutoff")
 	seed := fs.Uint64("seed", 20210517, "random seed")
 	workers := fs.Int("workers", 0, "parallelism (0 = GOMAXPROCS)")
@@ -47,8 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	save := fs.String("save", "", "write the whole hierarchy (graphs, mappings, stats) as a versioned container (docs/FORMAT.md)")
 	compress := fs.Bool("compress", false, "delta-varint compress adjacency in the -save container")
 	load := fs.String("load", "", "load a hierarchy container instead of coarsening; combine with -quality/-verify/-out/-save")
-	loadHier := fs.String("loadhier", "", "load a legacy mlcg-hie hierarchy (deprecated format, read-only); use with -save to migrate")
-	saveHier := fs.String("savehier", "", "deprecated alias for -save (the legacy writer has been removed; this now writes the versioned container)")
 	quality := fs.Bool("quality", false, "print a per-level mapping quality report")
 	verify := fs.Bool("verify", false, "validate every coarse graph and (for strict schemes) aggregate connectivity")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the coarsening run to this file")
@@ -63,40 +58,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mlcg-coarsen:", err)
 		return 1
 	}
-	if *saveHier != "" {
-		fmt.Fprintln(stderr, "mlcg-coarsen: -savehier is deprecated; it now writes the versioned container (use -save)")
-		if *save == "" {
-			*save = *saveHier
-		}
-	}
-	if *load != "" && *loadHier != "" {
-		return fail(fmt.Errorf("-load and -loadhier are mutually exclusive"))
-	}
 
 	var (
 		g   *graph.Graph
 		h   *coarsen.Hierarchy
 		err error
 	)
-	switch {
-	case *load != "":
+	if *load != "" {
 		// Inspect/convert mode: the container replaces the coarsening run.
 		if h, _, err = hierfmt.LoadFile(*load, hierfmt.LoadOptions{FullValidate: *verify}); err != nil {
 			return fail(err)
 		}
 		g = h.Graphs[0]
-	case *loadHier != "":
-		f, oerr := os.Open(*loadHier)
-		if oerr != nil {
-			return fail(oerr)
-		}
-		h, err = coarsen.ReadHierarchy(f)
-		f.Close()
-		if err != nil {
-			return fail(err)
-		}
-		g = h.Graphs[0]
-	default:
+	} else {
 		seeds := cli.DeriveSeeds(*seed)
 		g, err = cli.LoadOrGenerate(*in, *format, *genName, seeds.Graph)
 		if err != nil {
@@ -106,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		b, err := cli.PickBuilder(*construct, *builder)
+		b, err := coarsen.BuilderByName(*construct)
 		if err != nil {
 			return fail(err)
 		}
@@ -172,6 +146,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verify {
 		strict := *mapper != "twohop" // two-hop aggregates may be disconnected by design
+		if *load != "" {
+			// A container does not record its mapper, so the default -mapper
+			// says nothing about a loaded hierarchy: check connectivity only
+			// when -mapper names it.
+			mapperSet := false
+			fs.Visit(func(f *flag.Flag) { mapperSet = mapperSet || f.Name == "mapper" })
+			if !mapperSet {
+				strict = false
+				fmt.Fprintln(stdout, "aggregate connectivity not checked (pass -mapper to name the loaded hierarchy's mapper)")
+			}
+		}
 		for i, cg := range h.Graphs[1:] {
 			if err := cg.Validate(); err != nil {
 				return fail(fmt.Errorf("level %d: %w", i+1, err))

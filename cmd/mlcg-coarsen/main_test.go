@@ -2,16 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mlcg/internal/coarsen"
-	"mlcg/internal/gen"
-	"mlcg/internal/graph"
 	"mlcg/internal/hierfmt"
 	"mlcg/internal/obs"
 )
@@ -57,135 +53,94 @@ func TestRunFileRoundTrip(t *testing.T) {
 }
 
 func TestRunSaveHierarchy(t *testing.T) {
-	dir := t.TempDir()
-	hier := filepath.Join(dir, "h"+hierfmt.FileExt)
-	_, errs, code := runCLI(t, "-gen", "trimesh", "-save", hier, "-compress")
-	if code != 0 {
-		t.Fatalf("exit %d (%s)", code, errs)
-	}
-	h, _, err := hierfmt.LoadFile(hier, hierfmt.LoadOptions{FullValidate: true})
-	if err != nil {
-		t.Fatalf("saved container unreadable: %v", err)
-	}
-	if h.Levels() < 2 {
-		t.Fatalf("saved hierarchy has %d levels", h.Levels())
-	}
+	// The two-hop case saves a hierarchy whose aggregates may be
+	// disconnected by design: -load -verify must not judge it by the
+	// default -mapper.
+	for _, gen := range [][]string{
+		{"-gen", "trimesh", "-compress"},
+		{"-gen", "rmat", "-mapper", "twohop"},
+	} {
+		dir := t.TempDir()
+		hier := filepath.Join(dir, "h"+hierfmt.FileExt)
+		_, errs, code := runCLI(t, append(gen, "-save", hier)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d (%s)", gen, code, errs)
+		}
+		h, _, err := hierfmt.LoadFile(hier, hierfmt.LoadOptions{FullValidate: true})
+		if err != nil {
+			t.Fatalf("%v: saved container unreadable: %v", gen, err)
+		}
+		if h.Levels() < 2 {
+			t.Fatalf("%v: saved hierarchy has %d levels", gen, h.Levels())
+		}
 
-	// Reload through the CLI: stats, quality, and verification come from
-	// the container, no recoarsening.
-	out, errs, code := runCLI(t, "-load", hier, "-quality", "-verify")
-	if code != 0 {
-		t.Fatalf("load exit %d (%s)", code, errs)
-	}
-	for _, want := range []string{"input: n=", "levels=", "verification passed", "mapping quality"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("load output missing %q", want)
+		// Reload through the CLI: stats, quality, and verification come
+		// from the container, no recoarsening.
+		out, errs, code := runCLI(t, "-load", hier, "-quality", "-verify")
+		if code != 0 {
+			t.Fatalf("%v: load exit %d (%s)", gen, code, errs)
+		}
+		for _, want := range []string{"input: n=", "levels=", "connectivity not checked", "verification passed", "mapping quality"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v: load output missing %q", gen, want)
+			}
 		}
 	}
-}
-
-func TestRunSaveHierDeprecatedAlias(t *testing.T) {
-	dir := t.TempDir()
-	hier := filepath.Join(dir, "h.bin")
-	_, errs, code := runCLI(t, "-gen", "trimesh", "-savehier", hier)
-	if code != 0 {
-		t.Fatalf("exit %d (%s)", code, errs)
-	}
-	if !strings.Contains(errs, "deprecated") {
-		t.Errorf("no deprecation notice on stderr: %q", errs)
-	}
-	// The alias writes the new container, not the legacy format.
-	if _, _, err := hierfmt.LoadFile(hier, hierfmt.LoadOptions{}); err != nil {
-		t.Fatalf("alias output not a valid container: %v", err)
-	}
-}
-
-func TestRunMigrateLegacyHierarchy(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "old.hier")
-
-	// Write a legacy-format file the way old builds did.
-	c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: 5, Workers: 1}
-	h, err := c.Run(gen.TriMesh(40, 40, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeLegacyHier(f, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Migrate: -loadhier old.hier -save new.mlcg.
-	migrated := filepath.Join(dir, "new"+hierfmt.FileExt)
-	out, errs, code := runCLI(t, "-loadhier", legacy, "-save", migrated)
-	if code != 0 {
-		t.Fatalf("exit %d (%s)", code, errs)
-	}
-	if !strings.Contains(out, "hierarchy written to") {
-		t.Errorf("missing save confirmation in %q", out)
-	}
-	h2, _, err := hierfmt.LoadFile(migrated, hierfmt.LoadOptions{FullValidate: true})
-	if err != nil {
-		t.Fatalf("migrated container unreadable: %v", err)
-	}
-	if h2.Levels() != h.Levels() {
-		t.Fatalf("migration changed level count: %d != %d", h2.Levels(), h.Levels())
-	}
-	for i := range h.Graphs {
-		if !graph.Equal(h.Graphs[i], h2.Graphs[i]) {
-			t.Errorf("migration changed level %d graph", i)
-		}
-	}
-
-	// -load and -loadhier together is an error.
-	if _, _, code := runCLI(t, "-load", migrated, "-loadhier", legacy); code == 0 {
-		t.Error("-load with -loadhier accepted")
-	}
-}
-
-// writeLegacyHier emits the removed legacy "mlcg-hie" format so the
-// migration path has something real to migrate.
-func writeLegacyHier(w io.Writer, h *coarsen.Hierarchy) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(0x6d6c63672d686965)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(h.Graphs))); err != nil {
-		return err
-	}
-	for _, g := range h.Graphs {
-		if err := g.WriteBinary(w); err != nil {
-			return err
-		}
-	}
-	for _, m := range h.Maps {
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(m))); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, m); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                   // no input
-		{"-gen", "nope"},                     // unknown generator
-		{"-gen", "grid2d", "-mapper", "xx"},  // unknown mapper
-		{"-gen", "grid2d", "-builder", "xx"}, // unknown builder
-		{"-in", "/nonexistent/file"},         // missing file
-		{"-badflag"},                         // flag error
+		{},                                     // no input
+		{"-gen", "nope"},                       // unknown generator
+		{"-gen", "grid2d", "-mapper", "xx"},    // unknown mapper
+		{"-gen", "grid2d", "-construct", "xx"}, // unknown builder
+		{"-gen", "grid2d", "-construct", "probe"}, // removed probe mode
+		{"-gen", "grid2d", "-builder", "sort"},    // removed flag
+		{"-loadhier", "x"},                        // removed flag
+		{"-in", "/nonexistent/file"},              // missing file
+		{"-badflag"},                              // flag error
 	}
 	for _, args := range cases {
 		if _, _, code := runCLI(t, args...); code == 0 {
 			t.Errorf("args %v: expected failure", args)
+		}
+	}
+}
+
+// TestRunConstruct drives -construct with every registered builder: a
+// fixed builder names itself on every level row, auto names the builder it
+// dispatched to and the rule's reason.
+func TestRunConstruct(t *testing.T) {
+	fixed := map[string]bool{}
+	for _, name := range coarsen.BuilderNames() {
+		fixed[name] = name != "auto"
+	}
+	for _, name := range coarsen.BuilderNames() {
+		out, errs, code := runCLI(t, "-gen", "trimesh", "-construct", name)
+		if code != 0 {
+			t.Fatalf("%s: exit %d (%s)", name, code, errs)
+		}
+		var rows int
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if len(f) < 6 || f[0] == "level" || strings.Contains(f[0], "=") {
+				continue
+			}
+			rows++
+			col := strings.Join(f[5:], " ")
+			if fixed[name] {
+				if col != name {
+					t.Errorf("%s: level row names %q", name, col)
+				}
+				continue
+			}
+			b, reason, ok := strings.Cut(col, " ")
+			if !fixed[b] || !ok || !strings.HasPrefix(reason, "(") {
+				t.Errorf("auto: level row names %q, want a fixed builder and its reason", col)
+			}
+		}
+		if rows == 0 {
+			t.Errorf("%s: no level rows in %q", name, out)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"mlcg/internal/cli"
 	"mlcg/internal/coarsen"
@@ -36,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	genName := fs.String("gen", "", "generate input instead: "+cli.Generators())
 	mapper := fs.String("mapper", "gosh", "mapping algorithm for the hierarchy: "+cli.Mappers())
 	construct := fs.String("construct", "auto", "construction policy: "+cli.ConstructPolicies())
-	builder := fs.String("builder", "", "fixed construction strategy (overrides -construct): "+strings.Join(coarsen.BuilderNames(), ", "))
 	cutoff := fs.Int("cutoff", 50, "coarsening cutoff")
 	seed := fs.Uint64("seed", 20210517, "random seed (drives generation, coarsening, training, and eval split)")
 	workers := fs.Int("workers", 0, "parallelism (0 = GOMAXPROCS)")
@@ -101,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		res, terr := trainEmbedding(train, *mapper, *construct, *builder, *cutoff, *flat, embed.Options{
+		res, terr := trainEmbedding(train, *mapper, *construct, *cutoff, *flat, embed.Options{
 			Dim: *dim, Epochs: *epochs, Negatives: *negatives, LR: *lr,
 			Seed: seeds.Embed, Workers: *workers,
 		}, seeds.Coarsen, stdout)
@@ -137,12 +135,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // trainEmbedding runs the multilevel (or -flat single-level) training and
 // prints the realized schedule.
-func trainEmbedding(train *graph.Graph, mapper, construct, builder string, cutoff int, flat bool, opt embed.Options, coarsenSeed uint64, stdout io.Writer) (*embed.Result, error) {
+func trainEmbedding(train *graph.Graph, mapper, construct string, cutoff int, flat bool, opt embed.Options, coarsenSeed uint64, stdout io.Writer) (*embed.Result, error) {
 	m, err := coarsen.MapperByName(mapper)
 	if err != nil {
 		return nil, err
 	}
-	b, err := cli.PickBuilder(construct, builder)
+	b, err := coarsen.BuilderByName(construct)
 	if err != nil {
 		return nil, err
 	}

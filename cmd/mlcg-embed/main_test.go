@@ -139,6 +139,9 @@ func TestRunBadFlags(t *testing.T) {
 	if _, _, code := runCLI(t, "-gen", "rgg", "-mapper", "nope"); code == 0 {
 		t.Error("unknown mapper accepted")
 	}
+	if _, _, code := runCLI(t, "-gen", "rgg", "-builder", "sort"); code == 0 {
+		t.Error("removed -builder flag accepted")
+	}
 	if _, _, code := runCLI(t, "-gen", "rgg", "-load", "/nonexistent/e.mlcgemb"); code == 0 {
 		t.Error("missing sidecar accepted")
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"mlcg/internal/cli"
 	"mlcg/internal/coarsen"
@@ -40,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	order := fs.String("order", "", "compute an elimination ordering instead: nd (nested dissection) or rcm")
 	mapper := fs.String("mapper", "hec", "coarse mapping: "+cli.Mappers())
 	construct := fs.String("construct", "auto", "construction policy: "+cli.ConstructPolicies())
-	builder := fs.String("builder", "", "fixed construction (overrides -construct): "+strings.Join(coarsen.BuilderNames(), ", "))
 	seed := fs.Uint64("seed", 20210517, "random seed")
 	workers := fs.Int("workers", 0, "parallelism (0 = GOMAXPROCS)")
 	out := fs.String("out", "", "write the part vector (one id per line) to this file")
@@ -77,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	b, err := cli.PickBuilder(*construct, *builder)
+	b, err := coarsen.BuilderByName(*construct)
 	if err != nil {
 		return fail(err)
 	}

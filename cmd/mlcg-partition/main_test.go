@@ -135,7 +135,9 @@ func TestRunErrors(t *testing.T) {
 		{"-gen", "grid2d", "-method", "xx"}, // unknown method
 		{"-gen", "grid2d", "-k", "3", "-method", "xx"}, // unknown k-way method
 		{"-gen", "grid2d", "-mapper", "xx"},            // unknown mapper
-		{"-gen", "grid2d", "-builder", "xx"},           // unknown builder
+		{"-gen", "grid2d", "-construct", "xx"},         // unknown builder
+		{"-gen", "grid2d", "-construct", "probe"},      // removed probe mode
+		{"-gen", "grid2d", "-builder", "sort"},         // removed flag
 		{"-in", "/nonexistent"},                        // missing file
 		{"-zzz"},                                       // bad flag
 	}

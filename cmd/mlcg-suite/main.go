@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	builder, err := cli.PickBuilder(*construct, "")
+	builder, err := coarsen.BuilderByName(*construct)
 	if err != nil {
 		return fail(err)
 	}

@@ -356,7 +356,7 @@ func TestBuilderShootout(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	FormatShootout(&buf, rows)
-	for _, want := range []string{"segsort", "heap", "GeoMean"} {
+	for _, want := range []string{"segsort", "auto", "GeoMean"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q", want)
 		}

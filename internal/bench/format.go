@@ -228,9 +228,15 @@ func FormatGOSHHEC(w io.Writer, rows []GOSHHECRow) {
 }
 
 // FormatShootout prints the all-builders comparison (construction-time
-// ratios to the sort default; >1 means sort wins).
+// ratios to the sort default; >1 means sort wins), one column per
+// registered builder other than sort.
 func FormatShootout(w io.Writer, rows []BuilderShootoutRow) {
-	names := []string{"hash", "heap", "hybrid", "segsort", "globalsort", "spgemm"}
+	var names []string
+	for _, n := range coarsen.BuilderNames() {
+		if n != "sort" {
+			names = append(names, n)
+		}
+	}
 	fmt.Fprintf(w, "Construction strategy shootout (t_builder / t_sort)\n")
 	fmt.Fprintf(w, "%-14s %9s", "Graph", "t_sort(s)")
 	for _, n := range names {

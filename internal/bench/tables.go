@@ -400,9 +400,9 @@ type BuilderShootoutRow struct {
 	Ratios map[string]float64
 }
 
-// BuilderShootout measures all construction strategies — the paper's
-// sort/hash/SpGEMM comparison extended to the heap, hybrid, segmented-sort
-// and global-sort variants this module also implements.
+// BuilderShootout measures every registered construction strategy — the
+// paper's sort/hash/SpGEMM/global-sort comparison extended to the
+// segmented sort and the adaptive auto policy.
 func BuilderShootout(opt Options) []BuilderShootoutRow {
 	runs := opt.runs()
 	workers := opt.workers()

@@ -18,10 +18,9 @@ import (
 func Formats() string { return "edgelist, metis, binary, mlcg" }
 
 // ConstructPolicies documents the -construct flag values shared by the
-// coarsening commands.
-func ConstructPolicies() string {
-	return "auto, probe, or a fixed builder (" + strings.Join(coarsen.BuilderNames(), ", ") + ")"
-}
+// coarsening commands: every registered builder name, resolved by
+// coarsen.BuilderByName ("auto" is the adaptive per-level policy).
+func ConstructPolicies() string { return strings.Join(coarsen.BuilderNames(), ", ") }
 
 // Mappers documents the -mapper flag values shared by the coarsening
 // commands. Derived from the coarsen.AllMappers registry so a newly
@@ -33,26 +32,6 @@ func Mappers() string {
 		names[i] = m.Name()
 	}
 	return strings.Join(names, ", ")
-}
-
-// PickBuilder resolves the -construct/-builder flag pair shared by the
-// coarsening commands. construct selects the construction policy: "auto"
-// (the commands' default) dispatches per level via coarsen.AutoConstruct,
-// "probe" additionally times the regime candidates on the first level, and
-// any registered builder name pins that fixed strategy. A non-empty
-// builder — the pre-policy flag, kept as an explicit override — wins over
-// construct.
-func PickBuilder(construct, builder string) (coarsen.Builder, error) {
-	if builder != "" {
-		return coarsen.BuilderByName(builder)
-	}
-	switch construct {
-	case "", "auto":
-		return &coarsen.AutoConstruct{}, nil
-	case "probe":
-		return &coarsen.AutoConstruct{Probe: true}, nil
-	}
-	return coarsen.BuilderByName(construct)
 }
 
 // Generators lists the supported -gen values.

@@ -284,7 +284,7 @@ func TestWorkspaceReuseAcrossBuilderSwitch(t *testing.T) {
 		{"starOfStars", starOfStars(4, 5)},
 		{"chain", increasingChain(500)},
 	}
-	order := []string{"sort", "hash", "segsort", "spgemm", "globalsort", "hash", "heap", "hybrid", "sort", "segsort"}
+	order := []string{"sort", "hash", "segsort", "spgemm", "globalsort", "hash", "hybrid", "sort", "segsort"}
 	shared := NewWorkspace()
 	for round := 0; round < 2; round++ {
 		// Interleave graphs of different sizes so buffers are grown, then

@@ -1,8 +1,6 @@
 package coarsen
 
 import (
-	"time"
-
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
 	"mlcg/internal/par"
@@ -50,13 +48,10 @@ type Choice struct {
 	Level int
 	// Builder is the name of the dispatched builder and Reason the stable
 	// decision-rule code that selected it (trivial-level, tiny-level,
-	// near-clique, serial-default, skewed-parallel, regular-parallel,
-	// probe-winner).
+	// near-clique, dense-fold, serial-default, skewed-parallel,
+	// regular-parallel).
 	Builder string
 	Reason  string
-	// Probed marks a decision made by timing candidates rather than by the
-	// static rule.
-	Probed bool
 	// The statistics the rule saw: fine vertex/edge counts, coarse vertex
 	// count, degree skew Δ/(2m/n), coarsening ratio n/nc, and the estimated
 	// coarse density 2m/nc².
@@ -78,20 +73,7 @@ type Choice struct {
 // emit byte-identical canonical CSR (sort, segsort, globalsort), while the
 // branches selecting hash or spgemm — whose adjacency order differs — are
 // worker-count-independent.
-//
-// With Probe set, the first non-trivial level additionally times the two
-// regime candidates back to back and locks the measured winner in for the
-// rest of the hierarchy (the paper's "try both once" portability
-// fallback). Probing is off by default because it makes the choice
-// timing-dependent across runs; within a run determinism still holds
-// because the candidates share output order.
 type AutoConstruct struct {
-	// Probe enables first-level candidate timing (see type comment).
-	Probe bool
-
-	// locked is the probe winner ("" until a probe has run); it replaces
-	// the static pick of the sorted-family regimes for subsequent levels.
-	locked string
 	// level counts Build calls since BeginHierarchy, for Choice records.
 	level   int
 	last    *Choice
@@ -101,10 +83,9 @@ type AutoConstruct struct {
 // Name implements Builder.
 func (b *AutoConstruct) Name() string { return "auto" }
 
-// BeginHierarchy resets the per-hierarchy state (level counter, choice log,
-// probe lock). Coarsener.Run calls it before the first level.
+// BeginHierarchy resets the per-hierarchy state (level counter, choice
+// log). Coarsener.Run calls it before the first level.
 func (b *AutoConstruct) BeginHierarchy() {
-	b.locked = ""
 	b.level = 0
 	b.last = nil
 	b.choices = b.choices[:0]
@@ -140,22 +121,11 @@ func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p i
 	// the builders themselves.
 	rp := par.Workers(p, int(n))
 	name, reason := decideConstruct(edges, nc, skew, dens, rp)
-	if b.locked != "" && sortedFamily[name] {
-		name, reason = b.locked, "probe-winner"
-	}
-
 	ch := Choice{
 		Level: b.level, Builder: name, Reason: reason,
 		N: n, NC: nc, M: edges, Skew: skew, Ratio: m.Ratio(), Density: dens,
 	}
-
-	var cg *graph.Graph
-	var err error
-	if b.Probe && b.locked == "" && sortedFamily[name] {
-		cg, err = b.probe(ws, g, m, p, rp, &ch)
-	} else {
-		cg, err = dispatchConstruct(name, ws, g, m, p)
-	}
+	cg, err := dispatchConstruct(name, ws, g, m, p)
 	if err != nil {
 		return nil, err
 	}
@@ -171,46 +141,6 @@ func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p i
 	}
 	return cg, nil
 }
-
-// probe times the static pick against the other sorted-family candidate of
-// the current regime (rp is the resolved parallelism), locks the winner
-// in, and returns the winner's output (both candidates emit identical
-// CSR, so either output is the answer — the faster one's is simply the
-// one we keep).
-func (b *AutoConstruct) probe(ws *Workspace, g *graph.Graph, m *Mapping, p, rp int, ch *Choice) (*graph.Graph, error) {
-	alt := "sort"
-	if ch.Builder == "sort" {
-		if rp <= 1 {
-			alt = "globalsort"
-		} else {
-			alt = "segsort"
-		}
-	}
-	obs.Add(obs.CtrAutoProbe, 2)
-	t0 := time.Now()
-	cg, err := dispatchConstruct(ch.Builder, ws, g, m, p)
-	if err != nil {
-		return nil, err
-	}
-	dMain := time.Since(t0)
-	t0 = time.Now()
-	cgAlt, err := dispatchConstruct(alt, ws, g, m, p)
-	if err != nil {
-		return nil, err
-	}
-	if time.Since(t0) < dMain {
-		ch.Builder, cg = alt, cgAlt
-	}
-	ch.Probed, ch.Reason = true, "probe-winner"
-	b.locked = ch.Builder
-	return cg, nil
-}
-
-// sortedFamily marks the builders that emit identical fully sorted
-// canonical CSR for a given (graph, mapping). Only these may be selected
-// by worker-count-dependent branches or swapped by probing, or the policy
-// would lose byte-determinism across worker counts.
-var sortedFamily = map[string]bool{"sort": true, "segsort": true, "globalsort": true}
 
 // decideConstruct is the documented decision rule: a pure function of the
 // level statistics and the worker count. Branch order matters — the

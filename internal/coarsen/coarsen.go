@@ -25,6 +25,11 @@
 //   - BuildSpGEMM     — the P·A·Pᵀ triple product via internal/spmat
 //   - BuildGlobalSort — global edge-triple sort baseline
 //
+// BuilderNames lists every registered strategy, including BuildHybrid
+// (per-vertex sort-or-hash), BuildSegSort (segmented global sort) and
+// AutoConstruct (the adaptive per-level policy that dispatches among the
+// others).
+//
 // The Coarsener type drives the multilevel loop (Algorithm 1) with the
 // paper's cutoff-50 / discard-below-10 rules.
 package coarsen
@@ -154,7 +159,6 @@ var builderRegistry = []struct {
 	{"hash", func() Builder { return BuildHash{} }},
 	{"spgemm", func() Builder { return BuildSpGEMM{} }},
 	{"globalsort", func() Builder { return BuildGlobalSort{} }},
-	{"heap", func() Builder { return BuildHeap{} }},
 	{"hybrid", func() Builder { return BuildHybrid{} }},
 	{"segsort", func() Builder { return BuildSegSort{} }},
 	{"auto", func() Builder { return &AutoConstruct{} }},
@@ -162,8 +166,7 @@ var builderRegistry = []struct {
 
 // BuilderByName returns the builder registered under name (see
 // BuilderNames). The auto builder is the adaptive per-level policy (a fresh
-// stateful instance per call); pass -construct probe on the CLI for its
-// probe variant.
+// stateful instance per call).
 func BuilderByName(name string) (Builder, error) {
 	for _, b := range builderRegistry {
 		if b.name == name {

@@ -1,114 +1,10 @@
 package coarsen
 
 import (
-	"container/heap"
-
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
-
-// BuildHeap is the heap-based deduplication variant the paper's authors
-// implemented on the CPU (Section V: "a graph construction strategy using
-// heaps for deduplication"): each coarse vertex's bin is turned into a
-// binary min-heap on neighbor id and drained in order, merging equal keys.
-// Asymptotically it matches the sort-based dedup (O(d log d) per bin) but
-// with a different constant profile — it is included for the comparison,
-// not as a recommended default.
-type BuildHeap struct {
-	SkewThreshold float64
-	ForceOneSided bool
-}
-
-// Name implements Builder.
-func (BuildHeap) Name() string { return "heap" }
-
-// Build implements Builder.
-func (b BuildHeap) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return b.BuildWith(NewWorkspace(), g, m, p)
-}
-
-// BuildWith implements WorkspaceBuilder.
-func (b BuildHeap) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	mode := BuildSort{SkewThreshold: b.SkewThreshold, ForceOneSided: b.ForceOneSided}.mode(g)
-	return buildVertexCentric(ws, g, m, p, mode, dedupHeapSegments)
-}
-
-// pairHeap is a binary min-heap over (key, weight) pairs ordered by key.
-type pairHeap struct {
-	keys []int32
-	wgts []int64
-}
-
-func (h *pairHeap) Len() int           { return len(h.keys) }
-func (h *pairHeap) Less(i, j int) bool { return h.keys[i] < h.keys[j] }
-func (h *pairHeap) Swap(i, j int) {
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.wgts[i], h.wgts[j] = h.wgts[j], h.wgts[i]
-}
-func (h *pairHeap) Push(x interface{}) { panic("pairHeap: push unused; heapify in place") }
-func (h *pairHeap) Pop() interface{} {
-	n := len(h.keys) - 1
-	h.keys = h.keys[:n]
-	h.wgts = h.wgts[:n]
-	return nil
-}
-
-// dedupHeapSegments deduplicates every segment by heapifying it in place
-// and draining in key order into a per-worker scratch buffer, merging
-// duplicates.
-func dedupHeapSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, p int) []int32 {
-	span := obs.StartKernel("dedup:heap")
-	defer span.Done()
-	nc := len(cnt)
-	newCnt := growI32(&ws.newCnt, nc)
-	p = par.Workers(p, nc)
-	keyBufs, wgtBufs := ws.pairBufsFor(p)
-	par.ForChunked(nc, p, 64, func(wid, aLo, aHi int) {
-		outK := keyBufs[wid]
-		outW := wgtBufs[wid]
-		// One heap header per chunk, re-pointed at each segment, so the
-		// interface conversion for heap.Init does not allocate per bin.
-		ph := &pairHeap{}
-		for a := aLo; a < aHi; a++ {
-			lo := r[a]
-			n := int(cnt[a])
-			if n == 0 {
-				newCnt[a] = 0
-				continue
-			}
-			ph.keys = f[lo : lo+int64(n)]
-			ph.wgts = x[lo : lo+int64(n)]
-			heap.Init(ph)
-			outK = outK[:0]
-			outW = outW[:0]
-			for ph.Len() > 0 {
-				k, w := ph.keys[0], ph.wgts[0]
-				if l := len(outK); l > 0 && outK[l-1] == k {
-					outW[l-1] += w
-				} else {
-					outK = append(outK, k)
-					outW = append(outW, w)
-				}
-				// Pop the root: move the last element to the root and
-				// sift down by shrinking the heap.
-				last := ph.Len() - 1
-				ph.Swap(0, last)
-				ph.keys = ph.keys[:last]
-				ph.wgts = ph.wgts[:last]
-				if last > 0 {
-					heap.Fix(ph, 0)
-				}
-			}
-			copy(f[lo:], outK)
-			copy(x[lo:], outW)
-			newCnt[a] = int32(len(outK))
-		}
-		keyBufs[wid] = outK
-		wgtBufs[wid] = outW
-	})
-	return newCnt
-}
 
 // BuildHybrid realizes the paper's future-work idea of "deciding whether
 // to sort or hash on a per-vertex basis": short bins use the insertion/

@@ -29,9 +29,10 @@ package coarsen
 //	Algorithm 16 (GOSH/HEC hybrid).............. GOSHHEC.Map (reconstruction)
 //
 // Beyond the paper: Suitor.Map and BSuitor.Map implement the weighted
-// matching algorithms named in the paper's future work; BuildHeap,
-// BuildHybrid, BuildSegSort and BuildSort.PreDedup implement the
-// construction alternatives Section III.B sketches.
+// matching algorithms named in the paper's future work; BuildHybrid,
+// BuildSegSort and BuildSort.PreDedup implement the construction
+// alternatives Section III.B sketches, and AutoConstruct picks among the
+// registered builders (BuilderNames) per level.
 //
 // The tech-report pseudocode for Algorithms 9 and 16 was not available to
 // this reproduction; HEC2 and GOSHHEC are reconstructions from the

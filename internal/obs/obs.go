@@ -44,15 +44,14 @@ const (
 
 	// The construct_policy counters record the adaptive construction
 	// policy's per-level decisions: one CtrAuto<Builder> increment per
-	// level dispatched to that builder, and CtrAutoProbe increments per
-	// timed probe build. Together they make the policy's behavior visible
-	// in traces, metrics dumps, and bench baselines without new plumbing.
+	// level dispatched to that builder. Together they make the policy's
+	// behavior visible in traces, metrics dumps, and bench baselines
+	// without new plumbing.
 	CtrAutoSort
 	CtrAutoHash
 	CtrAutoSegSort
 	CtrAutoSpGEMM
 	CtrAutoGlobalSort
-	CtrAutoProbe
 
 	// CtrMIS2FastRounds counts selection rounds of the worklist-driven
 	// distance-2 MIS kernel (mis2fast); CtrMIS2FastFrontier accumulates the
@@ -108,7 +107,6 @@ var counterNames = [numCounters]string{
 	CtrAutoSegSort:    "construct_auto_segsort",
 	CtrAutoSpGEMM:     "construct_auto_spgemm",
 	CtrAutoGlobalSort: "construct_auto_globalsort",
-	CtrAutoProbe:      "construct_auto_probes",
 
 	CtrMIS2FastRounds:   "mis2fast_rounds",
 	CtrMIS2FastFrontier: "mis2fast_frontier",

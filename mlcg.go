@@ -105,8 +105,8 @@ var (
 // goshhec, suitor, bsuitor.
 func MapperByName(name string) (Mapper, error) { return coarsen.MapperByName(name) }
 
-// BuilderByName returns one of the registered construction strategies:
-// sort, hash, spgemm, globalsort.
+// BuilderByName returns one of the registered construction strategies
+// (see BuilderNames).
 func BuilderByName(name string) (Builder, error) { return coarsen.BuilderByName(name) }
 
 // MapperNames lists the available mapping algorithms.

@@ -59,7 +59,7 @@ func TestFacadeGraphConstruction(t *testing.T) {
 }
 
 func TestFacadeRegistries(t *testing.T) {
-	if len(MapperNames()) != 13 || len(BuilderNames()) != 8 {
+	if len(MapperNames()) != 13 || len(BuilderNames()) != 7 {
 		t.Errorf("registry sizes %d/%d", len(MapperNames()), len(BuilderNames()))
 	}
 	for _, n := range MapperNames() {
