@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=30s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=30s -run=Fuzz ./internal/coarsen/
+	$(GO) test -fuzz=FuzzBuildersAgree -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=30s -run=Fuzz ./internal/hierfmt/
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
@@ -60,13 +61,15 @@ fuzz:
 # The CI slice of `fuzz`: 20s per target on the structured-input targets
 # (CSR construction, the versioned hierarchy container, the mis2fast
 # worklist kernel's D2-independence/maximality invariants, hierarchy
-# projection over hostile level maps, the matrix-free Fiedler solvers'
+# projection over hostile level maps, every builder's agreement with the
+# P·A·Pᵀ reference over hostile mappings, the matrix-free Fiedler solvers'
 # bit-identity to their explicit-Laplacian reference, and FM refinement's
 # identity to its per-pass reference).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=20s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=20s -run=Fuzz ./internal/coarsen/
+	$(GO) test -fuzz=FuzzBuildersAgree -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=20s -run=Fuzz ./internal/hierfmt/
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/

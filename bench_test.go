@@ -81,9 +81,9 @@ func BenchmarkTable2Construction(b *testing.B) {
 // BenchmarkBuildConstruct isolates a single coarse-graph construction per
 // builder on the two skewed representatives (kron21 is the RMAT analog,
 // ppa the BA analog) — the construction column of Tables II/III without
-// the mapping phase. The HEC mapping is precomputed once; builders that
-// support it reuse one workspace across iterations, exactly as
-// Coarsener.Run drives them, so the numbers reflect steady-state levels.
+// the mapping phase. The HEC mapping is precomputed once; every builder
+// reuses one workspace across iterations, exactly as Coarsener.Run drives
+// them, so the numbers reflect steady-state levels.
 func BenchmarkBuildConstruct(b *testing.B) {
 	for _, gname := range []string{"kron21", "ppa"} {
 		g := benchGraph(b, gname)
@@ -100,17 +100,9 @@ func BenchmarkBuildConstruct(b *testing.B) {
 			b.Run(gname+"/"+bname, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(g.Size())
-				if wb, ok := builder.(coarsen.WorkspaceBuilder); ok {
-					ws := coarsen.NewWorkspace()
-					for i := 0; i < b.N; i++ {
-						if _, err := wb.BuildWith(ws, g, m, 0); err != nil {
-							b.Fatal(err)
-						}
-					}
-					return
-				}
+				ws := coarsen.NewWorkspace()
 				for i := 0; i < b.N; i++ {
-					if _, err := builder.Build(g, m, 0); err != nil {
+					if _, err := builder.BuildWith(ws, g, m, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -274,8 +266,8 @@ func BenchmarkFig3WeakScaling(b *testing.B) {
 func BenchmarkDedupAblation(b *testing.B) {
 	g := benchGraph(b, "kron21")
 	for name, builder := range map[string]coarsen.Builder{
-		"onesided-off": coarsen.BuildSort{SkewThreshold: -1},
-		"onesided-on":  coarsen.BuildSort{ForceOneSided: true},
+		"onesided-off": coarsen.BuildSort{OneSided: coarsen.OneSidedOff},
+		"onesided-on":  coarsen.BuildSort{OneSided: coarsen.OneSidedOn},
 	} {
 		b.Run(name, func(b *testing.B) {
 			c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: builder, Seed: 1}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -111,6 +112,36 @@ func TestRunWritesParts(t *testing.T) {
 	lines := strings.Fields(string(data))
 	if len(lines) != 90000 {
 		t.Errorf("part vector has %d entries, want 90000", len(lines))
+	}
+}
+
+// TestRunRejectsWeightOverflow feeds both bisection methods a graph whose
+// edge weights fit in int64 one by one but whose total does not ({0,1} and
+// {2,3} of weight 2^62, the four cross edges 2^61, a unit path
+// 3-4-...-79). Ingest must reject it: coarsening would otherwise sum a
+// coarse weight past int64, giving a negative spectral cut and a negative
+// FM bucket index.
+func TestRunRejectsWeightOverflow(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("80 82\n0 1 4611686018427387904\n2 3 4611686018427387904\n")
+	for _, e := range []string{"0 2", "0 3", "1 2", "1 3"} {
+		b.WriteString(e + " 2305843009213693952\n")
+	}
+	for i := 3; i < 79; i++ {
+		fmt.Fprintf(&b, "%d %d 1\n", i, i+1)
+	}
+	in := filepath.Join(t.TempDir(), "overflow.txt")
+	if err := os.WriteFile(in, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"fm", "spectral"} {
+		out, errs, code := runCLI(t, "-in", in, "-method", method)
+		if code == 0 {
+			t.Errorf("-method %s: accepted the graph:\n%s", method, out)
+		}
+		if !strings.Contains(errs, "overflows int64") {
+			t.Errorf("-method %s: stderr %q does not name the overflow", method, errs)
+		}
 	}
 }
 

@@ -127,3 +127,18 @@ func hierarchyForD(g *graph.Graph, mapper coarsen.Mapper, builder coarsen.Builde
 	c := &coarsen.Coarsener{Mapper: mapper, Builder: builder, Seed: seed, Workers: workers, DiscardBelow: discard}
 	return c.Run(g)
 }
+
+// medianBuildTime returns the median Hierarchy.BuildTime over opt.runs()
+// HEC hierarchies of g constructed with b.
+func medianBuildTime(g *graph.Graph, b coarsen.Builder, opt Options) time.Duration {
+	ds := make([]time.Duration, opt.runs())
+	for i := range ds {
+		h, err := hierarchyFor(g, coarsen.HEC{}, b, opt.workers(), opt.seed())
+		if err != nil {
+			panic(err)
+		}
+		ds[i] = h.BuildTime()
+	}
+	sort.Slice(ds, func(a, c int) bool { return ds[a] < ds[c] })
+	return ds[len(ds)/2]
+}

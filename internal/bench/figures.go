@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mlcg/internal/coarsen"
@@ -367,28 +366,13 @@ type DedupAblationRow struct {
 // DedupAblation measures construction time with the one-sided optimization
 // disabled vs forced, on the skewed half of the suite.
 func DedupAblation(opt Options) []DedupAblationRow {
-	runs := opt.runs()
-	workers := opt.workers()
 	var rows []DedupAblationRow
 	for _, inst := range opt.Suite() {
 		if !inst.Skewed {
 			continue
 		}
-		g := inst.Graph
-		bt := func(b coarsen.Builder) time.Duration {
-			ds := make([]time.Duration, runs)
-			for i := range ds {
-				h, err := hierarchyFor(g, coarsen.HEC{}, b, workers, opt.seed())
-				if err != nil {
-					panic(err)
-				}
-				ds[i] = h.BuildTime()
-			}
-			sort.Slice(ds, func(a, c int) bool { return ds[a] < ds[c] })
-			return ds[len(ds)/2]
-		}
-		off := bt(coarsen.BuildSort{SkewThreshold: -1})
-		on := bt(coarsen.BuildSort{ForceOneSided: true})
+		off := medianBuildTime(inst.Graph, coarsen.BuildSort{OneSided: coarsen.OneSidedOff}, opt)
+		on := medianBuildTime(inst.Graph, coarsen.BuildSort{OneSided: coarsen.OneSidedOn}, opt)
 		rows = append(rows, DedupAblationRow{
 			Name: inst.Name, Skewed: true,
 			TOneOff: off, TOneOn: on,

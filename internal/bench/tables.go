@@ -404,23 +404,8 @@ type BuilderShootoutRow struct {
 // paper's sort/hash/SpGEMM/global-sort comparison extended to the
 // segmented sort and the adaptive auto policy.
 func BuilderShootout(opt Options) []BuilderShootoutRow {
-	runs := opt.runs()
-	workers := opt.workers()
 	var rows []BuilderShootoutRow
 	for _, inst := range opt.Suite() {
-		g := inst.Graph
-		bt := func(b coarsen.Builder) time.Duration {
-			ds := make([]time.Duration, runs)
-			for i := range ds {
-				h, err := hierarchyFor(g, coarsen.HEC{}, b, workers, opt.seed())
-				if err != nil {
-					panic(err)
-				}
-				ds[i] = h.BuildTime()
-			}
-			sort.Slice(ds, func(a, c int) bool { return ds[a] < ds[c] })
-			return ds[len(ds)/2]
-		}
 		row := BuilderShootoutRow{Name: inst.Name, Skewed: inst.Skewed, Ratios: map[string]float64{}}
 		var tSort time.Duration
 		for _, name := range coarsen.BuilderNames() {
@@ -428,7 +413,7 @@ func BuilderShootout(opt Options) []BuilderShootoutRow {
 			if err != nil {
 				panic(err)
 			}
-			t := bt(b)
+			t := medianBuildTime(inst.Graph, b, opt)
 			if name == "sort" {
 				tSort = t
 				row.TSort = t
@@ -450,8 +435,7 @@ type ConstructBenchRow struct {
 	Skewed  bool
 	Builder string
 	// TFresh/TReused are median times for one Build with a fresh versus a
-	// reused Workspace. For builders without workspace support both report
-	// the plain Build path.
+	// reused Workspace.
 	TFresh  time.Duration
 	TReused time.Duration
 	// Reuse = TFresh / TReused.
@@ -488,20 +472,16 @@ func ConstructBench(opt Options) []ConstructBenchRow {
 					panic(err)
 				}
 			})
-			if wb, ok := b.(coarsen.WorkspaceBuilder); ok {
-				ws := coarsen.NewWorkspace()
-				// Warm the arena outside the measurement.
-				if _, err := wb.BuildWith(ws, g, m, workers); err != nil {
+			ws := coarsen.NewWorkspace()
+			// Warm the arena outside the measurement.
+			if _, err := b.BuildWith(ws, g, m, workers); err != nil {
+				panic(err)
+			}
+			row.TReused = medianDuration(runs, func() {
+				if _, err := b.BuildWith(ws, g, m, workers); err != nil {
 					panic(err)
 				}
-				row.TReused = medianDuration(runs, func() {
-					if _, err := wb.BuildWith(ws, g, m, workers); err != nil {
-						panic(err)
-					}
-				})
-			} else {
-				row.TReused = row.TFresh
-			}
+			})
 			if row.TReused > 0 {
 				row.Reuse = float64(row.TFresh) / float64(row.TReused)
 			}

@@ -267,6 +267,18 @@ func TestAutoDecisionRuleCoverage(t *testing.T) {
 			t.Errorf("decision rule never selects %s", want)
 		}
 	}
+	// Every name the rule returns must dispatch to the builder of that
+	// name, so LevelStats.Builder names the kernel that actually ran.
+	for name := range covered {
+		target, ok := autoTargets[name]
+		if !ok {
+			t.Errorf("decision rule selects %s, which has no autoTargets entry", name)
+			continue
+		}
+		if got := target.builder.Name(); got != name {
+			t.Errorf("autoTargets[%q] dispatches to %s", name, got)
+		}
+	}
 }
 
 // TestWorkspaceReuseAcrossBuilderSwitch is the regression test for the
@@ -284,7 +296,7 @@ func TestWorkspaceReuseAcrossBuilderSwitch(t *testing.T) {
 		{"starOfStars", starOfStars(4, 5)},
 		{"chain", increasingChain(500)},
 	}
-	order := []string{"sort", "hash", "segsort", "spgemm", "globalsort", "hash", "hybrid", "sort", "segsort"}
+	order := []string{"sort", "hash", "segsort", "spgemm", "globalsort", "hash", "sort", "segsort"}
 	shared := NewWorkspace()
 	for round := 0; round < 2; round++ {
 		// Interleave graphs of different sizes so buffers are grown, then
@@ -301,15 +313,11 @@ func TestWorkspaceReuseAcrossBuilderSwitch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wb, ok := b.(WorkspaceBuilder)
-					if !ok {
-						t.Fatalf("%s: not a WorkspaceBuilder", bn)
-					}
-					got, err := wb.BuildWith(shared, tg.g, m, p)
+					got, err := b.BuildWith(shared, tg.g, m, p)
 					if err != nil {
 						t.Fatalf("round %d %s/%s/p%d (shared): %v", round, tg.name, bn, p, err)
 					}
-					want, err := wb.BuildWith(NewWorkspace(), tg.g, m, p)
+					want, err := b.BuildWith(NewWorkspace(), tg.g, m, p)
 					if err != nil {
 						t.Fatalf("%s/%s/p%d (fresh): %v", tg.name, bn, p, err)
 					}

@@ -1,6 +1,8 @@
 package coarsen
 
 import (
+	"fmt"
+
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
 	"mlcg/internal/par"
@@ -42,25 +44,14 @@ const (
 	autoDenseFoldDensity = 0.5
 )
 
-// Choice records one per-level decision of the AutoConstruct policy.
+// Choice records one per-level decision of the AutoConstruct policy:
+// Builder is the name of the dispatched builder and Reason the stable
+// decision-rule code that selected it (trivial-level, tiny-level,
+// near-clique, dense-fold, serial-default, skewed-parallel,
+// regular-parallel).
 type Choice struct {
-	// Level is the 0-based level index within the current hierarchy.
-	Level int
-	// Builder is the name of the dispatched builder and Reason the stable
-	// decision-rule code that selected it (trivial-level, tiny-level,
-	// near-clique, dense-fold, serial-default, skewed-parallel,
-	// regular-parallel).
 	Builder string
 	Reason  string
-	// The statistics the rule saw: fine vertex/edge counts, coarse vertex
-	// count, degree skew Δ/(2m/n), coarsening ratio n/nc, and the estimated
-	// coarse density 2m/nc².
-	N       int32
-	NC      int32
-	M       int64
-	Skew    float64
-	Ratio   float64
-	Density float64
 }
 
 // AutoConstruct is the adaptive per-level construction policy: each Build
@@ -74,37 +65,23 @@ type Choice struct {
 // branches selecting hash or spgemm — whose adjacency order differs — are
 // worker-count-independent.
 type AutoConstruct struct {
-	// level counts Build calls since BeginHierarchy, for Choice records.
-	level   int
-	last    *Choice
-	choices []Choice
+	last *Choice
 }
 
 // Name implements Builder.
 func (b *AutoConstruct) Name() string { return "auto" }
 
-// BeginHierarchy resets the per-hierarchy state (level counter, choice
-// log). Coarsener.Run calls it before the first level.
-func (b *AutoConstruct) BeginHierarchy() {
-	b.level = 0
-	b.last = nil
-	b.choices = b.choices[:0]
-}
-
 // LastChoice returns the decision of the most recent Build (nil before the
 // first).
 func (b *AutoConstruct) LastChoice() *Choice { return b.last }
-
-// Choices returns the decision log since the last BeginHierarchy.
-func (b *AutoConstruct) Choices() []Choice { return append([]Choice(nil), b.choices...) }
 
 // Build implements Builder with a private workspace.
 func (b *AutoConstruct) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
 	return b.BuildWith(NewWorkspace(), g, m, p)
 }
 
-// BuildWith implements WorkspaceBuilder: it decides, records the choice,
-// and forwards the shared workspace to the chosen builder.
+// BuildWith implements Builder: it decides, records the choice, and
+// forwards the shared workspace to the chosen builder.
 func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
 	if err := m.Validate(g.N()); err != nil {
 		return nil, err
@@ -121,25 +98,38 @@ func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p i
 	// the builders themselves.
 	rp := par.Workers(p, int(n))
 	name, reason := decideConstruct(edges, nc, skew, dens, rp)
-	ch := Choice{
-		Level: b.level, Builder: name, Reason: reason,
-		N: n, NC: nc, M: edges, Skew: skew, Ratio: m.Ratio(), Density: dens,
+	t, ok := autoTargets[name]
+	if !ok {
+		return nil, fmt.Errorf("coarsen: auto policy chose unregistered builder %q", name)
 	}
-	cg, err := dispatchConstruct(name, ws, g, m, p)
+	cg, err := t.builder.BuildWith(ws, g, m, p)
 	if err != nil {
 		return nil, err
 	}
 
-	b.level++
-	b.last = &ch
-	b.choices = append(b.choices, ch)
-	obs.Add(counterForBuilder(ch.Builder), 1)
+	b.last = &Choice{Builder: name, Reason: reason}
+	obs.Add(t.counter, 1)
 	if obs.Enabled() {
 		// A zero-width marker span makes the per-level decision visible in
 		// the trace tree under the enclosing build span.
-		obs.StartKernel("policy:" + ch.Builder + ":" + ch.Reason).Done()
+		obs.StartKernel("policy:" + name + ":" + reason).Done()
 	}
 	return cg, nil
+}
+
+// autoTargets maps every builder name decideConstruct returns to the
+// builder it dispatches to (reusing the caller's workspace, the
+// builder-switching path TestWorkspaceReuseAcrossBuilderSwitch exercises)
+// and the construct_auto counter that records the pick.
+var autoTargets = map[string]struct {
+	builder Builder
+	counter obs.Counter
+}{
+	"sort":       {BuildSort{}, obs.CtrAutoSort},
+	"hash":       {BuildHash{}, obs.CtrAutoHash},
+	"segsort":    {BuildSegSort{}, obs.CtrAutoSegSort},
+	"spgemm":     {BuildSpGEMM{}, obs.CtrAutoSpGEMM},
+	"globalsort": {BuildGlobalSort{}, obs.CtrAutoGlobalSort},
 }
 
 // decideConstruct is the documented decision rule: a pure function of the
@@ -190,52 +180,11 @@ func decideConstruct(m int64, nc int32, skew, dens float64, p int) (name, reason
 	}
 }
 
-// dispatchConstruct forwards to the named underlying builder, reusing the
-// caller's workspace (the builder-switching reuse path exercised by
-// TestWorkspaceReuseAcrossBuilderSwitch).
-func dispatchConstruct(name string, ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	var wb WorkspaceBuilder
-	switch name {
-	case "sort":
-		wb = BuildSort{}
-	case "hash":
-		wb = BuildHash{}
-	case "segsort":
-		wb = BuildSegSort{}
-	case "spgemm":
-		wb = BuildSpGEMM{}
-	case "globalsort":
-		wb = BuildGlobalSort{}
-	default:
-		wb = BuildSort{}
-	}
-	return wb.BuildWith(ws, g, m, p)
-}
-
-// counterForBuilder maps a chosen builder to its construct_policy counter.
-func counterForBuilder(name string) obs.Counter {
-	switch name {
-	case "sort":
-		return obs.CtrAutoSort
-	case "hash":
-		return obs.CtrAutoHash
-	case "segsort":
-		return obs.CtrAutoSegSort
-	case "spgemm":
-		return obs.CtrAutoSpGEMM
-	case "globalsort":
-		return obs.CtrAutoGlobalSort
-	}
-	return obs.CtrAutoSort
-}
-
 // PolicyBuilder is implemented by builders that make per-level dispatch
-// decisions. Coarsener.Run uses it to reset per-hierarchy state and to
-// record the chosen builder and reason in LevelStats.
+// decisions. Coarsener.Run uses it to record the chosen builder and reason
+// in LevelStats.
 type PolicyBuilder interface {
 	Builder
-	// BeginHierarchy resets per-hierarchy decision state.
-	BeginHierarchy()
 	// LastChoice reports the most recent decision (nil before the first).
 	LastChoice() *Choice
 }

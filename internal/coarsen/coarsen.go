@@ -25,10 +25,9 @@
 //   - BuildSpGEMM     — the P·A·Pᵀ triple product via internal/spmat
 //   - BuildGlobalSort — global edge-triple sort baseline
 //
-// BuilderNames lists every registered strategy, including BuildHybrid
-// (per-vertex sort-or-hash), BuildSegSort (segmented global sort) and
-// AutoConstruct (the adaptive per-level policy that dispatches among the
-// others).
+// BuilderNames lists every registered strategy, including BuildSegSort
+// (segmented global sort) and AutoConstruct (the adaptive per-level policy
+// that dispatches among the others).
 //
 // The Coarsener type drives the multilevel loop (Algorithm 1) with the
 // paper's cutoff-50 / discard-below-10 rules.
@@ -59,8 +58,10 @@ func (m *Mapping) Validate(n int) error {
 	if len(m.M) != n {
 		return fmt.Errorf("coarsen: mapping covers %d vertices, want %d", len(m.M), n)
 	}
-	if m.NC < 0 || (n > 0 && m.NC == 0) {
-		return fmt.Errorf("coarsen: bad coarse count %d", m.NC)
+	// A compact mapping uses every coarse id, so NC <= n; checking that
+	// first keeps a hostile NC from sizing the seen array.
+	if m.NC < 0 || (n > 0 && m.NC == 0) || int(m.NC) > n {
+		return fmt.Errorf("coarsen: bad coarse count %d for %d vertices", m.NC, n)
 	}
 	seen := make([]bool, m.NC)
 	for u, a := range m.M {
@@ -100,9 +101,13 @@ type Mapper interface {
 }
 
 // Builder constructs the coarse graph from a fine graph and a mapping.
+// Build runs on private scratch; BuildWith runs its scratch phase out of a
+// caller-provided Workspace (ws must be non-nil), which Coarsener.Run
+// reuses across all levels of a hierarchy.
 type Builder interface {
 	Name() string
 	Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error)
+	BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error)
 }
 
 // mapperRegistry is the single roster of mapping algorithms in canonical
@@ -159,7 +164,6 @@ var builderRegistry = []struct {
 	{"hash", func() Builder { return BuildHash{} }},
 	{"spgemm", func() Builder { return BuildSpGEMM{} }},
 	{"globalsort", func() Builder { return BuildGlobalSort{} }},
-	{"hybrid", func() Builder { return BuildHybrid{} }},
 	{"segsort", func() Builder { return BuildSegSort{} }},
 	{"auto", func() Builder { return &AutoConstruct{} }},
 }

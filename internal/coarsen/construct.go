@@ -14,21 +14,32 @@ import (
 // degree to estimate the skew, and selectively invoke this optimization").
 const DefaultSkewThreshold = 8.0
 
-// sideMode selects how the vertex-centric builders place fine edges into
-// coarse-vertex bins before deduplication.
-type sideMode int
+// OneSidedMode selects how the vertex-centric builders place fine edges
+// into coarse-vertex bins before deduplication.
+type OneSidedMode int
 
 const (
-	// sideAuto applies the one-sided optimization only when the fine
-	// graph's degree skew exceeds the threshold.
-	sideAuto sideMode = iota
-	// sideBoth always writes each fine directed edge at its own endpoint
-	// (the unoptimized Algorithm 6).
-	sideBoth
-	// sideOne always writes each fine undirected edge once, at the
+	// OneSidedBySkew writes one-sided only when the fine graph's degree
+	// skew Δ/(2m/n) reaches DefaultSkewThreshold (the paper's rule).
+	OneSidedBySkew OneSidedMode = iota
+	// OneSidedOff always writes each fine directed edge at its own
+	// endpoint (the unoptimized Algorithm 6).
+	OneSidedOff
+	// OneSidedOn always writes each fine undirected edge once, at the
 	// endpoint whose coarse vertex has the smaller estimated degree.
-	sideOne
+	OneSidedOn
 )
+
+// applies reports whether the one-sided write is used on g.
+func (o OneSidedMode) applies(g *graph.Graph) bool {
+	switch o {
+	case OneSidedOff:
+		return false
+	case OneSidedOn:
+		return true
+	}
+	return g.DegreeSkew() >= DefaultSkewThreshold
+}
 
 // BuildSort is the paper's default construction (Algorithm 6 with
 // sort-based DEDUPWITHWTS): bin edges by coarse source vertex, sort each
@@ -43,18 +54,9 @@ const (
 // shared counters and the output CSR is byte-identical for every worker
 // count.
 type BuildSort struct {
-	// SkewThreshold overrides DefaultSkewThreshold; negative disables the
-	// one-sided optimization entirely, zero means the default.
-	SkewThreshold float64
-	// ForceOneSided applies the optimization regardless of skew (used by
-	// the ablation benchmarks).
-	ForceOneSided bool
-	// PreDedup additionally deduplicates the coarse adjacencies of each
-	// fine vertex before scattering (Section III.B names this as an
-	// additional future-work optimization): a fine vertex with many
-	// neighbors inside the same target aggregate then contributes one
-	// merged entry instead of one entry per edge.
-	PreDedup bool
+	// OneSided overrides the skew rule (the one-sided dedup ablation sets
+	// it); the zero value follows the rule like every other builder.
+	OneSided OneSidedMode
 }
 
 // Name implements Builder.
@@ -65,39 +67,16 @@ func (b BuildSort) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error
 	return b.BuildWith(NewWorkspace(), g, m, p)
 }
 
-// BuildWith implements WorkspaceBuilder.
+// BuildWith implements Builder.
 func (b BuildSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	if b.PreDedup {
-		return buildVertexCentricPre(ws, g, m, p, b.mode(g), dedupSortSegments)
-	}
-	return buildVertexCentric(ws, g, m, p, b.mode(g), dedupSortSegments)
-}
-
-func (b BuildSort) mode(g *graph.Graph) sideMode {
-	if b.ForceOneSided {
-		return sideOne
-	}
-	th := b.SkewThreshold
-	if th == 0 {
-		th = DefaultSkewThreshold
-	}
-	if th < 0 {
-		return sideBoth
-	}
-	if g.DegreeSkew() >= th {
-		return sideOne
-	}
-	return sideBoth
+	return buildVertexCentric(ws, g, m, p, b.OneSided.applies(g), dedupSortSegments)
 }
 
 // BuildHash is Algorithm 6 with hash-based DEDUPWITHWTS: per-vertex open
 // addressing tables accumulate (neighbor, weight) pairs. Preferable when
 // the duplication factor is high; the sort wins when duplication is near
 // one (Section III.B).
-type BuildHash struct {
-	SkewThreshold float64
-	ForceOneSided bool
-}
+type BuildHash struct{}
 
 // Name implements Builder.
 func (BuildHash) Name() string { return "hash" }
@@ -107,10 +86,9 @@ func (b BuildHash) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error
 	return b.BuildWith(NewWorkspace(), g, m, p)
 }
 
-// BuildWith implements WorkspaceBuilder.
-func (b BuildHash) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	mode := BuildSort{SkewThreshold: b.SkewThreshold, ForceOneSided: b.ForceOneSided}.mode(g)
-	return buildVertexCentric(ws, g, m, p, mode, dedupHashSegments)
+// BuildWith implements Builder.
+func (BuildHash) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
+	return buildVertexCentric(ws, g, m, p, OneSidedBySkew.applies(g), dedupHashSegments)
 }
 
 // dedupFunc deduplicates every coarse vertex's segment in place: for each
@@ -161,7 +139,7 @@ func aggregateVertexWeights(ws *Workspace, g *graph.Graph, mv []int32, nc, p int
 // entry to its precomputed slot without contended writes. Because the ranges are
 // ordered, bin contents come out in fine-vertex order regardless of the
 // worker count — the basis of the byte-identical determinism guarantee.
-func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, mode sideMode, dedup dedupFunc) (*graph.Graph, error) {
+func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, oneSided bool, dedup dedupFunc) (*graph.Graph, error) {
 	n := g.N()
 	if err := m.Validate(n); err != nil {
 		return nil, err
@@ -199,7 +177,6 @@ func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, mode s
 	par.MergeHistograms(hists, cEst, p)
 	span.Done()
 
-	oneSided := mode == sideOne
 	// writeHere reports whether the directed fine edge (u, v) is placed in
 	// the bin of M[u]. One-sided mode picks the endpoint whose coarse
 	// vertex has the smaller estimated degree, tie-broken by fine id

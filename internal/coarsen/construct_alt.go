@@ -1,7 +1,8 @@
 package coarsen
 
 import (
-	"math"
+	"fmt"
+	"sync/atomic"
 
 	"mlcg/internal/graph"
 	"mlcg/internal/par"
@@ -12,6 +13,8 @@ import (
 // A_c = P·A·Pᵀ, where P is the nc×n aggregation matrix (Section II). Two
 // calls into the SpGEMM kernel compute the product; the diagonal (intra-
 // aggregate weight) is dropped to match the no-self-loop graph invariant.
+// The kernel accumulates in float64, so a coarse edge weight of 2^53 or
+// more is an error rather than a rounded result.
 type BuildSpGEMM struct{}
 
 // Name implements Builder.
@@ -22,7 +25,7 @@ func (b BuildSpGEMM) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, err
 	return b.BuildWith(NewWorkspace(), g, m, p)
 }
 
-// BuildWith implements WorkspaceBuilder. The SpGEMM kernel manages its own
+// BuildWith implements Builder. The SpGEMM kernel manages its own
 // scratch; the workspace covers the vertex-weight aggregation.
 func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
 	n := g.N()
@@ -34,20 +37,29 @@ func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (
 	a := spmat.FromGraph(g)
 	ac := spmat.PAPt(a, m.M, m.NC, p)
 
-	// Strip the diagonal and convert float accumulators back to the exact
-	// integer weights (sums of int64 inputs are exactly representable for
-	// any realistic weight range).
+	// Strip the diagonal and convert the float64 accumulators back to
+	// integer weights. Every kept entry is a sum of positive weights, so
+	// each partial sum its accumulator formed is at most the final value:
+	// an entry below 2^53 is exact, and one at or above it may have been
+	// rounded, which is reported instead of returned.
+	var inexact atomic.Bool
 	cnt := growI32(&ws.cnt, nc)
 	par.ForEachChunked(nc, p, 256, func(i int) {
-		cols, _ := ac.Row(int32(i))
+		cols, vals := ac.Row(int32(i))
 		var c int32
-		for _, cc := range cols {
+		for k, cc := range cols {
 			if cc != int32(i) {
 				c++
+				if vals[k] >= 1<<53 {
+					inexact.Store(true)
+				}
 			}
 		}
 		cnt[i] = c
 	})
+	if inexact.Load() {
+		return nil, fmt.Errorf("coarsen: spgemm: a coarse edge weight reaches 2^53, beyond exact float64 accumulation")
+	}
 	xadj := make([]int64, nc+1)
 	par.PrefixSumInt32(xadj, cnt, p)
 	adj := make([]int32, xadj[nc])
@@ -60,7 +72,7 @@ func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (
 				continue
 			}
 			adj[pos] = cc
-			wgt[pos] = int64(math.Round(vals[k]))
+			wgt[pos] = int64(vals[k])
 			pos++
 		}
 	})
@@ -85,7 +97,7 @@ func (b BuildGlobalSort) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph,
 	return b.BuildWith(NewWorkspace(), g, m, p)
 }
 
-// BuildWith implements WorkspaceBuilder.
+// BuildWith implements Builder.
 func (BuildGlobalSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
 	n := g.N()
 	if err := m.Validate(n); err != nil {

@@ -11,10 +11,7 @@ import (
 // independently, all bins are sorted at once by one parallel radix sort on
 // the composite key (bin id, neighbor id). Long hub bins then benefit from
 // the fully parallel sort instead of serializing inside one worker.
-type BuildSegSort struct {
-	SkewThreshold float64
-	ForceOneSided bool
-}
+type BuildSegSort struct{}
 
 // Name implements Builder.
 func (BuildSegSort) Name() string { return "segsort" }
@@ -24,10 +21,9 @@ func (b BuildSegSort) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, er
 	return b.BuildWith(NewWorkspace(), g, m, p)
 }
 
-// BuildWith implements WorkspaceBuilder.
-func (b BuildSegSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	mode := BuildSort{SkewThreshold: b.SkewThreshold, ForceOneSided: b.ForceOneSided}.mode(g)
-	return buildVertexCentric(ws, g, m, p, mode, dedupSegmentedSort)
+// BuildWith implements Builder.
+func (BuildSegSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
+	return buildVertexCentric(ws, g, m, p, OneSidedBySkew.applies(g), dedupSegmentedSort)
 }
 
 // dedupSegmentedSort deduplicates all segments with a single global sort

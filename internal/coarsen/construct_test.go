@@ -75,45 +75,42 @@ func TestBuildersAgreeAndConserve(t *testing.T) {
 }
 
 func TestBuildSortOneSidedMatchesBothSided(t *testing.T) {
-	// The degree-based optimization must not change the output graph.
+	// The degree-based optimization must not change the output graph: the
+	// forced one-sided path of every dedup kernel, sorted, equals the
+	// both-sided sort build.
+	kernels := []struct {
+		name  string
+		dedup dedupFunc
+	}{
+		{"sort", dedupSortSegments},
+		{"hash", dedupHashSegments},
+		{"segsort", dedupSegmentedSort},
+	}
 	for gname, g := range testGraphs() {
 		m, err := HEC{}.Map(g, 5, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := BuildSort{SkewThreshold: -1}.Build(g, m, 2)
+		plain, err := BuildSort{OneSided: OneSidedOff}.Build(g, m, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		forced, err := BuildSort{ForceOneSided: true}.Build(g, m, 2)
+		forced, err := BuildSort{OneSided: OneSidedOn}.Build(g, m, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !graph.Equal(plain, forced) {
-			t.Errorf("%s: one-sided sort output differs from both-sided", gname)
+			t.Errorf("%s: BuildSort{OneSided: OneSidedOn} output differs from both-sided", gname)
 		}
-		forcedHash, err := BuildHash{ForceOneSided: true}.Build(g, m, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graph.Equal(plain, forcedHash) {
-			t.Errorf("%s: one-sided hash output differs from both-sided", gname)
-		}
-		// The fine-side pre-dedup optimization must also be invisible in
-		// the output, in both side modes.
-		pre, err := BuildSort{SkewThreshold: -1, PreDedup: true}.Build(g, m, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graph.Equal(plain, pre) {
-			t.Errorf("%s: pre-dedup (both-sided) output differs", gname)
-		}
-		preOne, err := BuildSort{ForceOneSided: true, PreDedup: true}.Build(g, m, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graph.Equal(plain, preOne) {
-			t.Errorf("%s: pre-dedup (one-sided) output differs", gname)
+		for _, k := range kernels {
+			cg, err := buildVertexCentric(NewWorkspace(), g, m, 2, true, k.dedup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cg.SortAdjacency(1)
+			if !graph.Equal(plain, cg) {
+				t.Errorf("%s: one-sided %s output differs from both-sided", gname, k.name)
+			}
 		}
 	}
 }
@@ -163,6 +160,32 @@ func TestBuildMergesParallelCoarseEdges(t *testing.T) {
 		}
 		if got, _ := cg.EdgeWeight(0, 1); got != 14 {
 			t.Errorf("%s: merged weight = %d, want 14", b.Name(), got)
+		}
+	}
+}
+
+func TestBuildSpGEMMRejectsInexactWeights(t *testing.T) {
+	// The path 0-1 (1), 1-2 (w), 2-3 (1) under {0,0,1,1} has one coarse
+	// edge of weight w. SpGEMM accumulates in float64, so it must return
+	// w exactly below 2^53 and an error at 2^53+1, where the integer
+	// builders still return the exact weight and float64 would round it.
+	m := &Mapping{M: []int32{0, 0, 1, 1}, NC: 2}
+	for _, w := range []int64{1<<53 - 1, 1<<53 + 1} {
+		g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: w}, {U: 2, V: 3, W: 1}})
+		for _, b := range allBuilders(t) {
+			cg, err := b.Build(g, m, 1)
+			if b.Name() == "spgemm" && w >= 1<<53 {
+				if err == nil {
+					t.Errorf("spgemm returned weights %v for coarse weight %d, want an error", cg.Wgt, w)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, weight %d: %v", b.Name(), w, err)
+			}
+			if got, _ := cg.EdgeWeight(0, 1); got != w {
+				t.Errorf("%s: coarse weight %d, want %d", b.Name(), got, w)
+			}
 		}
 	}
 }

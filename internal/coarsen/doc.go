@@ -13,7 +13,7 @@ package coarsen
 //	Algorithm 6  (vertex-centric construction).. buildVertexCentric,
 //	             step 1-2 counting.............. cEst / cnt loops
 //	             line 9 one-sided condition..... writeHere
-//	             FINDLOC scatter................ pos atomic cursors
+//	             FINDLOC scatter................ merged per-worker histograms
 //	             DEDUPWITHWTS (sort)............ dedupSortSegments
 //	             DEDUPWITHWTS (hash)............ dedupHashSegments
 //	             GRAPHCONSWITHTRANS............. symmetrizeDeduped
@@ -29,10 +29,10 @@ package coarsen
 //	Algorithm 16 (GOSH/HEC hybrid).............. GOSHHEC.Map (reconstruction)
 //
 // Beyond the paper: Suitor.Map and BSuitor.Map implement the weighted
-// matching algorithms named in the paper's future work; BuildHybrid,
-// BuildSegSort and BuildSort.PreDedup implement the construction
-// alternatives Section III.B sketches, and AutoConstruct picks among the
-// registered builders (BuilderNames) per level.
+// matching algorithms named in the paper's future work; BuildSegSort
+// implements the segmented global sort Section III.B sketches, and
+// AutoConstruct picks among the registered builders (BuilderNames) per
+// level.
 //
 // The tech-report pseudocode for Algorithms 9 and 16 was not available to
 // this reproduction; HEC2 and GOSHHEC are reconstructions from the

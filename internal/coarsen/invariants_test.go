@@ -22,7 +22,7 @@ import (
 //     folded inside aggregates
 //
 // The raw (pre-sort) checks run on the builder's output verbatim — some
-// builders (hash, spgemm, hybrid) legitimately emit unsorted rows, so
+// builders (hash, spgemm) legitimately emit unsorted rows, so
 // sortedness is asserted on a copy.
 func CheckCoarseInvariants(t *testing.T, fine *graph.Graph, m *Mapping, coarse *graph.Graph) {
 	t.Helper()

@@ -227,27 +227,23 @@ func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, err
 
 	h := &Hierarchy{Graphs: []*graph.Graph{g}}
 	cur := g
-	// Builders and mappers that support it share one scratch workspace
-	// across all levels, so steady-state mapping and construction allocate
-	// only the outputs that escape into the hierarchy. A caller-supplied
-	// workspace is acquired exclusively: scratch is single-owner, and two
-	// Runs sharing one arena would silently corrupt each other's buffers.
-	var ws *Workspace
-	wb, reuse := c.Builder.(WorkspaceBuilder)
-	wm, mapReuse := c.Mapper.(WorkspaceMapper)
-	if c.Workspace != nil {
-		ws = c.Workspace
+	// The builder (and the mapper, if it supports it) share one scratch
+	// workspace across all levels, so steady-state mapping and
+	// construction allocate only the outputs that escape into the
+	// hierarchy. A caller-supplied workspace is acquired exclusively:
+	// scratch is single-owner, and two Runs sharing one arena would
+	// silently corrupt each other's buffers.
+	ws := c.Workspace
+	if ws != nil {
 		if err := ws.tryAcquire(); err != nil {
 			return nil, err
 		}
 		defer ws.release()
-	} else if reuse || mapReuse {
+	} else {
 		ws = NewWorkspace()
 	}
+	wm, mapReuse := c.Mapper.(WorkspaceMapper)
 	policy, adaptive := c.Builder.(PolicyBuilder)
-	if adaptive {
-		policy.BeginHierarchy()
-	}
 	for cur.N() > cutoff && h.Levels() < maxLevels {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("coarsen: canceled before level %d: %w", h.Levels()+1, err)
@@ -290,12 +286,7 @@ func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, err
 		if lvl != nil {
 			phase = obs.StartKernel("build:" + c.Builder.Name())
 		}
-		var next *graph.Graph
-		if reuse {
-			next, err = wb.BuildWith(ws, cur, m, c.Workers)
-		} else {
-			next, err = c.Builder.Build(cur, m, c.Workers)
-		}
+		next, err := c.Builder.BuildWith(ws, cur, m, c.Workers)
 		t2 := time.Now()
 		phase.Done()
 		lvl.Done()

@@ -46,10 +46,6 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range builders {
-			wb, ok := b.(WorkspaceBuilder)
-			if !ok {
-				t.Fatalf("%s: builder does not implement WorkspaceBuilder", b.Name())
-			}
 			ref, err := b.Build(g, m, 1)
 			if err != nil {
 				t.Fatalf("%s/%s p=1: %v", gname, b.Name(), err)
@@ -65,7 +61,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 				if !rawEqual(ref, fresh) {
 					t.Fatalf("%s/%s: p=%d output differs from p=1 (fresh workspace)", gname, b.Name(), p)
 				}
-				reused, err := wb.BuildWith(dirty, g, m, p)
+				reused, err := b.BuildWith(dirty, g, m, p)
 				if err != nil {
 					t.Fatalf("%s/%s p=%d reused ws: %v", gname, b.Name(), p, err)
 				}
@@ -122,14 +118,13 @@ func TestBuildWithSteadyStateAllocs(t *testing.T) {
 			// part of the steady-state guarantee.
 			continue
 		}
-		wb := b.(WorkspaceBuilder)
 		ws := NewWorkspace()
 		// Warm up the arena.
-		if _, err := wb.BuildWith(ws, g, m, 1); err != nil {
+		if _, err := b.BuildWith(ws, g, m, 1); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := wb.BuildWith(ws, g, m, 1); err != nil {
+			if _, err := b.BuildWith(ws, g, m, 1); err != nil {
 				t.Error(err)
 			}
 		})

@@ -42,15 +42,12 @@ type Workspace struct {
 	r2     []int64
 
 	// Per-worker state: scatter histograms, vertex-weight partials, range
-	// boundaries, dedup hash tables, and small pair buffers (heap dedup
-	// output, pre-dedup adjacency scratch).
+	// boundaries, dedup hash tables and radix-sort scratch.
 	hists     [][]int32
 	vwgtParts [][]int64
 	bounds    []int
 	bounds2   []int
 	tables    []*weightTable
-	keyBufs   [][]int32
-	wgtBufs   [][]int64
 	sortBufs  []*par.SortScratch
 
 	// Radix-sort builder scratch (segsort dedup, global-sort baseline).
@@ -201,30 +198,10 @@ func (ws *Workspace) sortScratchFor(p int) []*par.SortScratch {
 	return ws.sortBufs[:p]
 }
 
-// pairBufsFor returns per-worker reusable (key, weight) pair buffers.
-// Must be called before the parallel section; worker w owns element w of
-// both slices and writes grown buffers back into them.
-func (ws *Workspace) pairBufsFor(p int) ([][]int32, [][]int64) {
-	for len(ws.keyBufs) < p {
-		ws.keyBufs = append(ws.keyBufs, nil)
-		ws.wgtBufs = append(ws.wgtBufs, nil)
-	}
-	return ws.keyBufs[:p], ws.wgtBufs[:p]
-}
-
-// WorkspaceBuilder is implemented by builders that can run their scratch
-// phase out of a caller-provided Workspace. Coarsener.Run uses it to reuse
-// one arena across all levels of a hierarchy.
-type WorkspaceBuilder interface {
-	Builder
-	// BuildWith is Build with explicit scratch; ws must be non-nil.
-	BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error)
-}
-
-// WorkspaceMapper is the mapper-side twin of WorkspaceBuilder: mappers that
-// keep their selection state and frontier buffers in the arena implement it
-// and Coarsener.Run routes Map calls through MapWith so one hierarchy
-// shares one arena across both phases of every level.
+// WorkspaceMapper is the mapper-side twin of Builder.BuildWith: mappers
+// that keep their selection state and frontier buffers in the arena
+// implement it and Coarsener.Run routes Map calls through MapWith so one
+// hierarchy shares one arena across both phases of every level.
 type WorkspaceMapper interface {
 	Mapper
 	// MapWith is Map with explicit scratch; ws must be non-nil.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mlcg/internal/par"
@@ -16,8 +17,9 @@ type Edge struct {
 
 // FromEdges builds a validated CSR graph from an undirected edge list.
 // Self-loops are dropped, duplicate edges merged (weights summed), and
-// weights <= 0 are rejected. This is the paper's preprocessing path: raw
-// inputs are symmetrized and deduplicated before any coarsening runs.
+// weights <= 0 or a weight total beyond int64 are rejected. This is the
+// paper's preprocessing path: raw inputs are symmetrized and deduplicated
+// before any coarsening runs.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	if n < 0 || n > 1<<31-1 {
 		return nil, fmt.Errorf("graph: vertex count %d out of range", n)
@@ -30,12 +32,20 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", e.U, e.V, e.W)
 		}
 	}
-	// Canonicalize each edge to (min,max), sort, merge duplicates.
+	// Canonicalize each edge to (min,max), sort, merge duplicates. CSR
+	// stores every edge twice, so the directed weight total is twice the
+	// undirected one; it must fit in int64 (see Validate), which also
+	// keeps every merged weight below int64 overflow.
 	canon := make([]Edge, 0, len(edges))
+	var total int64
 	for _, e := range edges {
 		if e.U == e.V {
 			continue // drop self-loops
 		}
+		if e.W > (math.MaxInt64-total)/2 {
+			return nil, fmt.Errorf("graph: total edge weight overflows int64 at edge {%d,%d}", e.U, e.V)
+		}
+		total += 2 * e.W
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
@@ -50,14 +60,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	merged := canon[:0]
 	for _, e := range canon {
 		if k := len(merged); k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {
-			// Both weights are positive, so a non-positive sum means the
-			// merge overflowed int64 — reject rather than return a graph
-			// that silently fails Validate.
-			if s := merged[k-1].W + e.W; s > 0 {
-				merged[k-1].W = s
-			} else {
-				return nil, fmt.Errorf("graph: merged weight of edge {%d,%d} overflows int64", e.U, e.V)
-			}
+			merged[k-1].W += e.W
 		} else {
 			merged = append(merged, e)
 		}

@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"mlcg/internal/par"
 )
@@ -18,7 +19,9 @@ import (
 //   - len(Adj) == len(Wgt) == Xadj[NumV] == 2m
 //   - no self-loops, no duplicate neighbors within a vertex's range
 //   - symmetric: v in Adj(u) with weight w  <=>  u in Adj(v) with weight w
-//   - all edge weights positive
+//   - all edge weights positive, and their directed total Σ Wgt fits in
+//     int64, so every weight sum derived from the graph (coarse edge
+//     weights, cuts, FM gains) is exact
 //
 // VWgt holds per-vertex weights (the number of fine vertices an aggregate
 // represents). A nil VWgt means "all ones", which is how freshly generated
@@ -179,6 +182,7 @@ func (g *Graph) Validate() error {
 	if g.VWgt != nil && len(g.VWgt) != n {
 		return fmt.Errorf("graph: len(VWgt)=%d, want %d", len(g.VWgt), n)
 	}
+	var total int64
 	for u := int32(0); u < g.NumV; u++ {
 		adj, wgt := g.Neighbors(u)
 		seen := make(map[int32]bool, len(adj))
@@ -196,6 +200,10 @@ func (g *Graph) Validate() error {
 			if wgt[i] <= 0 {
 				return fmt.Errorf("graph: non-positive weight %d on edge {%d,%d}", wgt[i], u, v)
 			}
+			if wgt[i] > math.MaxInt64-total {
+				return fmt.Errorf("graph: total edge weight overflows int64 at edge {%d,%d}", u, v)
+			}
+			total += wgt[i]
 			if w2, ok := g.EdgeWeight(v, u); !ok {
 				return fmt.Errorf("graph: edge {%d,%d} missing reverse", u, v)
 			} else if w2 != wgt[i] {

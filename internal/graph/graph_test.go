@@ -75,6 +75,47 @@ func TestFromEdgesRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestWeightTotalOverflowRejected pins the int64 bound on the directed
+// weight total Σ Wgt. Each edge of the reproducer fits in int64 on its
+// own: {0,1} and {2,3} weigh 2^62, the four cross edges between them 2^61,
+// and a unit path runs 3-4-...-79. Their total does not fit, so any
+// coarsening that merges the two pairs would sum a coarse weight past
+// int64. FromEdges and Validate must both reject it, and agree on the
+// boundary: a single edge of weight 2^62-1 has directed total 2^63-2 and
+// is accepted, one of weight 2^62 is not.
+func TestWeightTotalOverflowRejected(t *testing.T) {
+	const n = 80
+	edges := []Edge{
+		{0, 1, 1 << 62}, {2, 3, 1 << 62},
+		{0, 2, 1 << 61}, {0, 3, 1 << 61}, {1, 2, 1 << 61}, {1, 3, 1 << 61},
+	}
+	for i := int32(3); i < n-1; i++ {
+		edges = append(edges, Edge{i, i + 1, 1})
+	}
+	if _, err := FromEdges(n, edges); err == nil {
+		t.Error("FromEdges accepted a graph whose weight total overflows int64")
+	}
+	if err := fromCanonicalEdges(n, edges).Validate(); err == nil {
+		t.Error("Validate accepted a graph whose weight total overflows int64")
+	}
+
+	const limit = (1<<63 - 1) / 2 // the largest single-edge weight
+	for _, tc := range []struct {
+		w  int64
+		ok bool
+	}{{limit, true}, {limit + 1, false}} {
+		one := []Edge{{0, 1, tc.w}}
+		_, err := FromEdges(2, one)
+		if (err == nil) != tc.ok {
+			t.Errorf("FromEdges, single edge of weight %d: err = %v, want ok=%v", tc.w, err, tc.ok)
+		}
+		err = fromCanonicalEdges(2, one).Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("Validate, single edge of weight %d: err = %v, want ok=%v", tc.w, err, tc.ok)
+		}
+	}
+}
+
 func TestEmptyAndSingletonGraphs(t *testing.T) {
 	g := MustFromEdges(0, nil)
 	if err := g.Validate(); err != nil {

@@ -9,7 +9,7 @@
 //   - CSR graphs (NewGraph, ReadEdgeList, ReadBinary) and synthetic
 //     generators (RGG, Grid3D, RMAT, ...);
 //   - thirteen coarse-mapping algorithms (Mapper / MapperByName) including
-//     the paper's lock-free parallel HEC, and seven coarse-graph
+//     the paper's lock-free parallel HEC, and six coarse-graph
 //     construction strategies (Builder / BuilderByName);
 //   - the multilevel driver (Coarsen / Coarsener);
 //   - multilevel spectral and Fiduccia–Mattheyses bisection

@@ -2,6 +2,7 @@ package mlcg
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -59,8 +60,11 @@ func TestFacadeGraphConstruction(t *testing.T) {
 }
 
 func TestFacadeRegistries(t *testing.T) {
-	if len(MapperNames()) != 13 || len(BuilderNames()) != 7 {
-		t.Errorf("registry sizes %d/%d", len(MapperNames()), len(BuilderNames()))
+	if len(MapperNames()) != 13 {
+		t.Errorf("%d mappers, want 13", len(MapperNames()))
+	}
+	if got, want := strings.Join(BuilderNames(), " "), "sort hash spgemm globalsort segsort auto"; got != want {
+		t.Errorf("BuilderNames() = %s, want %s", got, want)
 	}
 	for _, n := range MapperNames() {
 		if _, err := MapperByName(n); err != nil {
