@@ -1,9 +1,10 @@
 package mlcg
 
-// Benchmarks mapping one-to-one onto the paper's tables and figures; see
-// DESIGN.md's per-experiment index. Each BenchmarkTableN/BenchmarkFigN
-// exercises the code path behind that table/figure on representative suite
-// graphs; `go run ./cmd/mlcg-tables -all` prints the full row sets.
+// Benchmarks of the substrates the paper's tables and figures are built
+// on. The tables and figures themselves are timed by internal/bench, one
+// cell runner for every row: `go run ./cmd/mlcg-tables -all` and
+// `go run ./cmd/mlcg-figures -all` print them, and DESIGN.md's
+// per-experiment index maps each one to its code.
 
 import (
 	"sync"
@@ -43,38 +44,10 @@ func benchGraph(b *testing.B, name string) *graph.Graph {
 	return nil
 }
 
-// representatives: two regular + two skewed graphs spanning the suite.
-var repGraphs = []string{"HV15R", "delaunay24", "kron21", "ppa"}
-
 // BenchmarkTable1Suite measures workload generation (Table I analog).
 func BenchmarkTable1Suite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen.Suite(gen.SuiteOptions{Scale: 1, Seed: uint64(i) + 1})
-	}
-}
-
-// BenchmarkTable2Construction measures HEC multilevel coarsening with each
-// construction strategy at full parallelism (Table II analog; the same
-// code at Workers:1 is the Table III host role, covered by
-// BenchmarkFig3Speedup's serial arm).
-func BenchmarkTable2Construction(b *testing.B) {
-	for _, gname := range repGraphs {
-		g := benchGraph(b, gname)
-		for _, bname := range coarsen.BuilderNames() {
-			builder, err := coarsen.BuilderByName(bname)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(gname+"/"+bname, func(b *testing.B) {
-				c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: builder, Seed: 1}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -108,175 +81,6 @@ func BenchmarkBuildConstruct(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkTable3HostConstruction is the Table III analog: the same
-// pipeline at reduced (host-role) parallelism.
-func BenchmarkTable3HostConstruction(b *testing.B) {
-	g := benchGraph(b, "kron21")
-	for _, bname := range coarsen.BuilderNames() {
-		builder, _ := coarsen.BuilderByName(bname)
-		b.Run(bname, func(b *testing.B) {
-			c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: builder, Seed: 1, Workers: 2}
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHECVariants measures the three HEC parallelizations
-// (Section IV.A comparison).
-func BenchmarkHECVariants(b *testing.B) {
-	g := benchGraph(b, "delaunay24")
-	for _, m := range []coarsen.Mapper{coarsen.HEC{}, coarsen.HEC2{}, coarsen.HEC3{}} {
-		b.Run(m.Name(), func(b *testing.B) {
-			c := &coarsen.Coarsener{Mapper: m, Builder: coarsen.BuildSort{}, Seed: 1}
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable4Mappers measures every coarse-mapping method (Table IV).
-func BenchmarkTable4Mappers(b *testing.B) {
-	for _, gname := range []string{"delaunay24", "kron21"} {
-		g := benchGraph(b, gname)
-		for _, mname := range []string{"hec", "hem", "twohop", "gosh", "goshhec", "mis2"} {
-			mapper, err := coarsen.MapperByName(mname)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(gname+"/"+mname, func(b *testing.B) {
-				c := &coarsen.Coarsener{Mapper: mapper, Builder: coarsen.BuildSort{}, Seed: 1}
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable5Spectral measures multilevel spectral bisection with HEC,
-// HEM, and two-hop coarsening (Table V).
-func BenchmarkTable5Spectral(b *testing.B) {
-	g := benchGraph(b, "channel050")
-	for _, mname := range []string{"hec", "hem", "twohop"} {
-		mapper, _ := coarsen.MapperByName(mname)
-		b.Run(mname, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sb := &partition.SpectralBisector{
-					Coarsener: coarsen.Coarsener{Mapper: mapper, Builder: coarsen.BuildSort{}, Seed: uint64(i)},
-					Fiedler:   partition.FiedlerOptions{MaxIter: 300},
-					Seed:      uint64(i),
-				}
-				if _, err := sb.Bisect(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable6FM measures the FM pipelines and baselines (Table VI).
-func BenchmarkTable6FM(b *testing.B) {
-	g := benchGraph(b, "channel050")
-	pipelines := map[string]func(uint64) *partition.FMBisector{
-		"fm+hec":  func(s uint64) *partition.FMBisector { return partition.NewHECFM(s, 0) },
-		"metis":   func(s uint64) *partition.FMBisector { return partition.NewMetisLike(s) },
-		"mtmetis": func(s uint64) *partition.FMBisector { return partition.NewMtMetisLike(s, 0) },
-	}
-	for name, mk := range pipelines {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mk(uint64(i)).Bisect(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3Rate measures HEC coarsening throughput per graph (Fig 3
-// left: rate = (2m+n)/s, reported here as ns/op over a fixed size).
-func BenchmarkFig3Rate(b *testing.B) {
-	for _, gname := range repGraphs {
-		g := benchGraph(b, gname)
-		b.Run(gname, func(b *testing.B) {
-			c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: 1}
-			b.SetBytes(g.Size()) // rate appears as MB/s = (2m+n)/s
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3Speedup runs the device (parallel) and host (serial) arms
-// of the Fig 3 center comparison.
-func BenchmarkFig3Speedup(b *testing.B) {
-	g := benchGraph(b, "HV15R")
-	for name, workers := range map[string]int{"device-parallel": 0, "host-serial": 1} {
-		b.Run(name, func(b *testing.B) {
-			c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: 1, Workers: workers}
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3WeakScaling measures the synthetic families at two scales
-// (Fig 3 right).
-func BenchmarkFig3WeakScaling(b *testing.B) {
-	for _, family := range []string{"rgg", "delaunay", "kron"} {
-		for _, scale := range []int{1, 2} {
-			g, err := gen.FamilyGraph(family, scale, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(family+"/x"+string(rune('0'+scale)), func(b *testing.B) {
-				c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: 1}
-				b.SetBytes(g.Size())
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDedupAblation isolates the degree-based one-sided dedup
-// optimization on the kron21 analog (the paper's 25.7x construction-time
-// example).
-func BenchmarkDedupAblation(b *testing.B) {
-	g := benchGraph(b, "kron21")
-	for name, builder := range map[string]coarsen.Builder{
-		"onesided-off": coarsen.BuildSort{OneSided: coarsen.OneSidedOff},
-		"onesided-on":  coarsen.BuildSort{OneSided: coarsen.OneSidedOn},
-	} {
-		b.Run(name, func(b *testing.B) {
-			c := &coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: builder, Seed: 1}
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

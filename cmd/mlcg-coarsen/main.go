@@ -124,14 +124,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "levels=%d cr=%.2f total=%.3fs (map %.3fs, build %.3fs)\n",
 		h.Levels(), h.CoarseningRatio(), h.TotalTime().Seconds(),
 		h.MapTime().Seconds(), h.BuildTime().Seconds())
-	if h.Stalled {
-		// Loaded containers carry the stalled bit but not the stall detail.
-		if st := h.StallStats; st != nil {
-			fmt.Fprintf(stdout, "stalled: mapping produced no reduction (n=%d nc=%d) after %d passes\n",
-				st.N, st.NC, st.Passes)
-		} else {
-			fmt.Fprintln(stdout, "stalled: mapping produced no reduction on the final attempt")
-		}
+	// Loaded containers carry the stalled bit but not the dropped attempt.
+	switch st := h.Dropped; {
+	case h.Stalled && st != nil:
+		fmt.Fprintf(stdout, "stalled: mapping produced no reduction (n=%d nc=%d) after %d passes\n",
+			st.N, st.NC, st.Passes)
+	case h.Stalled:
+		fmt.Fprintln(stdout, "stalled: mapping produced no reduction on the final attempt")
+	case st != nil:
+		fmt.Fprintf(stdout, "discarded: final level collapsed too far (n=%d nc=%d); its map %.3fms and build %.3fms are in the total\n",
+			st.N, st.NC, float64(st.MapTime.Microseconds())/1000, float64(st.BuildTime.Microseconds())/1000)
 	}
 
 	if *quality {

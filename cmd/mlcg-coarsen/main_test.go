@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +50,30 @@ func TestRunFileRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out, "input: n=") {
 		t.Errorf("unexpected output %q", out)
+	}
+}
+
+func TestRunDiscardedLevel(t *testing.T) {
+	// HEC collapses a 101-vertex star to one vertex; the discard rule
+	// drops that level, and the CLI must say so instead of printing a
+	// bare levels=0.
+	var star strings.Builder
+	star.WriteString("101 100\n")
+	for i := 1; i <= 100; i++ {
+		fmt.Fprintf(&star, "0 %d 1\n", i)
+	}
+	path := filepath.Join(t.TempDir(), "star.txt")
+	if err := os.WriteFile(path, []byte(star.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errs, code := runCLI(t, "-in", path, "-mapper", "hec")
+	if code != 0 {
+		t.Fatalf("exit %d (%s)", code, errs)
+	}
+	for _, want := range []string{"levels=0", "discarded: final level collapsed too far (n=101 nc=1)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }
 

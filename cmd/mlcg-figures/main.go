@@ -70,14 +70,14 @@ func run(args []string, w, stderr io.Writer) (code int) {
 	runFig := func(n int) {
 		switch n {
 		case 1:
-			rows, err := bench.Fig1(opt)
+			rows, maps, err := bench.Fig1(opt)
 			if err != nil {
 				fail(err)
 				return
 			}
 			bench.FormatFig1(w, rows)
 			if *dot != "" {
-				if err := writeDots(*dot, opt); err != nil {
+				if err := writeDots(*dot, rows, maps); err != nil {
 					fail(err)
 					return
 				}
@@ -129,27 +129,20 @@ func run(args []string, w, stderr io.Writer) (code int) {
 	return exit()
 }
 
-// writeDots coarsens the demo graph one level per method and writes DOT
-// files with vertices colored by aggregate — the visual form of Fig 1.
-func writeDots(dir string, opt bench.Options) error {
+// writeDots writes one DOT file per Fig 1 method, with the demo graph's
+// vertices colored by the aggregate that method mapped them to — the
+// visual form of Fig 1.
+func writeDots(dir string, rows []bench.Fig1Row, maps []*coarsen.Mapping) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	g := bench.Fig1Demo()
-	for _, name := range coarsen.MapperNames() {
-		mapper, err := coarsen.MapperByName(name)
+	for i, r := range rows {
+		f, err := os.Create(filepath.Join(dir, r.Method+".dot"))
 		if err != nil {
 			return err
 		}
-		m, err := mapper.Map(g, 20210517, 1)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(dir, name+".dot"))
-		if err != nil {
-			return err
-		}
-		if err := g.WriteDOT(f, name, m.M); err != nil {
+		if err := g.WriteDOT(f, r.Method, maps[i].M); err != nil {
 			f.Close()
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,6 +33,37 @@ func TestRunFig1WithDots(t *testing.T) {
 	data, err := os.ReadFile(files[0])
 	if err != nil || !strings.Contains(string(data), "graph") {
 		t.Errorf("dot content invalid: %v", err)
+	}
+}
+
+func TestDotsFollowSeed(t *testing.T) {
+	// The DOT drawing must show the mapping the table printed, at the
+	// requested seed: hem.dot's distinct group ids (its u/g labels)
+	// number exactly the printed nc.
+	dir := t.TempDir()
+	out, errs, code := runCLI(t, "-fig", "1", "-seed", "7", "-dot", dir, "-only", "ppa")
+	if code != 0 {
+		t.Fatalf("exit %d (%s)", code, errs)
+	}
+	nc := -1
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "hem" {
+			nc, _ = strconv.Atoi(f[1])
+		}
+	}
+	if nc <= 0 {
+		t.Fatalf("no hem row in:\n%s", out)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "hem.dot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]bool{}
+	for _, m := range regexp.MustCompile(`label="\d+/(\d+)"`).FindAllStringSubmatch(string(data), -1) {
+		groups[m[1]] = true
+	}
+	if len(groups) != nc {
+		t.Errorf("hem.dot draws %d groups, the table printed nc=%d", len(groups), nc)
 	}
 }
 

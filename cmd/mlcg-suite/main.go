@@ -135,7 +135,7 @@ func export(dir, format string, scale int, seeds cli.Seeds, workers int, mapper 
 			}
 			row.Levels, row.CR, row.Stalled = h.Levels(), h.CoarseningRatio(), h.Stalled
 			if h.Stalled {
-				coa = fmt.Sprintf(" %-18s", fmt.Sprintf("STALL(l=%d,p=%d)", h.Levels(), h.StallStats.Passes))
+				coa = fmt.Sprintf(" %-18s", fmt.Sprintf("STALL(l=%d,p=%d)", h.Levels(), h.Dropped.Passes))
 			} else {
 				coa = fmt.Sprintf(" %-18s", fmt.Sprintf("ok(l=%d,cr=%.2f)", h.Levels(), h.CoarseningRatio()))
 			}

@@ -6,6 +6,7 @@
 //	mlcg-tables -table 4                 # one table
 //	mlcg-tables -all -runs 5 -scale 2    # everything, larger inputs
 //	mlcg-tables -table 2 -only kron21,ppa
+//	mlcg-tables -all -json               # one {"table","rows"} object per table
 package main
 
 import (
@@ -72,31 +73,15 @@ func run(args []string, w, stderr io.Writer) (code int) {
 		dev = fmt.Sprintf("%d-worker (GOMAXPROCS)", runtime.GOMAXPROCS(0))
 	}
 
-	emitJSON := func(name string, rows interface{}) {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]interface{}{"table": name, "rows": rows}); err != nil {
-			fmt.Fprintln(stderr, "mlcg-tables:", err)
-		}
-	}
-	did := false
+	e := &emitter{w: w, json: *asJSON}
 	runTable := func(n int) {
-		did = true
 		switch n {
 		case 1:
-			rows := bench.Table1(opt)
-			if *asJSON {
-				emitJSON("table1", rows)
-				return
-			}
-			bench.FormatTable1(w, rows)
+			emit(e, "table1", bench.Table1(opt), bench.FormatTable1)
 		case 2:
-			rows := bench.Table23(opt, opt.Workers)
-			if *asJSON {
-				emitJSON("table2", rows)
-				return
-			}
-			bench.FormatTable23(w, rows, "device ("+dev+") / Table II analog")
+			emit(e, "table2", bench.Table23(opt, opt.Workers), func(w io.Writer, rows []bench.Table2Row) {
+				bench.FormatTable23(w, rows, "device ("+dev+") / Table II analog")
+			})
 		case 3:
 			// Table III is the host role: half the device parallelism per
 			// the documented substitution.
@@ -104,91 +89,81 @@ func run(args []string, w, stderr io.Writer) (code int) {
 			if hw < 1 {
 				hw = 1
 			}
-			rows := bench.Table23(opt, hw)
-			if *asJSON {
-				emitJSON("table3", rows)
-				return
-			}
-			bench.FormatTable23(w, rows, fmt.Sprintf("host (%d-worker) / Table III analog", hw))
+			emit(e, "table3", bench.Table23(opt, hw), func(w io.Writer, rows []bench.Table2Row) {
+				bench.FormatTable23(w, rows, fmt.Sprintf("host (%d-worker) / Table III analog", hw))
+			})
 		case 4:
-			rows := bench.Table4(opt)
-			if *asJSON {
-				emitJSON("table4", rows)
-				return
-			}
-			bench.FormatTable4(w, rows)
+			emit(e, "table4", bench.Table4(opt), bench.FormatTable4)
 		case 5:
-			rows := bench.Table5(opt)
-			if *asJSON {
-				emitJSON("table5", rows)
-				return
-			}
-			bench.FormatTable5(w, rows)
+			emit(e, "table5", bench.Table5(opt), bench.FormatTable5)
 		case 6:
-			rows := bench.Table6(opt)
-			if *asJSON {
-				emitJSON("table6", rows)
-				return
-			}
-			bench.FormatTable6(w, rows)
-		default:
-			fmt.Fprintf(stderr, "mlcg-tables: no table %d (valid: 1-6)\n", n)
+			emit(e, "table6", bench.Table6(opt), bench.FormatTable6)
 		}
-		fmt.Fprintln(w)
 	}
 
+	if *table != 0 && (*table < 1 || *table > 6) {
+		fmt.Fprintf(stderr, "mlcg-tables: no table %d (valid: 1-6)\n", *table)
+		return 2
+	}
 	if *all {
 		for n := 1; n <= 6; n++ {
 			runTable(n)
 		}
-		bench.FormatHECVariants(w, bench.HECVariants(opt))
-		fmt.Fprintln(w)
-		bench.FormatDedupAblation(w, bench.DedupAblation(opt))
-		return 0
-	}
-	if *table != 0 {
-		if *table < 1 || *table > 6 {
-			fmt.Fprintf(stderr, "mlcg-tables: no table %d (valid: 1-6)\n", *table)
-			return 2
-		}
+	} else if *table != 0 {
 		runTable(*table)
 	}
-	if *variants {
-		did = true
-		bench.FormatHECVariants(w, bench.HECVariants(opt))
+	if *all || *variants {
+		emit(e, "hecvariants", bench.HECVariants(opt), bench.FormatHECVariants)
 	}
-	if *ablation {
-		did = true
-		bench.FormatDedupAblation(w, bench.DedupAblation(opt))
+	if *all || *ablation {
+		emit(e, "dedup-ablation", bench.DedupAblation(opt), bench.FormatDedupAblation)
 	}
 	if *shootout {
-		did = true
-		bench.FormatShootout(w, bench.BuilderShootout(opt))
+		emit(e, "builders", bench.BuilderShootout(opt), bench.FormatShootout)
 	}
 	if *construct {
-		did = true
-		rows := bench.ConstructBench(opt)
-		if *asJSON {
-			emitJSON("construct", rows)
-		} else {
-			bench.FormatConstructBench(w, rows)
-		}
+		emit(e, "construct", bench.ConstructBench(opt), bench.FormatConstructBench)
 	}
 	if *goshhec {
-		did = true
-		bench.FormatGOSHHEC(w, bench.GOSHHECStudy(opt))
+		emit(e, "goshhec", bench.GOSHHECStudy(opt), bench.FormatGOSHHEC)
 	}
 	if *premise {
-		did = true
-		bench.FormatPremise(w, bench.MultilevelPremise(opt))
+		emit(e, "premise", bench.MultilevelPremise(opt), bench.FormatPremise)
 	}
 	if *skew {
-		did = true
-		bench.FormatSkewSweep(w, bench.SkewSweep(opt, nil))
+		emit(e, "skew", bench.SkewSweep(opt, nil), bench.FormatSkewSweep)
 	}
-	if !did {
+	if e.n == 0 {
 		fs.Usage()
 		return 2
 	}
+	if e.err != nil {
+		fmt.Fprintln(stderr, "mlcg-tables:", e.err)
+		return 1
+	}
 	return 0
+}
+
+// emitter is the one output path of every table and study: a formatted
+// text table followed by a blank line, or under -json one
+// {"table": name, "rows": [...]} object per table.
+type emitter struct {
+	w    io.Writer
+	json bool
+	n    int   // tables emitted
+	err  error // first JSON encoding error
+}
+
+func emit[T any](e *emitter, name string, rows []T, format func(io.Writer, []T)) {
+	e.n++
+	if !e.json {
+		format(e.w, rows)
+		fmt.Fprintln(e.w)
+		return
+	}
+	enc := json.NewEncoder(e.w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(map[string]interface{}{"table": name, "rows": rows}); err != nil && e.err == nil {
+		e.err = fmt.Errorf("%s: %w", name, err)
+	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -49,7 +50,12 @@ func TestRunJSON(t *testing.T) {
 }
 
 func TestRunStudies(t *testing.T) {
-	for _, study := range []string{"-hecvariants", "-dedup-ablation", "-goshhec"} {
+	studies := map[string]string{
+		"-hecvariants": "hecvariants", "-dedup-ablation": "dedup-ablation",
+		"-goshhec": "goshhec", "-builders": "builders", "-construct": "construct",
+		"-premise": "premise", "-skew": "skew",
+	}
+	for study, name := range studies {
 		out, errs, code := runCLI(t, fast(study)...)
 		if code != 0 {
 			t.Fatalf("%s: exit %d (%s)", study, code, errs)
@@ -57,6 +63,49 @@ func TestRunStudies(t *testing.T) {
 		if len(out) == 0 {
 			t.Errorf("%s: empty output", study)
 		}
+		out, errs, code = runCLI(t, fast(study, "-json")...)
+		if code != 0 {
+			t.Fatalf("%s -json: exit %d (%s)", study, code, errs)
+		}
+		var payload struct {
+			Table string
+			Rows  []map[string]interface{}
+		}
+		if err := json.Unmarshal([]byte(out), &payload); err != nil {
+			t.Fatalf("%s -json: invalid JSON: %v\n%s", study, err, out)
+		}
+		if payload.Table != name || len(payload.Rows) == 0 {
+			t.Errorf("%s -json: table %q with %d rows", study, payload.Table, len(payload.Rows))
+		}
+	}
+}
+
+func TestRunAllJSON(t *testing.T) {
+	// -all -json is a stream of {table, rows} objects, one per table and
+	// study, with no text in between.
+	out, errs, code := runCLI(t, "-all", "-json", "-runs", "1", "-only", "channel050")
+	if code != 0 {
+		t.Fatalf("exit %d (%s)", code, errs)
+	}
+	dec := json.NewDecoder(strings.NewReader(out))
+	var names []string
+	for {
+		var payload struct {
+			Table string
+			Rows  []map[string]interface{}
+		}
+		err := dec.Decode(&payload)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("object %d: %v", len(names)+1, err)
+		}
+		names = append(names, payload.Table)
+	}
+	want := []string{"table1", "table2", "table3", "table4", "table5", "table6", "hecvariants", "dedup-ablation"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("tables %v, want %v", names, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
 	"mlcg/internal/graph"
+	"mlcg/internal/partition"
 )
 
 // Options configures a harness run.
@@ -81,18 +82,6 @@ func (o Options) Suite() []gen.Instance {
 	return out
 }
 
-// medianDuration returns the median of runs timings of f.
-func medianDuration(runs int, f func()) time.Duration {
-	ts := make([]time.Duration, runs)
-	for i := range ts {
-		t0 := time.Now()
-		f()
-		ts[i] = time.Since(t0)
-	}
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	return ts[len(ts)/2]
-}
-
 // geoMean returns the geometric mean of xs, ignoring non-positive entries
 // (used for ratio columns where some rows are missing, the paper's OOM
 // analog).
@@ -114,31 +103,110 @@ func geoMean(xs []float64) float64 {
 
 func pow(x, e float64) float64 { return math.Pow(x, e) }
 
-// hierarchyFor runs the multilevel coarsener once and returns the result.
-func hierarchyFor(g *graph.Graph, mapper coarsen.Mapper, builder coarsen.Builder, workers int, seed uint64) (*coarsen.Hierarchy, error) {
-	return hierarchyForD(g, mapper, builder, workers, seed, 0)
+// cell is one timed coarsening cell. Its Hierarchy is the run with the
+// median TotalTime, so the cell's MapTime/BuildTime/TotalTime come from
+// one run and stay consistent with each other; totals holds every timed
+// run's TotalTime in run order, for noise analysis.
+type cell struct {
+	*coarsen.Hierarchy
+	totals []time.Duration
 }
 
-// hierarchyForD is hierarchyFor with an explicit DiscardBelow: the
-// mapcompare rows disable the discard rule (-1) so aggressive aggregators
-// (the D2-MIS pair can collapse a skewed graph below 10 vertices in one
-// level) still record the work they did instead of an empty hierarchy.
-func hierarchyForD(g *graph.Graph, mapper coarsen.Mapper, builder coarsen.Builder, workers int, seed uint64, discard int) (*coarsen.Hierarchy, error) {
-	c := &coarsen.Coarsener{Mapper: mapper, Builder: builder, Seed: seed, Workers: workers, DiscardBelow: discard}
-	return c.Run(g)
+// timeCell is the one way the harness times a coarsening hierarchy: a GC
+// to level the heap, one untimed warmup run so no builder pays first-touch
+// page faults for its scratch inside the timed runs (on small instances
+// both effects exceed the builder differences being measured), then
+// opt.runs() timed runs, of which it returns the one with the median
+// TotalTime.
+func timeCell(opt Options, g *graph.Graph, mapper coarsen.Mapper, builder coarsen.Builder, workers int) (cell, error) {
+	c := &coarsen.Coarsener{Mapper: mapper, Builder: builder, Seed: opt.seed(), Workers: workers}
+	runtime.GC()
+	if _, err := c.Run(g); err != nil {
+		return cell{}, err
+	}
+	hs := make([]*coarsen.Hierarchy, opt.runs())
+	totals := make([]time.Duration, len(hs))
+	for i := range hs {
+		h, err := c.Run(g)
+		if err != nil {
+			return cell{}, err
+		}
+		hs[i], totals[i] = h, h.TotalTime()
+	}
+	sort.SliceStable(hs, func(a, b int) bool { return hs[a].TotalTime() < hs[b].TotalTime() })
+	return cell{Hierarchy: hs[len(hs)/2], totals: totals}, nil
 }
 
-// medianBuildTime returns the median Hierarchy.BuildTime over opt.runs()
-// HEC hierarchies of g constructed with b.
-func medianBuildTime(g *graph.Graph, b coarsen.Builder, opt Options) time.Duration {
-	ds := make([]time.Duration, opt.runs())
+// mustCell is timeCell for the table functions, which treat a failed
+// coarsening run as a harness bug.
+func mustCell(opt Options, g *graph.Graph, mapper coarsen.Mapper, builder coarsen.Builder, workers int) cell {
+	c, err := timeCell(opt, g, mapper, builder, workers)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// medianOf times runs calls of f, work that is not a coarsening hierarchy,
+// and returns the median duration and every run's nanoseconds in run
+// order.
+func medianOf(runs int, f func() error) (time.Duration, []float64, error) {
+	ds := make([]time.Duration, runs)
+	raw := make([]float64, runs)
 	for i := range ds {
-		h, err := hierarchyFor(g, coarsen.HEC{}, b, opt.workers(), opt.seed())
+		t0 := time.Now()
+		if err := f(); err != nil {
+			return 0, nil, err
+		}
+		ds[i] = time.Since(t0)
+		raw[i] = float64(ds[i])
+	}
+	sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
+	return ds[len(ds)/2], raw, nil
+}
+
+// bisector is a multilevel bisection pipeline.
+type bisector interface {
+	Bisect(*graph.Graph) (*partition.Result, error)
+}
+
+// bisection is one timed bisection cell.
+type bisection struct {
+	cut    int64         // median edge cut
+	time   time.Duration // mean total time
+	coaPct float64       // % of the total time spent coarsening
+}
+
+// timeBisect is the one way the harness times a bisection: for each
+// r < opt.runs() it runs the pipeline mk builds for seed opt.seed()+r.
+func timeBisect(opt Options, g *graph.Graph, mk func(seed uint64) bisector) bisection {
+	runs := opt.runs()
+	cuts := make([]int64, runs)
+	var elapsed, coa time.Duration
+	for r := range cuts {
+		res, err := mk(opt.seed() + uint64(r)).Bisect(g)
 		if err != nil {
 			panic(err)
 		}
-		ds[i] = h.BuildTime()
+		cuts[r] = res.Cut
+		elapsed += res.TotalTime()
+		coa += res.CoarsenTime
 	}
-	sort.Slice(ds, func(a, c int) bool { return ds[a] < ds[c] })
-	return ds[len(ds)/2]
+	return bisection{
+		cut:    medianInt64(cuts),
+		time:   elapsed / time.Duration(runs),
+		coaPct: 100 * float64(coa) / float64(elapsed),
+	}
+}
+
+// spectral returns the Table V pipeline for mapper m: sort construction
+// and at most 300 power iterations per level.
+func spectral(m coarsen.Mapper, workers int) func(seed uint64) bisector {
+	return func(seed uint64) bisector {
+		return &partition.SpectralBisector{
+			Coarsener: coarsen.Coarsener{Mapper: m, Builder: coarsen.BuildSort{}, Seed: seed, Workers: workers},
+			Fiedler:   partition.FiedlerOptions{MaxIter: 300, Workers: workers},
+			Seed:      seed,
+		}
+	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -40,9 +41,47 @@ func TestMedianHelpers(t *testing.T) {
 	if m := medianInt64([]int64{4}); m != 4 {
 		t.Errorf("medianInt64 single = %d", m)
 	}
-	d := medianDuration(3, func() { time.Sleep(time.Microsecond) })
-	if d <= 0 {
-		t.Errorf("medianDuration = %v", d)
+	calls := 0
+	d, raw, err := medianOf(3, func() error {
+		calls++
+		time.Sleep(time.Duration(calls) * time.Millisecond)
+		return nil
+	})
+	if err != nil || calls != 3 || len(raw) != 3 {
+		t.Fatalf("medianOf: err=%v calls=%d raw=%v", err, calls, raw)
+	}
+	if d != time.Duration(raw[1]) || raw[0] > raw[1] || raw[1] > raw[2] {
+		t.Errorf("median %v is not the middle of the raw samples %v", d, raw)
+	}
+	boom := errors.New("boom")
+	if _, _, err := medianOf(3, func() error { return boom }); err != boom {
+		t.Errorf("medianOf error = %v, want %v", err, boom)
+	}
+}
+
+func TestTimeCell(t *testing.T) {
+	opt := fastOpt()
+	opt.Runs = 3
+	g := opt.Suite()[0].Graph
+	c, err := timeCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.totals) != 3 || c.Levels() == 0 {
+		t.Fatalf("totals=%v levels=%d", c.totals, c.Levels())
+	}
+	// The cell is the run with the median total.
+	below, above := 0, 0
+	for _, tt := range c.totals {
+		if tt < c.TotalTime() {
+			below++
+		}
+		if tt > c.TotalTime() {
+			above++
+		}
+	}
+	if below > 1 || above > 1 {
+		t.Errorf("cell total %v is not the median of %v", c.TotalTime(), c.totals)
 	}
 }
 
@@ -206,16 +245,16 @@ func TestTable6(t *testing.T) {
 }
 
 func TestFig1AndFig2(t *testing.T) {
-	rows, err := Fig1(fastOpt())
+	rows, maps, err := Fig1(fastOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(coarsen.MapperNames()) {
-		t.Fatalf("Fig1 has %d methods, want %d", len(rows), len(coarsen.MapperNames()))
+	if len(rows) != len(coarsen.MapperNames()) || len(maps) != len(rows) {
+		t.Fatalf("Fig1 has %d methods and %d mappings, want %d", len(rows), len(maps), len(coarsen.MapperNames()))
 	}
-	for _, r := range rows {
-		if r.NC <= 0 || r.NC > 16 {
-			t.Errorf("%s: nc=%d", r.Method, r.NC)
+	for i, r := range rows {
+		if r.NC <= 0 || r.NC > 16 || maps[i].NC != r.NC {
+			t.Errorf("%s: nc=%d, mapping nc=%d", r.Method, r.NC, maps[i].NC)
 		}
 	}
 	res := Fig2(fastOpt())
@@ -360,6 +399,25 @@ func TestBuilderShootout(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+func TestConstructBench(t *testing.T) {
+	opt := fastOpt()
+	opt.Only = []string{"ppa"}
+	rows := ConstructBench(opt)
+	if want := len(coarsen.BuilderNames()); len(rows) != want {
+		t.Fatalf("rows = %d, want one per builder (%d)", len(rows), want)
+	}
+	for _, r := range rows {
+		if r.Graph != "ppa" || r.TFresh <= 0 || r.TReused <= 0 || r.Reuse <= 0 {
+			t.Errorf("degenerate row %+v", r)
+		}
+	}
+	var buf bytes.Buffer
+	FormatConstructBench(&buf, rows)
+	if !strings.Contains(buf.String(), "reuse x") {
+		t.Error("header missing")
 	}
 }
 

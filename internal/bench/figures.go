@@ -36,22 +36,25 @@ func Fig1Demo() *graph.Graph {
 	return graph.MustFromEdges(16, e)
 }
 
-// Fig1 coarsens the demo graph one level with every mapping method.
-func Fig1(opt Options) ([]Fig1Row, error) {
+// Fig1 coarsens the demo graph one level with every mapping method. It
+// returns one row per method and, in the same order, the mappings the
+// rows summarize (mlcg-figures -dot draws them).
+func Fig1(opt Options) ([]Fig1Row, []*coarsen.Mapping, error) {
 	g := Fig1Demo()
 	var rows []Fig1Row
+	var maps []*coarsen.Mapping
 	for _, name := range coarsen.MapperNames() {
 		mapper, err := coarsen.MapperByName(name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		m, err := mapper.Map(g, opt.seed(), 1)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cg, err := coarsen.BuildSort{}.Build(g, m, 1)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sizes := make([]int, m.NC)
 		maxSize := 0
@@ -62,8 +65,9 @@ func Fig1(opt Options) ([]Fig1Row, error) {
 			}
 		}
 		rows = append(rows, Fig1Row{Method: name, NC: m.NC, CoarseM: cg.M(), MaxAggSize: maxSize})
+		maps = append(maps, m)
 	}
-	return rows, nil
+	return rows, maps, nil
 }
 
 // Fig2Result carries the heavy-edge classification (Fig. 2) for the demo
@@ -105,16 +109,11 @@ type Fig3RateRow struct {
 
 // Fig3Rate measures the normalized coarsening rate at full parallelism.
 func Fig3Rate(opt Options) []Fig3RateRow {
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []Fig3RateRow
 	for _, inst := range opt.Suite() {
 		g := inst.Graph
-		t := medianDuration(runs, func() {
-			if _, err := hierarchyFor(g, coarsen.HEC{}, coarsen.BuildSort{}, workers, opt.seed()); err != nil {
-				panic(err)
-			}
-		})
+		t := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, workers).TotalTime()
 		rows = append(rows, Fig3RateRow{
 			Name: inst.Name, Skewed: inst.Skewed, Size: g.Size(),
 			Rate: float64(g.Size()) / t.Seconds(),
@@ -135,21 +134,12 @@ type Fig3SpeedupRow struct {
 
 // Fig3Speedup compares full parallelism against single-worker execution.
 func Fig3Speedup(opt Options) []Fig3SpeedupRow {
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []Fig3SpeedupRow
 	for _, inst := range opt.Suite() {
 		g := inst.Graph
-		tPar := medianDuration(runs, func() {
-			if _, err := hierarchyFor(g, coarsen.HEC{}, coarsen.BuildSort{}, workers, opt.seed()); err != nil {
-				panic(err)
-			}
-		})
-		tSer := medianDuration(runs, func() {
-			if _, err := hierarchyFor(g, coarsen.HEC{}, coarsen.BuildSort{}, 1, opt.seed()); err != nil {
-				panic(err)
-			}
-		})
+		tPar := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, workers).TotalTime()
+		tSer := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, 1).TotalTime()
 		rows = append(rows, Fig3SpeedupRow{
 			Name: inst.Name, Skewed: inst.Skewed,
 			TSerial: tSer, TDevice: tPar,
@@ -173,7 +163,6 @@ func Fig3WeakScaling(opt Options, scales []int) ([]Fig3WeakRow, error) {
 	if len(scales) == 0 {
 		scales = []int{1, 2, 4, 8}
 	}
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []Fig3WeakRow
 	for _, family := range []string{"rgg", "delaunay", "kron"} {
@@ -182,11 +171,7 @@ func Fig3WeakScaling(opt Options, scales []int) ([]Fig3WeakRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: %w", err)
 			}
-			t := medianDuration(runs, func() {
-				if _, err := hierarchyFor(g, coarsen.HEC{}, coarsen.BuildSort{}, workers, opt.seed()); err != nil {
-					panic(err)
-				}
-			})
+			t := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, workers).TotalTime()
 			rows = append(rows, Fig3WeakRow{
 				Family: family, Scale: s, Size: g.Size(),
 				Rate: float64(g.Size()) / t.Seconds(),
@@ -215,35 +200,18 @@ func SkewSweep(opt Options, gammas []float64) []SkewRow {
 	if len(gammas) == 0 {
 		gammas = []float64{5, 3, 2.6, 2.3, 2.1}
 	}
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []SkewRow
 	for _, gamma := range gammas {
 		g := gen.PowerLaw(20000*maxInt(opt.Scale, 1), gamma, 2, 2000, opt.seed())
-		var cr float64
-		var buildT, totalT, hashT time.Duration
-		medianDuration(runs, func() {
-			h, err := hierarchyFor(g, coarsen.HEC{}, coarsen.BuildSort{}, workers, opt.seed())
-			if err != nil {
-				panic(err)
-			}
-			cr = h.CoarseningRatio()
-			buildT = h.BuildTime()
-			totalT = h.TotalTime()
-		})
-		medianDuration(runs, func() {
-			h, err := hierarchyFor(g, coarsen.HEC{}, coarsen.BuildHash{}, workers, opt.seed())
-			if err != nil {
-				panic(err)
-			}
-			hashT = h.BuildTime()
-		})
+		sortC := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, workers)
+		hashBT := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildHash{}, workers).BuildTime()
 		rows = append(rows, SkewRow{
 			Gamma:     gamma,
 			Skew:      g.DegreeSkew(),
-			CrHEC:     cr,
-			GrCoPct:   100 * float64(buildT) / float64(totalT),
-			HashRatio: float64(hashT) / float64(buildT),
+			CrHEC:     sortC.CoarseningRatio(),
+			GrCoPct:   100 * float64(sortC.BuildTime()) / float64(sortC.TotalTime()),
+			HashRatio: float64(hashBT) / float64(sortC.BuildTime()),
 		})
 	}
 	return rows
@@ -280,22 +248,28 @@ func MultilevelPremise(opt Options) []PremiseRow {
 	for _, inst := range opt.Suite() {
 		g := inst.Graph
 		var flatCut, mlCut int64
-		tFlat := medianDuration(runs, func() {
+		tFlat, _, _ := medianOf(runs, func() error {
 			part := make([]int32, g.N())
 			rng := par.NewRNG(opt.seed())
 			for i := range part {
 				part[i] = int32(rng.Intn(2))
 			}
 			flatCut = partition.RefineFM(g, part, partition.FMOptions{})
+			return nil
 		})
-		tML := medianDuration(runs, func() {
-			b := partition.NewHECFM(opt.seed(), workers)
-			res, err := b.Bisect(g)
+		// Every run bisects with opt.seed(), so MLCut is one seed's cut,
+		// like FlatCut.
+		tML, _, err := medianOf(runs, func() error {
+			res, err := partition.NewHECFM(opt.seed(), workers).Bisect(g)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			mlCut = res.Cut
+			return nil
 		})
+		if err != nil {
+			panic(err)
+		}
 		rows = append(rows, PremiseRow{
 			Name: inst.Name, Skewed: inst.Skewed,
 			FlatCut: flatCut, MLCut: mlCut,
@@ -329,17 +303,11 @@ func StrongScaling(opt Options, threads []int) []ScalingRow {
 			threads = append(threads, max)
 		}
 	}
-	runs := opt.runs()
 	var rows []ScalingRow
 	for _, inst := range opt.Suite() {
-		g := inst.Graph
 		var t1 time.Duration
 		for _, th := range threads {
-			t := medianDuration(runs, func() {
-				if _, err := hierarchyFor(g, coarsen.HEC{}, coarsen.BuildSort{}, th, opt.seed()); err != nil {
-					panic(err)
-				}
-			})
+			t := mustCell(opt, inst.Graph, coarsen.HEC{}, coarsen.BuildSort{}, th).TotalTime()
 			if th == threads[0] {
 				t1 = t
 			}
@@ -366,13 +334,14 @@ type DedupAblationRow struct {
 // DedupAblation measures construction time with the one-sided optimization
 // disabled vs forced, on the skewed half of the suite.
 func DedupAblation(opt Options) []DedupAblationRow {
+	workers := opt.workers()
 	var rows []DedupAblationRow
 	for _, inst := range opt.Suite() {
 		if !inst.Skewed {
 			continue
 		}
-		off := medianBuildTime(inst.Graph, coarsen.BuildSort{OneSided: coarsen.OneSidedOff}, opt)
-		on := medianBuildTime(inst.Graph, coarsen.BuildSort{OneSided: coarsen.OneSidedOn}, opt)
+		off := mustCell(opt, inst.Graph, coarsen.HEC{}, coarsen.BuildSort{OneSided: coarsen.OneSidedOff}, workers).BuildTime()
+		on := mustCell(opt, inst.Graph, coarsen.HEC{}, coarsen.BuildSort{OneSided: coarsen.OneSidedOn}, workers).BuildTime()
 		rows = append(rows, DedupAblationRow{
 			Name: inst.Name, Skewed: true,
 			TOneOff: off, TOneOn: on,

@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"sort"
-	"time"
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
@@ -39,22 +37,6 @@ func ioGraph(scale int) (*graph.Graph, string) {
 	return gen.RMAT(s, 8, 42), fmt.Sprintf("rmat%d", s)
 }
 
-// medianOf runs f runs times and returns (median seconds, raw samples in
-// nanoseconds) — the same reporting convention as measureCombo.
-func medianOf(runs int, f func() error) (float64, []float64, error) {
-	vals := make([]float64, runs)
-	for i := range vals {
-		t0 := time.Now()
-		if err := f(); err != nil {
-			return 0, nil, err
-		}
-		vals[i] = float64(time.Since(t0))
-	}
-	raw := append([]float64(nil), vals...)
-	sort.Float64s(vals)
-	return vals[len(vals)/2] / float64(time.Second), raw, nil
-}
-
 // measureIOBandwidth produces the "ingest" and "hierio" metric rows.
 func measureIOBandwidth(cfg RunConfig) ([]Metric, error) {
 	runs := cfg.Runs
@@ -74,7 +56,7 @@ func measureIOBandwidth(cfg RunConfig) ([]Metric, error) {
 	// ingestRow times one parse of data and records MB/s plus the byte
 	// footprint of the on-the-wire format.
 	ingestRow := func(format string, workers int, data []byte, parse func([]byte) (*graph.Graph, error)) error {
-		sec, raw, err := medianOf(runs, func() error {
+		d, raw, err := medianOf(runs, func() error {
 			g2, err := parse(data)
 			if err != nil {
 				return err
@@ -88,7 +70,7 @@ func measureIOBandwidth(cfg RunConfig) ([]Metric, error) {
 		if err != nil {
 			return fmt.Errorf("bench: ingest %s: %w", format, err)
 		}
-		mk("ingest", format, workers, "ingest_mbps", "MB/s", HigherIsBetter, float64(len(data))/1e6/sec, raw)
+		mk("ingest", format, workers, "ingest_mbps", "MB/s", HigherIsBetter, float64(len(data))/1e6/d.Seconds(), raw)
 		mk("ingest", format, workers, "io_bytes", "bytes", Informational, float64(len(data)), nil)
 		return nil
 	}
@@ -149,7 +131,7 @@ func measureIOBandwidth(cfg RunConfig) ([]Metric, error) {
 			return nil, err
 		}
 		size := float64(buf.Len())
-		sec, raw, err := medianOf(runs, func() error {
+		d, raw, err := medianOf(runs, func() error {
 			var b bytes.Buffer
 			b.Grow(buf.Len())
 			return hierfmt.Save(&b, h, enc.opt)
@@ -157,9 +139,9 @@ func measureIOBandwidth(cfg RunConfig) ([]Metric, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: hierio save %s: %w", enc.format, err)
 		}
-		mk("hierio", enc.format, 1, "save_mbps", "MB/s", HigherIsBetter, size/1e6/sec, raw)
+		mk("hierio", enc.format, 1, "save_mbps", "MB/s", HigherIsBetter, size/1e6/d.Seconds(), raw)
 		data := buf.Bytes()
-		sec, raw, err = medianOf(runs, func() error {
+		d, raw, err = medianOf(runs, func() error {
 			h2, _, err := hierfmt.Load(data, hierfmt.LoadOptions{})
 			if err != nil {
 				return err
@@ -172,7 +154,7 @@ func measureIOBandwidth(cfg RunConfig) ([]Metric, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: hierio load %s: %w", enc.format, err)
 		}
-		mk("hierio", enc.format, 1, "load_mbps", "MB/s", HigherIsBetter, size/1e6/sec, raw)
+		mk("hierio", enc.format, 1, "load_mbps", "MB/s", HigherIsBetter, size/1e6/d.Seconds(), raw)
 		mk("hierio", enc.format, 1, "io_bytes", "bytes", Informational, size, nil)
 	}
 	return out, nil

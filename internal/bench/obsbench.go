@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"sort"
 	"time"
 
 	"mlcg/internal/obs"
@@ -22,32 +21,23 @@ func measureObsOverhead(runs int) []Metric {
 	if runs <= 0 {
 		runs = 3
 	}
-	perCall := func(h *obs.Histogram) float64 {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			h.Observe(time.Duration(i))
+	row := func(name string, h *obs.Histogram) Metric {
+		d, raw, _ := medianOf(runs, func() error {
+			for i := 0; i < iters; i++ {
+				h.Observe(time.Duration(i))
+			}
+			return nil
+		})
+		for i := range raw {
+			raw[i] /= iters
 		}
-		return float64(time.Since(t0)) / iters
-	}
-	med := func(f func() float64) (float64, []float64) {
-		vals := make([]float64, runs)
-		for i := range vals {
-			vals[i] = f()
-		}
-		raw := append([]float64(nil), vals...)
-		sort.Float64s(vals)
-		return vals[len(vals)/2], raw
-	}
-	mk := func(name string, v float64, samples []float64) Metric {
 		return Metric{
 			Experiment: "obs", Instance: "hist", Mapper: "-", Builder: "-", Workers: 1,
-			Name: name, Unit: "ns", Direction: LowerIsBetter, Value: v, Samples: samples,
+			Name: name, Unit: "ns", Direction: LowerIsBetter, Value: float64(d) / iters, Samples: raw,
 		}
 	}
-	enabled, enRaw := med(func() float64 { return perCall(obs.NewHistogram("bench")) })
-	disabled, disRaw := med(func() float64 { return perCall(nil) })
 	return []Metric{
-		mk("hist_record_ns", enabled, enRaw),
-		mk("hist_record_disabled_ns", disabled, disRaw),
+		row("hist_record_ns", obs.NewHistogram("bench")),
+		row("hist_record_disabled_ns", nil),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"time"
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
@@ -46,32 +45,11 @@ type RunConfig struct {
 	// speedup claim is pinned at explicit counts).
 	HeadToHeadWorkers []int `json:"head_to_head_workers,omitempty"`
 
-	// Serve adds the mlcg-serve end-to-end experiment: build throughput
-	// over real loopback HTTP at each ServeConcurrency client level
-	// (ServeBuilds distinct small graphs per repetition, fresh server per
-	// repetition so caching cannot flatter the numbers) and concurrent
-	// partition-query throughput against one shared hierarchy
-	// (ServeQueries requests). The serve rows' Workers field records the
-	// client concurrency.
-	Serve            bool  `json:"serve,omitempty"`
-	ServeConcurrency []int `json:"serve_concurrency,omitempty"`
-	ServeBuilds      int   `json:"serve_builds,omitempty"`
-	ServeQueries     int   `json:"serve_queries,omitempty"`
-
 	// ObsOverhead adds the "obs" experiment: the per-call cost of the
 	// telemetry record path (obs.Histogram.Observe, enabled and disabled),
 	// committed so the tax of instrumenting the serve hot path stays
 	// visible in the baseline history.
 	ObsOverhead bool `json:"obs_overhead,omitempty"`
-
-	// Embed adds the "embed" experiment: multilevel SGD training
-	// throughput (steps/sec, gated) on a fixed RGG instance at each
-	// EmbedWorkers count, plus the link-prediction AUC of the trained
-	// embedding as an informational row (see embedbench.go). Like
-	// HeadToHeadWorkers, EmbedWorkers are explicit — the parallel-SGD
-	// determinism claim is pinned at fixed counts, not GOMAXPROCS.
-	Embed        bool  `json:"embed,omitempty"`
-	EmbedWorkers []int `json:"embed_workers,omitempty"`
 
 	// IOBandwidth adds the "ingest" and "hierio" experiments: MB/s of
 	// text (sequential and streaming-parallel), legacy binary, and
@@ -85,13 +63,14 @@ type RunConfig struct {
 // skewed), the two headline mappers, the sort/hash construction pair the
 // paper's Tables II/III compare, and the adaptive auto policy so that
 // regressions in the policy itself — not just in the fixed kernels — are
-// gated. It finishes in seconds.
+// gated. It finishes in seconds. The parallel arm is pinned at two
+// workers, not GOMAXPROCS, so rows recorded on different hosts pair.
 func FastConfig() RunConfig {
 	return RunConfig{
 		Suite:     "fast",
 		Runs:      3,
 		Scale:     1,
-		Workers:   []int{1, 0},
+		Workers:   []int{1, 2},
 		Instances: []string{"channel050", "mycielskian17", "ic04"},
 		Mappers:   []string{"hec", "hem"},
 		Builders:  []string{"sort", "hash", "auto"},
@@ -101,16 +80,8 @@ func FastConfig() RunConfig {
 		// targets; p=8 pins the parallel claim, p=1 the sequential one.
 		HeadToHead:        []string{"mis2", "mis2fast"},
 		HeadToHeadWorkers: []int{1, 8},
-		// The serving path: build QPS at 1 and 8 concurrent clients plus
-		// shared-hierarchy query throughput, gated like every other row.
-		Serve:            true,
-		ServeConcurrency: []int{1, 8},
-		ObsOverhead:      true,
-		IOBandwidth:      true,
-		// The embedding pipeline: training throughput at the same pinned
-		// counts as the head-to-head rows.
-		Embed:        true,
-		EmbedWorkers: []int{1, 8},
+		ObsOverhead:       true,
+		IOBandwidth:       true,
 	}
 }
 
@@ -119,22 +90,15 @@ func FastConfig() RunConfig {
 // quiet machine.
 func FullConfig() RunConfig {
 	cfg := RunConfig{
-		Suite:    "full",
-		Runs:     5,
-		Scale:    1,
-		Workers:  []int{1, 0},
-		Mappers:  []string{"hec", "hem", "twohop", "gosh"},
-		Builders: []string{"sort", "hash", "spgemm", "auto"},
-		Counters: true,
-		Serve:    true,
-		// Heavier serve slice for committed baselines.
-		ServeConcurrency: []int{1, 4, 8},
-		ServeBuilds:      48,
-		ServeQueries:     96,
-		ObsOverhead:      true,
-		IOBandwidth:      true,
-		Embed:            true,
-		EmbedWorkers:     []int{1, 8},
+		Suite:       "full",
+		Runs:        5,
+		Scale:       1,
+		Workers:     []int{1, 2},
+		Mappers:     []string{"hec", "hem", "twohop", "gosh"},
+		Builders:    []string{"sort", "hash", "spgemm", "auto"},
+		Counters:    true,
+		ObsOverhead: true,
+		IOBandwidth: true,
 	}
 	for _, inst := range (Options{}).Suite() {
 		cfg.Instances = append(cfg.Instances, inst.Name)
@@ -210,7 +174,7 @@ func RunBaseline(cfg RunConfig) (*Baseline, error) {
 					return nil, err
 				}
 				for _, w := range workers {
-					ms, err := measureCombo("coarsen", inst.Name, inst.Graph, mapper, builder, w, opt, cfg.Counters, 0)
+					ms, err := measureCombo("coarsen", inst.Name, inst.Graph, mapper, builder, w, opt, cfg.Counters)
 					if err != nil {
 						return nil, fmt.Errorf("bench: %s/%s/%s/w=%d: %w", inst.Name, mname, bname, w, err)
 					}
@@ -234,7 +198,7 @@ func RunBaseline(cfg RunConfig) (*Baseline, error) {
 					return nil, err
 				}
 				for _, w := range hw {
-					ms, err := measureCombo("mapcompare", inst.Name, inst.Graph, mapper, coarsen.BuildSort{}, w, opt, cfg.Counters, -1)
+					ms, err := measureCombo("mapcompare", inst.Name, inst.Graph, mapper, coarsen.BuildSort{}, w, opt, cfg.Counters)
 					if err != nil {
 						return nil, fmt.Errorf("bench: mapcompare %s/%s/w=%d: %w", inst.Name, mname, w, err)
 					}
@@ -243,25 +207,9 @@ func RunBaseline(cfg RunConfig) (*Baseline, error) {
 			}
 		}
 	}
-	// The serving experiment: daemon throughput over loopback HTTP.
-	if cfg.Serve {
-		ms, err := measureServe(cfg, opt)
-		if err != nil {
-			return nil, err
-		}
-		b.Metrics = append(b.Metrics, ms...)
-	}
 	// The telemetry-tax experiment: histogram record path cost.
 	if cfg.ObsOverhead {
 		b.Metrics = append(b.Metrics, measureObsOverhead(cfg.Runs)...)
-	}
-	// The embedding experiment: multilevel SGD throughput and AUC.
-	if cfg.Embed {
-		ms, err := measureEmbed(cfg)
-		if err != nil {
-			return nil, err
-		}
-		b.Metrics = append(b.Metrics, ms...)
 	}
 	// The IO experiments: ingest and hierarchy persistence bandwidth.
 	if cfg.IOBandwidth {
@@ -275,44 +223,20 @@ func RunBaseline(cfg RunConfig) (*Baseline, error) {
 	return b, nil
 }
 
-// measureCombo times one instance × mapper × builder × workers cell under
-// the given experiment name.
-func measureCombo(experiment, inst string, g *graph.Graph, mapper coarsen.Mapper, builder coarsen.Builder, workers int, opt Options, counters bool, discard int) ([]Metric, error) {
-	// Bench hygiene: level the heap across combos (testing.B does the same
-	// before timing) and run one untimed warmup repetition so no builder
-	// pays first-touch page faults for its scratch buffers inside the timed
-	// samples. On small instances both effects exceed the builder
-	// differences being measured.
-	runtime.GC()
-	if _, err := hierarchyForD(g, mapper, builder, workers, opt.seed(), discard); err != nil {
+// measureCombo formats one instance × mapper × builder × workers cell,
+// timed by timeCell, as Metric rows under the given experiment name.
+func measureCombo(experiment, inst string, g *graph.Graph, mapper coarsen.Mapper, builder coarsen.Builder, workers int, opt Options, counters bool) ([]Metric, error) {
+	c, err := timeCell(opt, g, mapper, builder, workers)
+	if err != nil {
 		return nil, err
 	}
-	type sample struct{ total, mapT, build time.Duration }
-	samples := make([]sample, opt.runs())
-	var levels int
-	var cr float64
-	for i := range samples {
-		h, err := hierarchyForD(g, mapper, builder, workers, opt.seed(), discard)
-		if err != nil {
-			return nil, err
-		}
-		samples[i] = sample{h.TotalTime(), h.MapTime(), h.BuildTime()}
-		levels = h.Levels()
-		cr = h.CoarseningRatio()
+	raw := make([]float64, len(c.totals))
+	for i, t := range c.totals {
+		raw[i] = float64(t)
 	}
-	// Report the run with the median total so map/build/total stay
-	// internally consistent, but keep every raw total for noise analysis.
-	bySample := append([]sample(nil), samples...)
-	sort.Slice(bySample, func(a, c int) bool { return bySample[a].total < bySample[c].total })
-	med := bySample[len(bySample)/2]
-	raw := make([]float64, len(samples))
-	for i, s := range samples {
-		raw[i] = float64(s.total)
-	}
-
-	rate := 0.0 // guard: an empty hierarchy (all levels discarded) has zero total
-	if med.total > 0 {
-		rate = float64(g.Size()) / med.total.Seconds()
+	rate := 0.0 // guard: a graph at or below the cutoff is never mapped
+	if c.TotalTime() > 0 {
+		rate = float64(g.Size()) / c.TotalTime().Seconds()
 	}
 	id := Metric{Experiment: experiment, Instance: inst, Mapper: mapper.Name(), Builder: builder.Name(), Workers: workers}
 	mk := func(name, unit string, dir Direction, v float64) Metric {
@@ -320,19 +244,19 @@ func measureCombo(experiment, inst string, g *graph.Graph, mapper coarsen.Mapper
 		m.Name, m.Unit, m.Direction, m.Value = name, unit, dir, v
 		return m
 	}
-	total := mk("total_ns", "ns", LowerIsBetter, float64(med.total))
+	total := mk("total_ns", "ns", LowerIsBetter, float64(c.TotalTime()))
 	total.Samples = raw
 	out := []Metric{
 		total,
-		mk("map_ns", "ns", LowerIsBetter, float64(med.mapT)),
-		mk("build_ns", "ns", LowerIsBetter, float64(med.build)),
+		mk("map_ns", "ns", LowerIsBetter, float64(c.MapTime())),
+		mk("build_ns", "ns", LowerIsBetter, float64(c.BuildTime())),
 		mk("rate", "size/s", HigherIsBetter, rate),
-		mk("levels", "levels", Informational, float64(levels)),
-		mk("coarsening_ratio", "ratio", Informational, cr),
+		mk("levels", "levels", Informational, float64(c.Levels())),
+		mk("coarsening_ratio", "ratio", Informational, c.CoarseningRatio()),
 	}
 	if counters {
 		if tr := obs.StartTrace("bench-counters"); tr != nil {
-			_, err := hierarchyForD(g, mapper, builder, workers, opt.seed(), discard)
+			_, err := (&coarsen.Coarsener{Mapper: mapper, Builder: builder, Seed: opt.seed(), Workers: workers}).Run(g)
 			tr.Stop()
 			if err != nil {
 				return nil, err

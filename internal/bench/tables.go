@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mlcg/internal/coarsen"
@@ -43,9 +42,9 @@ type Table2Row struct {
 	// HashRatio and SpGEMMRatio are construction-time ratios
 	// t_GrCo-alt / t_GrCo-sort (> 1 means sort wins).
 	HashRatio, SpGEMMRatio float64
-	// Stalled reports that at least one measured hierarchy ended in a
-	// mapping stall (its partial times are still included in Tc via
-	// Hierarchy.TotalTime, which counts StallStats).
+	// Stalled reports that the measured hierarchy ended in a mapping stall
+	// (its partial times are still included in Tc via Hierarchy.TotalTime,
+	// which counts the dropped attempt).
 	Stalled bool
 }
 
@@ -55,31 +54,13 @@ type Table2Row struct {
 // documented substitution, any second thread count; the shapes, not the
 // absolute times, are the claim).
 func Table23(opt Options, workers int) []Table2Row {
-	runs := opt.runs()
 	var rows []Table2Row
 	for _, inst := range opt.Suite() {
 		g := inst.Graph
-		// Per run, record (construction, total) as a pair and report the
-		// run with the median total, so %GrCo is internally consistent.
-		stalled := false
-		buildTime := func(b coarsen.Builder) (time.Duration, time.Duration) {
-			type pair struct{ build, total time.Duration }
-			ps := make([]pair, runs)
-			for i := range ps {
-				h, err := hierarchyFor(g, coarsen.HEC{}, b, workers, opt.seed())
-				if err != nil {
-					panic(err)
-				}
-				stalled = stalled || h.Stalled
-				ps[i] = pair{h.BuildTime(), h.TotalTime()}
-			}
-			sort.Slice(ps, func(a, c int) bool { return ps[a].total < ps[c].total })
-			med := ps[len(ps)/2]
-			return med.build, med.total
-		}
-		sortBT, sortTotal := buildTime(coarsen.BuildSort{})
-		hashBT, _ := buildTime(coarsen.BuildHash{})
-		spgemmBT, _ := buildTime(coarsen.BuildSpGEMM{})
+		sortC := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, workers)
+		hashBT := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildHash{}, workers).BuildTime()
+		spgemmBT := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSpGEMM{}, workers).BuildTime()
+		sortBT, sortTotal := sortC.BuildTime(), sortC.TotalTime()
 		rows = append(rows, Table2Row{
 			Name:        inst.Name,
 			Skewed:      inst.Skewed,
@@ -87,7 +68,8 @@ func Table23(opt Options, workers int) []Table2Row {
 			GrCoPct:     100 * float64(sortBT) / float64(sortTotal),
 			HashRatio:   float64(hashBT) / float64(sortBT),
 			SpGEMMRatio: float64(spgemmBT) / float64(sortBT),
-			Stalled:     stalled,
+			// The mapping, and so a stall, does not depend on the builder.
+			Stalled: sortC.Stalled,
 		})
 	}
 	return rows
@@ -108,37 +90,26 @@ type HECVariantRow struct {
 // HECVariants measures HEC vs HEC2 vs HEC3 and the pass statistics the
 // paper reports (99.4% / 96.7% of vertices mapped within two passes).
 func HECVariants(opt Options) []HECVariantRow {
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []HECVariantRow
 	for _, inst := range opt.Suite() {
 		g := inst.Graph
-		timeOf := func(m coarsen.Mapper) (time.Duration, int, *coarsen.Hierarchy) {
-			var h *coarsen.Hierarchy
-			t := medianDuration(runs, func() {
-				var err error
-				h, err = hierarchyFor(g, m, coarsen.BuildSort{}, workers, opt.seed())
-				if err != nil {
-					panic(err)
-				}
-			})
-			return t, h.Levels(), h
-		}
-		tHEC, lHEC, hHEC := timeOf(coarsen.HEC{})
-		tHEC2, lHEC2, _ := timeOf(coarsen.HEC2{})
-		tHEC3, lHEC3, _ := timeOf(coarsen.HEC3{})
+		hec := mustCell(opt, g, coarsen.HEC{}, coarsen.BuildSort{}, workers)
+		hec2 := mustCell(opt, g, coarsen.HEC2{}, coarsen.BuildSort{}, workers)
+		hec3 := mustCell(opt, g, coarsen.HEC3{}, coarsen.BuildSort{}, workers)
+		tHEC := hec.TotalTime()
 		row := HECVariantRow{
 			Name: inst.Name, Skewed: inst.Skewed,
 			THEC:      tHEC,
-			HEC2Ratio: float64(tHEC2) / float64(tHEC),
-			HEC3Ratio: float64(tHEC3) / float64(tHEC),
-			LevHEC:    lHEC, LevHEC2: lHEC2, LevHEC3: lHEC3,
+			HEC2Ratio: float64(hec2.TotalTime()) / float64(tHEC),
+			HEC3Ratio: float64(hec3.TotalTime()) / float64(tHEC),
+			LevHEC:    hec.Levels(), LevHEC2: hec2.Levels(), LevHEC3: hec3.Levels(),
 		}
 		pct := func(level int) float64 {
-			if level >= len(hHEC.Stats) {
+			if level >= len(hec.Stats) {
 				return 0
 			}
-			st := hHEC.Stats[level]
+			st := hec.Stats[level]
 			var firstTwo, total int64
 			for i, c := range st.PassMapped {
 				if i < 2 {
@@ -176,39 +147,28 @@ type Table4Row struct {
 // Table4 measures the alternative mapping methods against HEC with
 // sort-based construction.
 func Table4(opt Options) []Table4Row {
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []Table4Row
 	for _, inst := range opt.Suite() {
-		g := inst.Graph
 		var stalls []string
-		measure := func(m coarsen.Mapper) (time.Duration, int, float64) {
-			var h *coarsen.Hierarchy
-			t := medianDuration(runs, func() {
-				var err error
-				h, err = hierarchyFor(g, m, coarsen.BuildSort{}, workers, opt.seed())
-				if err != nil {
-					panic(err)
-				}
-			})
-			if h.Stalled {
+		cells := make([]cell, 5)
+		for i, m := range []coarsen.Mapper{coarsen.HEC{}, coarsen.HEM{}, coarsen.TwoHop{}, coarsen.GOSH{}, coarsen.MIS2{}} {
+			cells[i] = mustCell(opt, inst.Graph, m, coarsen.BuildSort{}, workers)
+			if cells[i].Stalled {
 				stalls = append(stalls, m.Name())
 			}
-			return t, h.Levels(), h.CoarseningRatio()
 		}
-		tHEC, lHEC, crHEC := measure(coarsen.HEC{})
-		tHEM, lHEM, _ := measure(coarsen.HEM{})
-		tMt, lMt, crMt := measure(coarsen.TwoHop{})
-		tGOSH, lGOSH, _ := measure(coarsen.GOSH{})
-		tMIS2, lMIS2, _ := measure(coarsen.MIS2{})
+		hec, hem, mt, gosh, mis2 := cells[0], cells[1], cells[2], cells[3], cells[4]
+		tHEC := float64(hec.TotalTime())
 		rows = append(rows, Table4Row{
 			Name: inst.Name, Skewed: inst.Skewed,
-			HEMRatio:     float64(tHEM) / float64(tHEC),
-			MtMetisRatio: float64(tMt) / float64(tHEC),
-			GOSHRatio:    float64(tGOSH) / float64(tHEC),
-			MIS2Ratio:    float64(tMIS2) / float64(tHEC),
-			LevHEC:       lHEC, LevHEM: lHEM, LevMtMetis: lMt, LevGOSH: lGOSH, LevMIS2: lMIS2,
-			CrHEC: crHEC, CrMtMetis: crMt,
+			HEMRatio:     float64(hem.TotalTime()) / tHEC,
+			MtMetisRatio: float64(mt.TotalTime()) / tHEC,
+			GOSHRatio:    float64(gosh.TotalTime()) / tHEC,
+			MIS2Ratio:    float64(mis2.TotalTime()) / tHEC,
+			LevHEC:       hec.Levels(), LevHEM: hem.Levels(), LevMtMetis: mt.Levels(),
+			LevGOSH: gosh.Levels(), LevMIS2: mis2.Levels(),
+			CrHEC: hec.CoarseningRatio(), CrMtMetis: mt.CoarseningRatio(),
 			Stalls: stalls,
 		})
 	}
@@ -228,28 +188,15 @@ type GOSHHECRow struct {
 
 // GOSHHECStudy measures GOSH vs GOSHHEC over the suite.
 func GOSHHECStudy(opt Options) []GOSHHECRow {
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []GOSHHECRow
 	for _, inst := range opt.Suite() {
-		g := inst.Graph
-		measure := func(m coarsen.Mapper) (time.Duration, int) {
-			var h *coarsen.Hierarchy
-			t := medianDuration(runs, func() {
-				var err error
-				h, err = hierarchyFor(g, m, coarsen.BuildSort{}, workers, opt.seed())
-				if err != nil {
-					panic(err)
-				}
-			})
-			return t, h.Levels()
-		}
-		tG, lG := measure(coarsen.GOSH{})
-		tH, lH := measure(coarsen.GOSHHEC{})
+		gosh := mustCell(opt, inst.Graph, coarsen.GOSH{}, coarsen.BuildSort{}, workers)
+		hybrid := mustCell(opt, inst.Graph, coarsen.GOSHHEC{}, coarsen.BuildSort{}, workers)
 		rows = append(rows, GOSHHECRow{
 			Name: inst.Name, Skewed: inst.Skewed,
-			TimeRatio: float64(tG) / float64(tH),
-			LevGOSH:   lG, LevHybrid: lH,
+			TimeRatio: float64(gosh.TotalTime()) / float64(hybrid.TotalTime()),
+			LevGOSH:   gosh.Levels(), LevHybrid: hybrid.Levels(),
 		})
 	}
 	return rows
@@ -271,38 +218,17 @@ type Table5Row struct {
 // Table5 runs spectral bisection on every suite graph with HEC, HEM, and
 // two-hop coarsening.
 func Table5(opt Options) []Table5Row {
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []Table5Row
 	for _, inst := range opt.Suite() {
-		g := inst.Graph
-		spectral := func(m coarsen.Mapper) (int64, time.Duration, float64) {
-			cuts := make([]int64, 0, runs)
-			var elapsed, coa time.Duration
-			for r := 0; r < runs; r++ {
-				b := &partition.SpectralBisector{
-					Coarsener: coarsen.Coarsener{Mapper: m, Builder: coarsen.BuildSort{}, Seed: opt.seed() + uint64(r), Workers: workers},
-					Fiedler:   partition.FiedlerOptions{MaxIter: 300, Workers: workers},
-					Seed:      opt.seed() + uint64(r),
-				}
-				res, err := b.Bisect(g)
-				if err != nil {
-					panic(err)
-				}
-				cuts = append(cuts, res.Cut)
-				elapsed += res.TotalTime()
-				coa += res.CoarsenTime
-			}
-			return medianInt64(cuts), elapsed / time.Duration(runs), 100 * float64(coa) / float64(elapsed)
-		}
-		cutHEC, tHEC, coaPct := spectral(coarsen.HEC{})
-		cutHEM, _, _ := spectral(coarsen.HEM{})
-		cutMt, _, _ := spectral(coarsen.TwoHop{})
+		hec := timeBisect(opt, inst.Graph, spectral(coarsen.HEC{}, workers))
+		hem := timeBisect(opt, inst.Graph, spectral(coarsen.HEM{}, workers))
+		mt := timeBisect(opt, inst.Graph, spectral(coarsen.TwoHop{}, workers))
 		rows = append(rows, Table5Row{
 			Name: inst.Name, Skewed: inst.Skewed,
-			Time: tHEC, CoaPct: coaPct, Cut: cutHEC,
-			HEMCutRatio:     ratio64(cutHEM, cutHEC),
-			MtMetisCutRatio: ratio64(cutMt, cutHEC),
+			Time: hec.time, CoaPct: hec.coaPct, Cut: hec.cut,
+			HEMCutRatio:     ratio64(hem.cut, hec.cut),
+			MtMetisCutRatio: ratio64(mt.cut, hec.cut),
 		})
 	}
 	return rows
@@ -327,64 +253,23 @@ type Table6Row struct {
 
 // Table6 measures the FM pipelines and baselines.
 func Table6(opt Options) []Table6Row {
-	runs := opt.runs()
 	workers := opt.workers()
 	var rows []Table6Row
 	for _, inst := range opt.Suite() {
 		g := inst.Graph
-		fmCut := func(b *partition.FMBisector) (int64, time.Duration) {
-			cuts := make([]int64, 0, runs)
-			var elapsed time.Duration
-			for r := 0; r < runs; r++ {
-				b.Seed = opt.seed() + uint64(r)
-				b.Coarsener.Seed = b.Seed
-				res, err := b.Bisect(g)
-				if err != nil {
-					panic(err)
-				}
-				cuts = append(cuts, res.Cut)
-				elapsed += res.TotalTime()
-			}
-			return medianInt64(cuts), elapsed / time.Duration(runs)
-		}
-		cutPar, _ := fmCut(partition.NewHECFM(opt.seed(), workers))
-		cutSeq, _ := fmCut(partition.NewHECFM(opt.seed(), 1))
-		cutMetis, _ := fmCut(partition.NewMetisLike(opt.seed()))
-		cutMt, tMt := fmCut(partition.NewMtMetisLike(opt.seed(), workers))
-
-		// Spectral pipeline (cut + time) for the ratio columns.
-		sp := &partition.SpectralBisector{
-			Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: opt.seed(), Workers: workers},
-			Fiedler:   partition.FiedlerOptions{MaxIter: 300, Workers: workers},
-			Seed:      opt.seed(),
-		}
-		var cutSp int64
-		var tSp time.Duration
-		{
-			cuts := make([]int64, 0, runs)
-			var elapsed time.Duration
-			for r := 0; r < runs; r++ {
-				sp.Seed = opt.seed() + uint64(r)
-				sp.Coarsener.Seed = sp.Seed
-				res, err := sp.Bisect(g)
-				if err != nil {
-					panic(err)
-				}
-				cuts = append(cuts, res.Cut)
-				elapsed += res.TotalTime()
-			}
-			cutSp = medianInt64(cuts)
-			tSp = elapsed / time.Duration(runs)
-		}
-
+		fm := timeBisect(opt, g, func(s uint64) bisector { return partition.NewHECFM(s, workers) })
+		seq := timeBisect(opt, g, func(s uint64) bisector { return partition.NewHECFM(s, 1) })
+		metis := timeBisect(opt, g, func(s uint64) bisector { return partition.NewMetisLike(s) })
+		mt := timeBisect(opt, g, func(s uint64) bisector { return partition.NewMtMetisLike(s, workers) })
+		sp := timeBisect(opt, g, spectral(coarsen.HEC{}, workers))
 		rows = append(rows, Table6Row{
 			Name: inst.Name, Skewed: inst.Skewed,
-			Cut:                   cutPar,
-			SeqHECRatio:           ratio64(cutSeq, cutPar),
-			SpectralRatio:         ratio64(cutSp, cutPar),
-			MetisRatio:            ratio64(cutMetis, cutPar),
-			MtMetisRatio:          ratio64(cutMt, cutPar),
-			SpectralVsMtMetisTime: float64(tSp) / float64(tMt),
+			Cut:                   fm.cut,
+			SeqHECRatio:           ratio64(seq.cut, fm.cut),
+			SpectralRatio:         ratio64(sp.cut, fm.cut),
+			MetisRatio:            ratio64(metis.cut, fm.cut),
+			MtMetisRatio:          ratio64(mt.cut, fm.cut),
+			SpectralVsMtMetisTime: float64(sp.time) / float64(mt.time),
 		})
 	}
 	return rows
@@ -404,22 +289,21 @@ type BuilderShootoutRow struct {
 // paper's sort/hash/SpGEMM/global-sort comparison extended to the
 // segmented sort and the adaptive auto policy.
 func BuilderShootout(opt Options) []BuilderShootoutRow {
+	workers := opt.workers()
 	var rows []BuilderShootoutRow
 	for _, inst := range opt.Suite() {
 		row := BuilderShootoutRow{Name: inst.Name, Skewed: inst.Skewed, Ratios: map[string]float64{}}
-		var tSort time.Duration
 		for _, name := range coarsen.BuilderNames() {
 			b, err := coarsen.BuilderByName(name)
 			if err != nil {
 				panic(err)
 			}
-			t := medianBuildTime(inst.Graph, b, opt)
+			t := mustCell(opt, inst.Graph, coarsen.HEC{}, b, workers).BuildTime()
 			if name == "sort" {
-				tSort = t
 				row.TSort = t
 				continue
 			}
-			row.Ratios[name] = float64(t) / float64(tSort)
+			row.Ratios[name] = float64(t) / float64(row.TSort)
 		}
 		rows = append(rows, row)
 	}
@@ -467,21 +351,23 @@ func ConstructBench(opt Options) []ConstructBenchRow {
 				panic(err)
 			}
 			row := ConstructBenchRow{Graph: inst.Name, Skewed: inst.Skewed, Builder: name}
-			row.TFresh = medianDuration(runs, func() {
-				if _, err := b.Build(g, m, workers); err != nil {
-					panic(err)
-				}
-			})
+			if row.TFresh, _, err = medianOf(runs, func() error {
+				_, err := b.Build(g, m, workers)
+				return err
+			}); err != nil {
+				panic(err)
+			}
 			ws := coarsen.NewWorkspace()
 			// Warm the arena outside the measurement.
 			if _, err := b.BuildWith(ws, g, m, workers); err != nil {
 				panic(err)
 			}
-			row.TReused = medianDuration(runs, func() {
-				if _, err := b.BuildWith(ws, g, m, workers); err != nil {
-					panic(err)
-				}
-			})
+			if row.TReused, _, err = medianOf(runs, func() error {
+				_, err := b.BuildWith(ws, g, m, workers)
+				return err
+			}); err != nil {
+				panic(err)
+			}
 			if row.TReused > 0 {
 				row.Reuse = float64(row.TFresh) / float64(row.TReused)
 			}

@@ -87,11 +87,14 @@ type Hierarchy struct {
 	// Stalled reports that coarsening stopped because a mapping produced no
 	// reduction (NC >= N), not because the cutoff was reached. HEC2-style
 	// mappers hit this on mutual-matching graphs (Table IV's l = 201 rows
-	// are the paper's version of the same pathology). StallStats then holds
-	// the measurements of the failed attempt — kept separate from Stats so
-	// that Stats[i] still pairs with Graphs[i+1]/Maps[i].
-	Stalled    bool
-	StallStats *LevelStats
+	// are the paper's version of the same pathology).
+	Stalled bool
+	// Dropped holds the measurements of a final attempt that ran but was
+	// not kept: the stalled mapping when Stalled is set, otherwise a level
+	// removed by the DiscardBelow rule. A run ends in at most one of the
+	// two. It is kept separate from Stats so that Stats[i] still pairs
+	// with Graphs[i+1]/Maps[i].
+	Dropped *LevelStats
 }
 
 // Levels returns the number of coarsening levels (coarse graphs built).
@@ -101,28 +104,28 @@ func (h *Hierarchy) Levels() int { return len(h.Graphs) - 1 }
 func (h *Hierarchy) Coarsest() *graph.Graph { return h.Graphs[len(h.Graphs)-1] }
 
 // MapTime returns the total time spent in the mapping phase, including a
-// stalled final attempt: a stall still pays for its mapping pass, and the
-// Table II/III timings must account for it.
+// dropped final attempt: a stalled or discarded level still paid for its
+// mapping pass, and the Table II/III timings must account for it.
 func (h *Hierarchy) MapTime() time.Duration {
 	var t time.Duration
 	for _, s := range h.Stats {
 		t += s.MapTime
 	}
-	if h.StallStats != nil {
-		t += h.StallStats.MapTime
+	if h.Dropped != nil {
+		t += h.Dropped.MapTime
 	}
 	return t
 }
 
 // BuildTime returns the total time spent constructing coarse graphs
-// (including any build time recorded on a stalled attempt).
+// (including the build of a discarded final level).
 func (h *Hierarchy) BuildTime() time.Duration {
 	var t time.Duration
 	for _, s := range h.Stats {
 		t += s.BuildTime
 	}
-	if h.StallStats != nil {
-		t += h.StallStats.BuildTime
+	if h.Dropped != nil {
+		t += h.Dropped.BuildTime
 	}
 	return t
 }
@@ -272,10 +275,10 @@ func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, err
 		if m.NC >= cur.NumV {
 			// Stall: no reduction at all. Stop with what we have, but
 			// record the failed attempt so callers can tell "reached the
-			// cutoff" from "gave up" (previously this break was silent).
+			// cutoff" from "gave up".
 			lvl.Done()
 			h.Stalled = true
-			h.StallStats = &LevelStats{
+			h.Dropped = &LevelStats{
 				N: cur.NumV, NC: m.NC, M: cur.M(),
 				MapTime: t1.Sub(t0),
 				Passes:  m.Passes, PassMapped: m.PassMapped,
@@ -293,23 +296,26 @@ func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, err
 		if err != nil {
 			return nil, fmt.Errorf("coarsen: level %d construction: %w", h.Levels()+1, err)
 		}
-		if discard > 0 && cur.N() > cutoff && next.N() < discard {
-			// Over-aggressive final step: discard the coarsest graph.
-			break
-		}
 		bname, breason := c.Builder.Name(), ""
 		if adaptive {
 			if ch := policy.LastChoice(); ch != nil {
 				bname, breason = ch.Builder, ch.Reason
 			}
 		}
-		h.Stats = append(h.Stats, LevelStats{
+		st := LevelStats{
 			N: cur.NumV, NC: m.NC, M: cur.M(),
 			MapTime: t1.Sub(t0), BuildTime: t2.Sub(t1),
 			Passes: m.Passes, PassMapped: m.PassMapped,
 			Builder: bname, BuildReason: breason,
 			Span: lvl,
-		})
+		}
+		if discard > 0 && cur.N() > cutoff && next.N() < discard {
+			// Over-aggressive final step: discard the coarsest graph but
+			// keep the attempt's measurements, like a stall's.
+			h.Dropped = &st
+			break
+		}
+		h.Stats = append(h.Stats, st)
 		h.Graphs = append(h.Graphs, next)
 		h.Maps = append(h.Maps, m.M)
 		cur = next

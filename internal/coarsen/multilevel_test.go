@@ -218,9 +218,9 @@ func TestCoarsenerStallIsRecorded(t *testing.T) {
 	if !h.Stalled {
 		t.Fatal("stalled run not flagged")
 	}
-	st := h.StallStats
+	st := h.Dropped
 	if st == nil {
-		t.Fatal("stalled run has no StallStats")
+		t.Fatal("stalled run has no Dropped record")
 	}
 	if st.N != 2 || st.NC < st.N {
 		t.Errorf("stall stats n=%d nc=%d, want n=2 and nc >= n", st.N, st.NC)
@@ -237,7 +237,7 @@ func TestCoarsenerStallIsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h2.Stalled || h2.StallStats != nil {
+	if h2.Stalled || h2.Dropped != nil {
 		t.Error("cutoff run wrongly flagged as stalled")
 	}
 }
@@ -250,8 +250,8 @@ func TestTotalTimeIncludesStallTime(t *testing.T) {
 			{MapTime: 10 * time.Millisecond, BuildTime: 5 * time.Millisecond},
 			{MapTime: 4 * time.Millisecond, BuildTime: 1 * time.Millisecond},
 		},
-		Stalled:    true,
-		StallStats: &LevelStats{MapTime: 7 * time.Millisecond, BuildTime: 3 * time.Millisecond},
+		Stalled: true,
+		Dropped: &LevelStats{MapTime: 7 * time.Millisecond, BuildTime: 3 * time.Millisecond},
 	}
 	if got, want := h.MapTime(), 21*time.Millisecond; got != want {
 		t.Errorf("MapTime = %v, want %v", got, want)
@@ -273,6 +273,34 @@ func TestTotalTimeIncludesStallTime(t *testing.T) {
 	}
 	if !hr.Stalled || hr.TotalTime() <= 0 {
 		t.Errorf("stalled run: Stalled=%v TotalTime=%v, want stalled with positive total", hr.Stalled, hr.TotalTime())
+	}
+}
+
+func TestDiscardedLevelIsRecorded(t *testing.T) {
+	// HEC collapses a 101-vertex star to one vertex in a single level;
+	// the discard rule drops that level, but its map and build ran, so
+	// the attempt is recorded and counted in the hierarchy's times.
+	edges := make([]graph.Edge, 100)
+	for i := range edges {
+		edges[i] = graph.Edge{U: 0, V: int32(i + 1), W: 1}
+	}
+	g := graph.MustFromEdges(101, edges)
+	h, err := (&Coarsener{Mapper: HEC{}, Builder: BuildSort{}, Seed: 1, Workers: 1}).Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Levels() != 0 || h.Stalled {
+		t.Fatalf("levels=%d stalled=%v, want 0 levels and no stall", h.Levels(), h.Stalled)
+	}
+	st := h.Dropped
+	if st == nil {
+		t.Fatal("discarded level has no Dropped record")
+	}
+	if st.N != 101 || st.NC != 1 {
+		t.Errorf("dropped n=%d nc=%d, want 101 and 1", st.N, st.NC)
+	}
+	if h.MapTime() <= 0 || h.TotalTime() < h.MapTime() {
+		t.Errorf("MapTime=%v TotalTime=%v, want the discarded attempt counted", h.MapTime(), h.TotalTime())
 	}
 }
 

@@ -151,7 +151,7 @@ func TestGraphOnlyContainer(t *testing.T) {
 func TestStalledFlagRoundTrip(t *testing.T) {
 	h := buildHier(t, gen.Grid2D(20, 20), 1)
 	h.Stalled = true
-	h.StallStats = &coarsen.LevelStats{N: 5, NC: 5} // documented as not persisted
+	h.Dropped = &coarsen.LevelStats{N: 5, NC: 5} // documented as not persisted
 	got, _, err := Load(saveBytes(t, h, SaveOptions{}), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +159,8 @@ func TestStalledFlagRoundTrip(t *testing.T) {
 	if !got.Stalled {
 		t.Error("Stalled flag lost")
 	}
-	if got.StallStats != nil {
-		t.Error("StallStats unexpectedly persisted")
+	if got.Dropped != nil {
+		t.Error("Dropped unexpectedly persisted")
 	}
 }
 

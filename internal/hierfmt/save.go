@@ -43,8 +43,8 @@ type payload struct {
 // equal hierarchies (and equal options) produce equal bytes.
 //
 // Not persisted: per-level obs spans, pass-mapped histograms, and the
-// StallStats of a stalled final attempt (the Stalled bit itself survives
-// via FlagStalled). Everything a query path needs — graphs, maps, level
+// Dropped record of a stalled or discarded final attempt (the Stalled bit
+// itself survives via FlagStalled). Everything a query path needs — graphs, maps, level
 // shapes, timings, builder provenance — round-trips.
 func Save(w io.Writer, h *coarsen.Hierarchy, opt SaveOptions) error {
 	payloads, flags, err := stage(h, opt)
