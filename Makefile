@@ -26,14 +26,17 @@ race:
 # plus the coarse-graph invariant harness (every mapper × builder × worker
 # count), the SGD trainer's schedule-independence sweep, and multilevel
 # spectral and FM bisection and k-way FM with and without pairwise
-# refinement (same partition and cut at every worker count). The embed and
-# partition sweeps additionally run under -race (they are cheap enough);
-# the full coarsen suite keeps its race coverage in `make race` where the
-# per-package timeout budget is not shared with a p=8 interleaving sweep.
+# refinement (same partition and cut at every worker count), and graph
+# ingest (StreamEdges and the CSR kernel bit-identical to the global-sort
+# reference). The embed, partition and graph sweeps additionally run under
+# -race (they are cheap enough); the full coarsen suite keeps its race
+# coverage in `make race` where the per-package timeout budget is not
+# shared with a p=8 interleaving sweep.
 test-determinism:
 	GOMAXPROCS=8 $(GO) test -run 'Determinism|Deterministic|Canonicalize|CoarseInvariants|WorkspaceReuse' ./internal/par/... ./internal/coarsen/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse' ./internal/embed/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/partition/...
+	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/graph/...
 
 # Static analysis: vet always; staticcheck when it is installed (the
 # pinned dev container has no network to fetch it, CI installs it).
@@ -51,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadMetis -fuzztime=30s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=30s -run=Fuzz ./internal/graph/
+	$(GO) test -fuzz=FuzzStreamEdges -fuzztime=30s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=30s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzBuildersAgree -fuzztime=30s -run=Fuzz ./internal/coarsen/
@@ -59,14 +63,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 
 # The CI slice of `fuzz`: 20s per target on the structured-input targets
-# (CSR construction, the versioned hierarchy container, the mis2fast
-# worklist kernel's D2-independence/maximality invariants, hierarchy
+# (CSR construction, StreamEdges against ReadEdgeList, the versioned
+# hierarchy container, the mis2fast worklist kernel's
+# D2-independence/maximality invariants, hierarchy
 # projection over hostile level maps, every builder's agreement with the
 # P·A·Pᵀ reference over hostile mappings, the matrix-free Fiedler solvers'
 # bit-identity to their explicit-Laplacian reference, and FM refinement's
 # identity to its per-pass reference).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=20s -run=Fuzz ./internal/graph/
+	$(GO) test -fuzz=FuzzStreamEdges -fuzztime=20s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzMIS2Fast -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzProjectToFine -fuzztime=20s -run=Fuzz ./internal/coarsen/
 	$(GO) test -fuzz=FuzzBuildersAgree -fuzztime=20s -run=Fuzz ./internal/coarsen/

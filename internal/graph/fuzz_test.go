@@ -126,6 +126,10 @@ func encodeFuzzEdges(edges []Edge) []byte {
 // overflowing weights) must be rejected with an error, and anything
 // accepted must pass the full CSR validation battery and survive an
 // edge-list round trip — never panic, never return a half-built graph.
+// Both the one-worker kernel and its parallel path at p = 3 (forced past
+// the edge-count gate, over the list cut into three runs) must return the
+// global-sort reference's Xadj, Adj and Wgt bit for bit, and FromEdges its
+// error text.
 func FuzzCSRFromEdges(f *testing.F) {
 	f.Add(3, encodeFuzzEdges([]Edge{{0, 1, 2}, {1, 2, 3}}))
 	f.Add(4, encodeFuzzEdges([]Edge{{0, 1, 1}, {1, 0, 1}, {2, 3, 5}, {3, 3, 9}}))
@@ -151,9 +155,20 @@ func FuzzCSRFromEdges(f *testing.F) {
 				W: int64(binary.LittleEndian.Uint64(data[i+8:])),
 			})
 		}
+		want, werr := refFromEdges(n, edges)
 		g, err := FromEdges(n, edges)
+		if errText(err) != errText(werr) {
+			t.Fatalf("FromEdges error %q, reference %q\nn=%d edges=%v", errText(err), errText(werr), n, edges)
+		}
 		if err != nil {
 			return // rejection is fine; crashing is not
+		}
+		if !sameCSR(g, want) {
+			t.Fatalf("FromEdges differs from the reference\nn=%d edges=%v", n, edges)
+		}
+		a, b := len(edges)/3, len(edges)*2/3
+		if gp := buildPar(n, [][]Edge{edges[:a], edges[a:b], edges[b:]}, len(edges), 3); !sameCSR(gp, want) {
+			t.Fatalf("parallel kernel at p=3 differs from the reference\nn=%d edges=%v", n, edges)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v\nn=%d edges=%v", err, n, edges)

@@ -39,10 +39,11 @@ const maxParseEdges = int64(1) << 33
 
 // ReadEdgeList parses the format written by WriteEdgeList. The weight
 // column is optional (defaults to 1), so plain "u v" edge lists load too.
-// Lines starting with '#' or '%' are comments.
+// Lines starting with '#' or '%' are comments. A line and its newline must
+// fit in streamChunk bytes, as in StreamEdges.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, min(1<<20, streamChunk)), streamChunk)
 	var n int
 	var m int64
 	var edges []Edge
@@ -116,32 +117,56 @@ func min64(a, b int64) int64 {
 
 // WriteBinary writes g in a compact little-endian CSR container. The
 // format: magic, n, nnz, hasVWgt flag, then Xadj, Adj, Wgt, and VWgt.
+// Values are encoded through one fixed buffer, so writing (and hashing,
+// as the service's content ids do) copies no whole array.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint64{binMagic, uint64(g.NumV), uint64(len(g.Adj)), 0}
+	e := leWriter{w: w, buf: make([]byte, 0, 64<<10)}
+	var flag int64
 	if g.VWgt != nil {
-		hdr[3] = 1
+		flag = 1
 	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Xadj); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Adj); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Wgt); err != nil {
-		return err
-	}
+	e.int64s([]int64{int64(binMagic), int64(g.NumV), int64(len(g.Adj)), flag})
+	e.int64s(g.Xadj)
+	e.int32s(g.Adj)
+	e.int64s(g.Wgt)
 	if g.VWgt != nil {
-		if err := binary.Write(bw, binary.LittleEndian, g.VWgt); err != nil {
-			return err
-		}
+		e.int64s(g.VWgt)
 	}
-	return bw.Flush()
+	e.flush()
+	return e.err
+}
+
+// leWriter encodes little-endian values into a fixed buffer and writes it
+// out whenever it fills. The first write error sticks.
+type leWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (e *leWriter) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+func (e *leWriter) int64s(s []int64) {
+	for _, v := range s {
+		if len(e.buf)+8 > cap(e.buf) {
+			e.flush()
+		}
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
+	}
+}
+
+func (e *leWriter) int32s(s []int32) {
+	for _, v := range s {
+		if len(e.buf)+4 > cap(e.buf) {
+			e.flush()
+		}
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
+	}
 }
 
 // readChunk bounds how many elements the binary readers allocate per step.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,35 @@ func TestBinaryRoundTripNilVWgt(t *testing.T) {
 	}
 	if h.VWgt != nil {
 		t.Error("nil VWgt materialized by round trip")
+	}
+}
+
+// TestWriteBinaryMatchesReference pins WriteBinary's bytes, which the
+// service's content ids hash, to the encoding of binary.Write on whole
+// arrays, for graphs with and without vertex weights and larger than the
+// encoder's buffer.
+func TestWriteBinaryMatchesReference(t *testing.T) {
+	big := path(20000)
+	big.MaterializeVWgt()
+	for _, g := range []*Graph{MustFromEdges(0, nil), star(5), path(7), big} {
+		var want bytes.Buffer
+		flag := uint64(0)
+		if g.VWgt != nil {
+			flag = 1
+		}
+		for _, v := range []any{[]uint64{binMagic, uint64(g.NumV), uint64(len(g.Adj)), flag}, g.Xadj, g.Adj, g.Wgt} {
+			binary.Write(&want, binary.LittleEndian, v)
+		}
+		if g.VWgt != nil {
+			binary.Write(&want, binary.LittleEndian, g.VWgt)
+		}
+		var got bytes.Buffer
+		if err := g.WriteBinary(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("n=%d: WriteBinary bytes differ from the reference encoding", g.NumV)
+		}
 	}
 }
 

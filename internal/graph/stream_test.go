@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -72,7 +73,7 @@ func TestStreamEdgesMatchesReadEdgeList(t *testing.T) {
 	}
 }
 
-// TestStreamEdgesSharding forces the multi-shard carry paths: a tiny shard
+// TestStreamEdgesSharding forces the multi-block carry paths: a tiny read
 // size makes every boundary land mid-line, and a drip reader adds short
 // reads on top. The result must still match the sequential parser exactly.
 func TestStreamEdgesSharding(t *testing.T) {
@@ -92,10 +93,41 @@ func TestStreamEdgesSharding(t *testing.T) {
 			t.Fatalf("chunk=%d: StreamEdges differs from ReadEdgeList", chunk)
 		}
 	}
-	// A line longer than the shard size must fail cleanly, not mis-parse.
+	// A line longer than the read size must fail cleanly, not mis-parse.
 	streamChunk = 8
 	if _, err := StreamEdges(strings.NewReader(text), 2); err == nil {
 		t.Error("over-long line accepted at tiny shard size")
+	}
+}
+
+// TestReadersShareLineLimit holds both text readers to one line limit: a
+// line whose newline makes it streamChunk bytes is accepted and one byte
+// more is rejected, anywhere in the input. At the default read size a
+// 2 MiB comment line, over the 1 MiB ReadEdgeList once allowed, parses in
+// both.
+func TestReadersShareLineLimit(t *testing.T) {
+	check := func(name, in string, ok bool) {
+		t.Helper()
+		if _, err := ReadEdgeList(strings.NewReader(in)); (err == nil) != ok {
+			t.Errorf("%s: ReadEdgeList err = %v, want accepted = %v", name, err, ok)
+		}
+		for _, p := range []int{1, 2} {
+			if _, err := StreamEdges(&drip{data: []byte(in), step: 1000}, p); (err == nil) != ok {
+				t.Errorf("%s: StreamEdges p=%d err = %v, want accepted = %v", name, p, err, ok)
+			}
+		}
+	}
+	comment := func(k int) string { return "#" + strings.Repeat("x", k-1) }
+	check("2 MiB line", "2 1\n"+comment(2<<20)+"\n0 1\n", true)
+	check("read-size line", "2 1\n"+comment(streamChunk)+"\n0 1\n", false)
+
+	defer func(old int) { streamChunk = old }(streamChunk)
+	streamChunk = 64
+	for _, k := range []int{63, 64} {
+		ok := k < 64
+		check(fmt.Sprintf("%d-byte line before the header", k), comment(k)+"\n2 1\n0 1\n", ok)
+		check(fmt.Sprintf("%d-byte line in the body", k), "2 1\n0 1\n"+comment(k)+"\n", ok)
+		check(fmt.Sprintf("%d-byte unterminated last line", k), "2 1\n0 1\n"+comment(k), ok)
 	}
 }
 
@@ -141,6 +173,108 @@ func TestStreamEdgesErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refParse splits an edge list the way ReadEdgeList does, without
+// building: the header's n and the edges in input order.
+func refParse(t testing.TB, text string) (int, []Edge) {
+	t.Helper()
+	n := -1
+	var edges []Edge
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0][0] == '#' || f[0][0] == '%' {
+			continue
+		}
+		if n < 0 {
+			n, _ = strconv.Atoi(f[0])
+			continue
+		}
+		u, _ := strconv.Atoi(f[0])
+		v, _ := strconv.Atoi(f[1])
+		w := 1
+		if len(f) == 3 {
+			w, _ = strconv.Atoi(f[2])
+		}
+		edges = append(edges, Edge{int32(u), int32(v), int64(w)})
+	}
+	return n, edges
+}
+
+// TestStreamEdgesDeterminism pins StreamEdges to the global-sort reference
+// bit for bit at p = 1, 2, 4 and 8, over many read blocks and pieces, and
+// the parallel kernel itself at every one of those worker counts. Run under
+// -race by make test-determinism.
+func TestStreamEdgesDeterminism(t *testing.T) {
+	defer func(c, m int) { streamChunk, minPiece = c, m }(streamChunk, minPiece)
+	streamChunk, minPiece = 64<<10, 4<<10
+	for _, n := range []int{50, 3000} {
+		text := edgeListText(n, int64(n))
+		nn, edges := refParse(t, text)
+		want, err := refFromEdges(nn, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 4, 8} {
+			got, err := StreamEdges(strings.NewReader(text), p)
+			if err != nil {
+				t.Fatalf("n=%d p=%d: %v", n, p, err)
+			}
+			if !sameCSR(got, want) {
+				t.Fatalf("n=%d p=%d: StreamEdges differs from the reference", n, p)
+			}
+			if p > 1 && !sameCSR(buildPar(nn, [][]Edge{edges}, len(edges), p), want) {
+				t.Fatalf("n=%d p=%d: parallel kernel differs from the reference", n, p)
+			}
+		}
+	}
+}
+
+// FuzzStreamEdges holds StreamEdges to ReadEdgeList: at p = 1 and 4, with
+// tiny pieces and a read size shrunk until the longest line just fits and
+// then one byte below that, both must accept or reject alike and accepted
+// inputs must give identical graphs. The first seeds separate fields by
+// white space other than space, tab and CR, which only ReadEdgeList used
+// to accept.
+func FuzzStreamEdges(f *testing.F) {
+	for _, s := range []string{
+		"2 1\n0\v1\n",
+		"2 1\n0\f1\n",
+		"2 1\n0\u00851\n",
+		"2 1\n0\u00a01\n",
+		"2\v1\n0 1\n",
+		"% c\n\n3 2\n0 1 5\r\n\t1\t2\n# end",
+		"3 2\n0 1\n0 1\n",
+		"2 1\n+0 -1\n",
+		"2 1\n0 1 99999999999999999999\n",
+		"2 1\n0 1 2 3\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		if headerTooBigForFuzz(in) {
+			t.Skip()
+		}
+		longest := 0
+		for _, line := range strings.Split(in, "\n") {
+			longest = max(longest, len(line))
+		}
+		defer func(c, m int) { streamChunk, minPiece = c, m }(streamChunk, minPiece)
+		minPiece = 1
+		for _, chunk := range []int{longest + 1, max(longest, 1)} {
+			streamChunk = chunk
+			want, werr := ReadEdgeList(strings.NewReader(in))
+			for _, p := range []int{1, 4} {
+				got, err := StreamEdges(strings.NewReader(in), p)
+				if (err == nil) != (werr == nil) {
+					t.Fatalf("chunk=%d p=%d: StreamEdges err %v, ReadEdgeList err %v\ninput: %q", chunk, p, err, werr, in)
+				}
+				if err == nil && !sameCSR(got, want) {
+					t.Fatalf("chunk=%d p=%d: StreamEdges and ReadEdgeList built different graphs\ninput: %q", chunk, p, in)
+				}
+			}
+		}
+	})
 }
 
 func TestParseInt(t *testing.T) {

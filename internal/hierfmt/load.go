@@ -15,8 +15,9 @@ import (
 // copied storage, structural validation.
 type LoadOptions struct {
 	// FullValidate additionally runs graph.Validate on every level — the
-	// O(m·d) symmetry and duplicate check. The default structural check is
-	// O(n+m): offsets monotone, neighbor ids and map targets in range,
+	// O(n+m) symmetry and duplicate check, which allocates about 20n + 12m
+	// bytes of scratch. The default structural check is O(n+m) without
+	// scratch: offsets monotone, neighbor ids and map targets in range,
 	// edge weights positive. Checksums make silent corruption loud either
 	// way; FullValidate is for distrusted writers, not distrusted media.
 	FullValidate bool

@@ -53,8 +53,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // ingest does the parse/hash/publish work and writes the response; the
 // returned status and error feed the telemetry wrapper.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (*graphInfo, int, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	defer body.Close()
+	limited := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	defer limited.Close()
+	// Count what the decoder reads: a chunked upload has no ContentLength.
+	body := &countingReader{r: limited}
 
 	var (
 		g   *graph.Graph
@@ -112,10 +114,22 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (*graphInfo, int
 	s.mu.Unlock()
 
 	s.stats.graphsIngested.Add(1)
-	s.stats.ingestBytes.Add(r.ContentLength)
+	s.stats.ingestBytes.Add(body.n)
 	info := &graphInfo{ID: id, N: g.NumV, M: g.M()}
 	writeJSON(w, http.StatusCreated, info)
 	return info, http.StatusCreated, nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += int64(k)
+	return k, err
 }
 
 func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {

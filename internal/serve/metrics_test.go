@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -114,6 +115,40 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	if stats.Samples == 0 {
 		t.Fatal("lint saw no samples")
+	}
+}
+
+// TestIngestBytesChunked uploads a graph with chunked transfer encoding,
+// where the request has no ContentLength (the server sees -1): the
+// ingest byte counter must still rise by exactly the body length.
+func TestIngestBytesChunked(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	var buf bytes.Buffer
+	if err := gen.Grid2D(12, 12).WriteEdgeList(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	before := s.stats.ingestBytes.Load()
+	// A reader of unknown length makes the client send the body chunked.
+	req, err := http.NewRequest("POST", ts.URL+"/v1/graphs?format=edgelist", io.MultiReader(bytes.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("ingest: status %d body %s", resp.StatusCode, raw)
+	}
+	if got := s.stats.ingestBytes.Load() - before; got != int64(len(body)) {
+		t.Errorf("mlcg_ingest_bytes_total rose by %d, want the body length %d", got, len(body))
+	}
+	doc, _ := scrape(t, ts.URL)
+	if want := fmt.Sprintf("mlcg_ingest_bytes_total %d\n", len(body)); !strings.Contains(doc, want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 
