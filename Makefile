@@ -28,13 +28,14 @@ race:
 # spectral and FM bisection and k-way FM with and without pairwise
 # refinement (same partition and cut at every worker count), and graph
 # ingest (StreamEdges and the CSR kernel bit-identical to the global-sort
-# reference). The embed, partition and graph sweeps additionally run under
+# reference), and the SGD trainer against its reference trainer at every
+# worker count. The embed, partition and graph sweeps additionally run under
 # -race (they are cheap enough); the full coarsen suite keeps its race
 # coverage in `make race` where the per-package timeout budget is not
 # shared with a p=8 interleaving sweep.
 test-determinism:
 	GOMAXPROCS=8 $(GO) test -run 'Determinism|Deterministic|Canonicalize|CoarseInvariants|WorkspaceReuse' ./internal/par/... ./internal/coarsen/...
-	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse' ./internal/embed/...
+	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse|MatchesReference' ./internal/embed/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/partition/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/graph/...
 
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=30s -run=Fuzz ./internal/hierfmt/
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
+	$(GO) test -fuzz=FuzzTrainerMatchesReference -fuzztime=30s -run=Fuzz ./internal/embed/
 
 # The CI slice of `fuzz`: 20s per target on the structured-input targets
 # (CSR construction, StreamEdges against ReadEdgeList, the versioned
@@ -68,8 +70,9 @@ fuzz:
 # D2-independence/maximality invariants, hierarchy
 # projection over hostile level maps, every builder's agreement with the
 # P·A·Pᵀ reference over hostile mappings, the matrix-free Fiedler solvers'
-# bit-identity to their explicit-Laplacian reference, and FM refinement's
-# identity to its per-pass reference).
+# bit-identity to their explicit-Laplacian reference, FM refinement's
+# identity to its per-pass reference, and the SGD trainer's bit-identity
+# to its per-slot delta reference).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=20s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzStreamEdges -fuzztime=20s -run=Fuzz ./internal/graph/
@@ -79,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzHierFmtLoad -fuzztime=20s -run=Fuzz ./internal/hierfmt/
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
+	$(GO) test -fuzz=FuzzTrainerMatchesReference -fuzztime=20s -run=Fuzz ./internal/embed/
 
 # End-to-end smoke of the mlcg-serve daemon over a real socket: start,
 # ingest, build, query, scrape /metrics (left at $(METRICS_FILE)), lint

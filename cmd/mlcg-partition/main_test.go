@@ -6,8 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mlcg/internal/graph"
+	"mlcg/internal/hierfmt"
 )
 
 func runCLI(t *testing.T, args ...string) (string, string, int) {
@@ -55,8 +59,15 @@ func TestRunSpectralMetrics(t *testing.T) {
 			t.Errorf("counter %s missing or zero:\n%s", name, out)
 		}
 	}
-	if !strings.Contains(out, "  fiedler ") {
+	solves := strings.Count(out, "  fiedler ")
+	if solves == 0 {
 		t.Errorf("no fiedler span in the dump:\n%s", out)
+	}
+	// At the default tolerance (1e-10) and MaxIter (1000) no level of the
+	// grid meets the tolerance, so every solve counts as capped.
+	m := regexp.MustCompile(`(?m)^fiedler_capped +(\d+)$`).FindStringSubmatch(out)
+	if m == nil || m[1] != strconv.Itoa(solves) {
+		t.Errorf("fiedler_capped missing or not %d (one per solve):\n%s", solves, out)
 	}
 }
 
@@ -141,6 +152,52 @@ func TestRunRejectsWeightOverflow(t *testing.T) {
 		}
 		if !strings.Contains(errs, "overflows int64") {
 			t.Errorf("-method %s: stderr %q does not name the overflow", method, errs)
+		}
+	}
+}
+
+// TestRunRejectsBadVertexWeights: an 80-vertex unit path with a vertex
+// weight of -1000, all-zero weights, or two weights of 2^62 (whose total
+// overflows int64) is refused in the binary and mlcg formats. Unchecked,
+// these bisect to side weights of -921 / 0, 0 / 0 and a wrapped sum.
+func TestRunRejectsBadVertexWeights(t *testing.T) {
+	ones := func() []int64 {
+		vw := make([]int64, 80)
+		for i := range vw {
+			vw[i] = 1
+		}
+		return vw
+	}
+	neg, huge := ones(), ones()
+	neg[40] = -1000
+	huge[10], huge[70] = 1<<62, 1<<62
+	edges := make([]graph.Edge, 79)
+	for i := range edges {
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1), W: 1}
+	}
+	dir := t.TempDir()
+	for name, vw := range map[string][]int64{"negative": neg, "zero": make([]int64, 80), "overflow": huge} {
+		g := graph.MustFromEdges(80, edges)
+		g.VWgt = vw
+		var bin, mlcg bytes.Buffer
+		if err := g.WriteBinary(&bin); err != nil {
+			t.Fatal(err)
+		}
+		if err := hierfmt.SaveGraph(&mlcg, g, hierfmt.SaveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for format, body := range map[string][]byte{"binary": bin.Bytes(), "mlcg": mlcg.Bytes()} {
+			in := filepath.Join(dir, name+"."+format)
+			if err := os.WriteFile(in, body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, errs, code := runCLI(t, "-in", in, "-format", format)
+			if code == 0 {
+				t.Errorf("%s/%s: accepted the graph:\n%s", name, format, out)
+			}
+			if !strings.Contains(errs, "weight") || !strings.Contains(errs, "vertex") {
+				t.Errorf("%s/%s: stderr %q does not name the vertex weight", name, format, errs)
+			}
 		}
 	}
 }

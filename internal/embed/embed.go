@@ -17,17 +17,26 @@
 //     same way canonical renumbering made mapper tie-breaks so.
 //
 //   - Updates are applied in chunked two-phase rounds. A chunk of tasks
-//     first computes gradient deltas in parallel against parameters that
+//     first computes its gradients in parallel against parameters that
 //     are frozen for the duration of the chunk (phase A writes only to
-//     per-task scratch), then the deltas are applied with each embedding
-//     row owned by exactly one worker scanning the chunk in task order
-//     (phase B). Per-row update order is therefore (task, slot) order
-//     regardless of the worker count, and float32 addition order — the
-//     thing Hogwild-style SGD leaves to the scheduler — is fixed.
+//     per-task scratch: the source row's summed update du, a snapshot of
+//     the source row eu, and one float32 gradient g per partner). Then
+//     the updates are applied with each embedding row owned by exactly
+//     one worker scanning the chunk in task order (phase B): du to the
+//     source row, float32(g·eu[j]) to each partner row. Per-row update
+//     order is therefore (task, slot) order regardless of the worker
+//     count, and float32 addition order — the thing Hogwild-style SGD
+//     leaves to the scheduler — is fixed.
 //
 // The cost of determinism is minibatch semantics within a chunk (tasks in
 // one chunk read the same frozen parameters), which is ordinary minibatch
 // SGD and does not hurt link-prediction quality at the chunk sizes used.
+//
+// Negatives are drawn from the deg^0.75 table through a guide table of
+// 2^k ≥ n buckets, which returns exactly the index a binary search over
+// the whole table would, in expected O(1). sgd_ref_test.go keeps the
+// trainer this one replaced (a full binary search per negative and one
+// dim-length delta row per slot) as the bit-identity oracle.
 package embed
 
 import (

@@ -3,7 +3,6 @@ package embed
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
@@ -13,13 +12,21 @@ import (
 // maxChunkTasks caps the number of SGD tasks per two-phase round. Within
 // a chunk all gradient computations read the same frozen parameters
 // (minibatch semantics); across chunks updates are visible. 1024 tasks at
-// the default 5 negatives and dim 32 keep the scratch under 2 MiB while
+// the default 5 negatives and dim 32 keep the scratch near 300 KiB while
 // amortizing the two parallel-region spawns per round.
 const maxChunkTasks = 1024
 
 // minChunkTasks floors the chunk size so tiny graphs still amortize the
 // round structure.
 const minChunkTasks = 8
+
+// inlineTasks is the round size below which both phases run on the
+// calling goroutine: on coarse levels a round is tens of microseconds of
+// work, too little to pay for waking p workers twice. No value depends on
+// how a round is split, so this changes time only. On a 2-core host at
+// the default dim and negatives, 256 beat never inlining in 10 of 10
+// pairs of the embed-rgg pipeline (median 1.10 against 1.23 s).
+const inlineTasks = 256
 
 // chunkFor sizes the two-phase round for a level with n vertices. Frozen
 // parameters mean a row touched k times in one chunk takes k same-direction
@@ -54,8 +61,10 @@ type workspace struct {
 	perm       []int32   // per-level pseudo-random edge order, len m
 	cum        []float64 // inclusive prefix of deg^0.75, len n (negative table)
 	total      float64   // cum[n-1]
-	rows       []int32   // chunk scratch: row id per delta slot
-	delta      []float32 // chunk scratch: one dim-length delta per slot
+	guide      []int32   // 2^k+1 bucket starts into cum, 2^k ≥ n (sampleNeg)
+	guideShift uint      // 53-k: a draw's top k bits pick its bucket
+	rows       []int32   // chunk scratch: row id per slot, rowsPerTask per task
+	delta      []float32 // chunk scratch: per task du, the snapshot of eu, one gradient per partner
 	negDrawn   []int64   // per-worker drawn-negative counts, stride padded
 }
 
@@ -93,9 +102,10 @@ func growI64(buf []int64, n int) []int64 {
 }
 
 // prepareLevel extracts the level's edge list, builds the degree^0.75
-// negative-sampling table, and fixes the level's edge order. The order is
-// drawn once per level (epochs vary their negatives, not their edge
-// order), keyed by levelKey so it is identical at every worker count.
+// negative-sampling table and its guide, and fixes the level's edge order.
+// The order is drawn once per level (epochs vary their negatives, not
+// their edge order), keyed by levelKey so it is identical at every worker
+// count.
 func (ws *workspace) prepareLevel(g *graph.Graph, levelKey uint64, p int) {
 	n, m := g.N(), int(g.M())
 	ws.srcs = growI32(ws.srcs, m)
@@ -118,11 +128,60 @@ func (ws *workspace) prepareLevel(g *graph.Graph, levelKey uint64, p int) {
 		ws.cum[u] = running
 	}
 	ws.total = running
+	ws.buildGuide()
 	if m > 0 {
 		ws.perm = par.RandPerm(m, par.Mix64(levelKey^0x7065726d), p)
 	} else {
 		ws.perm = ws.perm[:0]
 	}
+}
+
+// buildGuide splits the draw range [0, 2^53) into 2^k ≥ n equal buckets.
+// guide[b] is the first index whose cum reaches fl(b/2^k·total), the
+// smallest value a draw in bucket b can scale to; guide[2^k] is that
+// index for total itself. cum is non-decreasing and rounding is monotone,
+// so every draw of bucket b has its answer in [guide[b], guide[b+1]].
+func (ws *workspace) buildGuide() {
+	n := len(ws.cum)
+	k := uint(0)
+	for 1<<k < n {
+		k++
+	}
+	ws.guideShift = 53 - k
+	ws.guide = growI32(ws.guide, 1<<k+1)
+	i := 0
+	for b := range ws.guide {
+		lb := float64(b) / float64(uint64(1)<<k) * ws.total
+		for i < n-1 && ws.cum[i] < lb {
+			i++
+		}
+		ws.guide[b] = int32(i)
+	}
+}
+
+// sampleNeg draws one vertex from the deg^0.75 distribution: the first
+// index whose cum reaches the scaled draw r, exactly the index
+// sort.SearchFloat64s returns on the whole table. The draw's bucket
+// bounds the binary search to the few entries between two guide values.
+func (ws *workspace) sampleNeg(state *uint64) int32 {
+	return ws.lookup(par.SplitMix64(state) >> 11)
+}
+
+// lookup is sampleNeg for the 53-bit draw d.
+func (ws *workspace) lookup(d uint64) int32 {
+	r := float64(d) / (1 << 53) * ws.total
+	b := d >> ws.guideShift
+	lo, hi := int(ws.guide[b]), int(ws.guide[b+1])
+	cum := ws.cum
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cum[mid] < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return int32(lo)
 }
 
 // trainer is the per-level SGD state. Its phase methods are hoisted into
@@ -134,6 +193,7 @@ type trainer struct {
 	m        int // training edges of the level
 	dim      int
 	negs     int
+	stride   int // delta floats per task: du, the eu snapshot, 1+negs gradients
 	p        int
 	lr       float32
 	epochKey uint64
@@ -141,7 +201,7 @@ type trainer struct {
 	base     int // first task of the current chunk
 	cnt      int // tasks in the current chunk
 
-	fa, fb func(w, lo, hi int)
+	fa, fb, fb1 func(w, lo, hi int)
 }
 
 // newTrainer prepares the level: edge extraction, negative table, edge
@@ -150,7 +210,8 @@ func newTrainer(g *graph.Graph, emb *Embedding, ws *workspace, levelKey uint64, 
 	m := int(g.M())
 	p := par.Workers(opt.Workers, m)
 	ws.prepareLevel(g, levelKey, p)
-	tr := &trainer{emb: emb, ws: ws, m: m, dim: int(emb.Dim), negs: opt.Negatives, p: p}
+	dim := int(emb.Dim)
+	tr := &trainer{emb: emb, ws: ws, m: m, dim: dim, negs: opt.Negatives, stride: 2*dim + 1 + opt.Negatives, p: p}
 	rpt := tr.rowsPerTask()
 	tr.chunk = chunkFor(g.N(), rpt)
 	maxChunk := tr.chunk
@@ -158,9 +219,11 @@ func newTrainer(g *graph.Graph, emb *Embedding, ws *workspace, levelKey uint64, 
 		maxChunk = m
 	}
 	ws.rows = growI32(ws.rows, maxChunk*rpt)
-	ws.delta = growF32(ws.delta, maxChunk*rpt*tr.dim)
+	ws.delta = growF32(ws.delta, maxChunk*tr.stride)
 	ws.negDrawn = growI64(ws.negDrawn, p*negStride)
-	tr.fa, tr.fb = tr.phaseA, tr.phaseB
+	tr.fa = tr.phaseA
+	tr.fb = func(w, _, _ int) { tr.phaseB(w, tr.p) }
+	tr.fb1 = func(w, _, _ int) { tr.phaseB(w, 1) }
 	return tr
 }
 
@@ -178,8 +241,12 @@ func (t *trainer) runEpoch() int64 {
 			cnt = t.m - base
 		}
 		t.base, t.cnt = base, cnt
-		par.For(cnt, t.p, t.fa)
-		par.For(t.p, t.p, t.fb)
+		p, fb := t.p, t.fb
+		if cnt < inlineTasks {
+			p, fb = 1, t.fb1
+		}
+		par.For(cnt, p, t.fa)
+		par.For(p, p, fb)
 	}
 	var drawn int64
 	for w := 0; w < t.p; w++ {
@@ -199,16 +266,6 @@ func taskState(epochKey uint64, task int) uint64 {
 	return par.Mix64(epochKey ^ (uint64(task)+1)*0x94d049bb133111eb)
 }
 
-// sampleNeg draws one vertex from the deg^0.75 distribution.
-func (t *trainer) sampleNeg(state *uint64) int32 {
-	r := float64(par.SplitMix64(state)>>11) / (1 << 53) * t.ws.total
-	i := sort.SearchFloat64s(t.ws.cum, r)
-	if i >= len(t.ws.cum) {
-		i = len(t.ws.cum) - 1
-	}
-	return int32(i)
-}
-
 func sigmoid(x float64) float64 {
 	if x > 8 {
 		x = 8
@@ -218,85 +275,137 @@ func sigmoid(x float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }
 
-// phaseA computes gradient deltas for tasks [base+lo, base+hi) of the
-// current chunk into the per-slot scratch. It reads embedding rows that
-// are frozen for the whole chunk and writes only slots owned by the task,
-// so the parallel schedule cannot influence any value.
+// dot is Σ a[j]·b[j] accumulated in float64 in index order. Each product
+// of two float32 values is exact in float64; the conversion only keeps
+// the compiler from fusing it into the add.
+func dot(a, b []float32) float64 {
+	b = b[:len(a)]
+	var s float64
+	for j, x := range a {
+		s += float64(float64(x) * float64(b[j]))
+	}
+	return s
+}
+
+// dot2 is dot(a, b) and dot(a, c) in one pass.
+func dot2(a, b, c []float32) (float64, float64) {
+	b, c = b[:len(a)], c[:len(a)]
+	var s, t float64
+	for j, x := range a {
+		s += float64(float64(x) * float64(b[j]))
+		t += float64(float64(x) * float64(c[j]))
+	}
+	return s, t
+}
+
+// grad is the step of partner slot k given its dot product with eu: the
+// positive pair (slot 1) pulls together, negatives push apart.
+func (t *trainer) grad(k int, dot float64) float32 {
+	if k == 1 {
+		return t.lr * float32(1-sigmoid(dot))
+	}
+	return -t.lr * float32(sigmoid(dot))
+}
+
+// axpy2 is axpy(dst, g, x) then axpy(dst, h, y) in one pass.
+func axpy2(dst []float32, g float32, x []float32, h float32, y []float32) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	for j := range dst {
+		dst[j] = dst[j] + float32(g*x[j]) + float32(h*y[j])
+	}
+}
+
+// axpy adds g·x to dst, rounding each product to float32 before the add
+// (the conversion forbids fused multiply-add, which would skip that
+// rounding and change the bits).
+func axpy(dst []float32, g float32, x []float32) {
+	x = x[:len(dst)]
+	for j := range dst {
+		dst[j] += float32(g * x[j])
+	}
+}
+
+// phaseA computes the gradients of tasks [base+lo, base+hi) of the
+// current chunk into the per-task scratch. It reads embedding rows that
+// are frozen for the whole chunk and writes only scratch owned by the
+// task, so the parallel schedule cannot influence any value. A task first
+// draws its negatives (rows 2..) from its own stream, then takes the
+// partners in slot order: it computes the gradient g of each pair and
+// adds g·e_partner to du. The partner's own update is g·eu; phase B forms
+// it from g and the task's snapshot of eu, since eu itself may change
+// before the partner's row is applied.
 func (t *trainer) phaseA(w, lo, hi int) {
-	dim, rpt := t.dim, t.rowsPerTask()
+	dim, rpt, stride := t.dim, t.rowsPerTask(), t.stride
 	ws, emb := t.ws, t.emb
 	var drawn int64
 	for s := lo; s < hi; s++ {
 		task := t.base + s
 		e := int(ws.perm[task])
 		u, v := ws.srcs[e], ws.dsts[e]
-		slot := s * rpt
-		rows := ws.rows[slot : slot+rpt]
-		delta := ws.delta[slot*dim : (slot+rpt)*dim]
-		du := delta[:dim]
-		for j := range du {
-			du[j] = 0
-		}
+		rows := ws.rows[s*rpt : (s+1)*rpt]
 		rows[0], rows[1] = u, v
-		eu := emb.Row(u)
-
-		// Positive pair (u, v): pull together.
-		ev := emb.Row(v)
-		var dot float64
-		for j := 0; j < dim; j++ {
-			dot += float64(eu[j]) * float64(ev[j])
-		}
-		g := t.lr * float32(1-sigmoid(dot))
-		dv := delta[dim : 2*dim]
-		for j := 0; j < dim; j++ {
-			du[j] += g * ev[j]
-			dv[j] = g * eu[j]
-		}
-
-		// Negative pairs: push apart. Each negative owns its own slot, so
-		// duplicate draws within a task still apply in fixed slot order.
 		state := taskState(t.epochKey, task)
-		for k := 0; k < t.negs; k++ {
-			c := t.sampleNeg(&state)
+		for k := 2; k < rpt; k++ {
+			c := ws.sampleNeg(&state)
 			drawn++
 			for try := 0; (c == u || c == v) && try < negResampleTries; try++ {
-				c = t.sampleNeg(&state)
+				c = ws.sampleNeg(&state)
 				drawn++
 			}
-			rows[2+k] = c
-			ec := emb.Row(c)
-			dot = 0
-			for j := 0; j < dim; j++ {
-				dot += float64(eu[j]) * float64(ec[j])
-			}
-			g = -t.lr * float32(sigmoid(dot))
-			dc := delta[(2+k)*dim : (3+k)*dim]
-			for j := 0; j < dim; j++ {
-				du[j] += g * ec[j]
-				dc[j] = g * eu[j]
-			}
+			rows[k] = c
+		}
+
+		sc := ws.delta[s*stride : (s+1)*stride]
+		du, snap, grad := sc[:dim], sc[dim:2*dim], sc[2*dim:]
+		eu := emb.Row(u)
+		copy(snap, eu)
+		clear(du)
+		// Partners in slot order, two at a time: the two dot products run
+		// as independent chains, and du takes both products per element
+		// in slot order.
+		k := 1
+		for ; k+1 < rpt; k += 2 {
+			a, b := emb.Row(rows[k]), emb.Row(rows[k+1])
+			da, db := dot2(eu, a, b)
+			ga, gb := t.grad(k, da), t.grad(k+1, db)
+			grad[k-1], grad[k] = ga, gb
+			axpy2(du, ga, a, gb, b)
+		}
+		if k < rpt {
+			a := emb.Row(rows[k])
+			ga := t.grad(k, dot(eu, a))
+			grad[k-1] = ga
+			axpy(du, ga, a)
 		}
 	}
 	ws.negDrawn[w*negStride] += drawn
 }
 
-// phaseB applies the chunk's deltas. Each embedding row is owned by
-// exactly one worker (row mod p) and every owner scans the slots in task
-// order, so per-row float32 addition order is fixed no matter how many
-// workers run or how they are scheduled.
-func (t *trainer) phaseB(w, _, _ int) {
-	dim := t.dim
+// phaseB applies the chunk's updates to the rows worker w owns among p
+// (row mod p). Every owner scans the slots in (task, slot) order, so
+// per-row float32 addition order is fixed no matter how many workers run
+// or how they are scheduled. Slot 0 adds du; partner slot k adds
+// float32(grad[k-1]·snap[j]), the value a per-slot delta row would hold.
+func (t *trainer) phaseB(w, p int) {
+	dim, rpt, stride := t.dim, t.rowsPerTask(), t.stride
 	ws, emb := t.ws, t.emb
-	slots := t.cnt * t.rowsPerTask()
-	for idx := 0; idx < slots; idx++ {
-		r := ws.rows[idx]
-		if int(r)%t.p != w {
-			continue
-		}
-		row := emb.Row(r)
-		d := ws.delta[idx*dim : (idx+1)*dim]
-		for j := 0; j < dim; j++ {
-			row[j] += d[j]
+	for s := 0; s < t.cnt; s++ {
+		rows := ws.rows[s*rpt : (s+1)*rpt]
+		sc := ws.delta[s*stride : (s+1)*stride]
+		du, snap, grad := sc[:dim], sc[dim:2*dim], sc[2*dim:]
+		for k, r := range rows {
+			if p > 1 && uint32(r)%uint32(p) != uint32(w) {
+				continue
+			}
+			row := emb.Row(r)
+			if k == 0 {
+				du = du[:len(row)]
+				for j := range row {
+					row[j] += du[j]
+				}
+			} else {
+				axpy(row, grad[k-1], snap)
+			}
 		}
 	}
 }

@@ -158,7 +158,8 @@ func (g *Graph) MaterializeVWgt() {
 }
 
 // Validate checks every CSR invariant and returns a descriptive error for
-// the first violation, scanning entries in row order. It runs in O(n+m):
+// the first violation: array shapes, then vertex weights (positive, total
+// within int64), then entries in row order. It runs in O(n+m):
 // duplicates are found with a stamp array, and every entry's reverse is
 // looked up through a transpose built by a counting scatter. That scratch
 // is about 20n + 12m bytes while it runs, and none for an edgeless graph.
@@ -183,6 +184,9 @@ func (g *Graph) Validate() error {
 	}
 	if g.VWgt != nil && len(g.VWgt) != n {
 		return fmt.Errorf("graph: len(VWgt)=%d, want %d", len(g.VWgt), n)
+	}
+	if err := checkVWgt(g.VWgt); err != nil {
+		return err
 	}
 	if len(g.Adj) == 0 {
 		return nil // no entries to check, so no scratch to allocate
@@ -220,6 +224,23 @@ rows:
 		return err
 	}
 	return badErr
+}
+
+// checkVWgt applies the edge-weight rule to vertex weights: every weight
+// is positive and the running total stays within int64, so part and
+// aggregate weight sums cannot wrap.
+func checkVWgt(vw []int64) error {
+	var total int64
+	for u, w := range vw {
+		if w <= 0 {
+			return fmt.Errorf("graph: non-positive weight %d on vertex %d", w, u)
+		}
+		if w > math.MaxInt64-total {
+			return fmt.Errorf("graph: total vertex weight overflows int64 at vertex %d", u)
+		}
+		total += w
+	}
+	return nil
 }
 
 // checkReverses reports the first entry before index bad whose reverse

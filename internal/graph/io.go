@@ -169,36 +169,41 @@ func (e *leWriter) int32s(s []int32) {
 	}
 }
 
-// readChunk bounds how many elements the binary readers allocate per step.
+// readChunk bounds how many elements the binary readers decode per step.
 // Size-prefixed formats must never trust a claimed length for an up-front
 // make(): a 32-byte crafted header claiming 2^34 elements would otherwise
-// demand tens of GiB before the short read is even noticed. Growing in
-// bounded windows means a truncated stream fails after at most one chunk.
+// demand tens of GiB before the short read is even noticed. Reading in
+// bounded steps means a truncated stream fails after at most one step.
 const readChunk = 1 << 16
 
-// ReadI64Chunked reads count little-endian int64 values, allocating in
-// readChunk-element steps so the peak over-allocation on a lying length
-// prefix is bounded. Shared by the CSR container and the hierarchy format.
-func ReadI64Chunked(r io.Reader, count int, what string) ([]int64, error) {
-	out := make([]int64, 0, min(count, readChunk))
+// readLE reads count little-endian values of T. Each step of at most
+// readChunk values goes through io.ReadFull into one reused byte buffer
+// and is decoded into the output, which grows by doubling but never past
+// count. A lying length prefix therefore costs at most about twice the
+// values the stream really holds, plus one step.
+func readLE[T int32 | int64](r io.Reader, count int, what string) ([]T, error) {
+	size := binary.Size(T(0))
+	out := make([]T, 0, min(count, readChunk))
+	buf := make([]byte, size*min(count, readChunk))
 	for len(out) < count {
 		k := min(count-len(out), readChunk)
-		out = append(out, make([]int64, k)...)
-		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
-			return nil, fmt.Errorf("graph: short %s (%d/%d values): %w", what, len(out)-k, count, err)
+		b := buf[:size*k]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("graph: short %s (%d/%d values): %w", what, len(out), count, err)
 		}
-	}
-	return out, nil
-}
-
-// ReadI32Chunked is ReadI64Chunked for int32 payloads.
-func ReadI32Chunked(r io.Reader, count int, what string) ([]int32, error) {
-	out := make([]int32, 0, min(count, readChunk))
-	for len(out) < count {
-		k := min(count-len(out), readChunk)
-		out = append(out, make([]int32, k)...)
-		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
-			return nil, fmt.Errorf("graph: short %s (%d/%d values): %w", what, len(out)-k, count, err)
+		if len(out)+k > cap(out) {
+			grown := make([]T, len(out), min(max(2*cap(out), len(out)+k), count))
+			copy(grown, out)
+			out = grown
+		}
+		if size == 8 {
+			for i := 0; i < len(b); i += 8 {
+				out = append(out, T(binary.LittleEndian.Uint64(b[i:])))
+			}
+		} else {
+			for i := 0; i < len(b); i += 4 {
+				out = append(out, T(int32(binary.LittleEndian.Uint32(b[i:]))))
+			}
 		}
 	}
 	return out, nil
@@ -225,17 +230,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	n, nnz := int(hdr[1]), int(hdr[2])
 	g := &Graph{NumV: int32(n)}
 	var err error
-	if g.Xadj, err = ReadI64Chunked(br, n+1, "Xadj"); err != nil {
+	if g.Xadj, err = readLE[int64](br, n+1, "Xadj"); err != nil {
 		return nil, err
 	}
-	if g.Adj, err = ReadI32Chunked(br, nnz, "Adj"); err != nil {
+	if g.Adj, err = readLE[int32](br, nnz, "Adj"); err != nil {
 		return nil, err
 	}
-	if g.Wgt, err = ReadI64Chunked(br, nnz, "Wgt"); err != nil {
+	if g.Wgt, err = readLE[int64](br, nnz, "Wgt"); err != nil {
 		return nil, err
 	}
 	if hdr[3] == 1 {
-		if g.VWgt, err = ReadI64Chunked(br, n, "VWgt"); err != nil {
+		if g.VWgt, err = readLE[int64](br, n, "VWgt"); err != nil {
 			return nil, err
 		}
 	}

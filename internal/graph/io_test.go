@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -130,6 +132,78 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	bad := make([]byte, 64)
 	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// badVertexWeights are the vertex-weight vectors of an 80-vertex unit path
+// that the weight rule rejects: one weight of -1000, all zeros, and two
+// weights of 2^62, whose total overflows int64. Unchecked, a bisection
+// of these graphs reports side weights of -921, 0 and a wrapped negative
+// sum.
+func badVertexWeights() map[string][]int64 {
+	neg := make([]int64, 80)
+	zero := make([]int64, 80)
+	huge := make([]int64, 80)
+	for i := range neg {
+		neg[i], huge[i] = 1, 1
+	}
+	neg[40] = -1000
+	huge[10], huge[70] = 1<<62, 1<<62
+	return map[string][]int64{"negative": neg, "zero": zero, "overflow": huge}
+}
+
+// TestReadBinaryRejectsBadVertexWeights sends each bad vector through
+// WriteBinary (which does not check) and ReadBinary, which must refuse it
+// and name the rule.
+func TestReadBinaryRejectsBadVertexWeights(t *testing.T) {
+	want := map[string]string{"negative": "non-positive weight -1000 on vertex 40",
+		"zero": "non-positive weight 0 on vertex 0", "overflow": "total vertex weight overflows int64 at vertex 70"}
+	for name, vw := range badVertexWeights() {
+		g := path(80)
+		g.VWgt = vw
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(&buf)
+		if err == nil || !strings.Contains(err.Error(), want[name]) {
+			t.Errorf("%s: ReadBinary error %v, want one containing %q", name, err, want[name])
+		}
+	}
+}
+
+// TestReadBinaryAllocations bounds what ReadBinary allocates on an
+// RMAT-16-sized body (n = 46,952, 1.82 M entries, 22.2 MB): at most 3.5×
+// the body, counting Validate's scratch. Decoding through one reused
+// buffer into a doubling output takes about 3.2×; a fresh slice and a
+// binary.Read buffer per step take about 6.8×.
+func TestReadBinaryAllocations(t *testing.T) {
+	const n, m = 46952, 910000
+	rng := rand.New(rand.NewSource(16))
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{rng.Int31n(n), rng.Int31n(n), 1 + rng.Int63n(9)}
+	}
+	g := MustFromEdges(n, edges)
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Len()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(g, h) {
+		t.Fatal("ReadBinary changed the graph")
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(body)
+	t.Logf("body %.1f MB, %d entries: ReadBinary allocated %.2f× the body", float64(body)/1e6, len(g.Adj), ratio)
+	if ratio > 3.5 {
+		t.Errorf("ReadBinary allocated %.2f× its %d-byte body, want at most 3.5×", ratio, body)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -125,6 +126,7 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 	// claims (an adversarial header must not demand huge buffers).
 	edges := make([]Edge, 0, min64(m, 1<<16))
 	var vwgt []int64
+	var vtotal int64
 	for u := 0; u < n; u++ {
 		line, ok := nextLine(false)
 		if !ok {
@@ -140,6 +142,10 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 			if err != nil || w <= 0 {
 				return nil, fmt.Errorf("graph: vertex %d bad weight %q", u+1, fields[0])
 			}
+			if w > math.MaxInt64-vtotal {
+				return nil, fmt.Errorf("graph: total vertex weight overflows int64 at vertex %d", u+1)
+			}
+			vtotal += w
 			vwgt = append(vwgt, w)
 			idx = 1
 		}

@@ -111,6 +111,7 @@ func TestReadMetisErrors(t *testing.T) {
 		"2 1\n5\n1\n",         // neighbor out of range
 		"2 1 001\n2\n1 3\n",   // missing edge weight
 		"2 5\n2\n1\n",         // edge count mismatch
+		"2 1 010\n4611686018427387904 2\n4611686018427387904 1\n", // vertex weight total overflows int64
 	}
 	for _, in := range cases {
 		if _, err := ReadMetis(strings.NewReader(in)); err == nil {

@@ -34,6 +34,9 @@ func (g *Graph) validateRef() error {
 	if g.VWgt != nil && len(g.VWgt) != n {
 		return fmt.Errorf("graph: len(VWgt)=%d, want %d", len(g.VWgt), n)
 	}
+	if err := checkVWgt(g.VWgt); err != nil {
+		return err
+	}
 	var total int64
 	for u := int32(0); u < g.NumV; u++ {
 		adj, wgt := g.Neighbors(u)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mlcg/internal/gen"
+	"mlcg/internal/graph"
 )
 
 // mutate returns a copy of data with fn applied.
@@ -176,6 +177,59 @@ func TestLoadRejectsStructuralLies(t *testing.T) {
 	})
 	if _, _, err := Load(bad, LoadOptions{}); err == nil || !strings.Contains(err.Error(), "out of") {
 		t.Errorf("out-of-range map target: %v", err)
+	}
+}
+
+// TestLoadRejectsBadWeights hand-builds containers (Save writes weights
+// unchecked) whose weights break the structural rule: vertex weights of
+// -1000, all zeros, or two of 2^62 on an 80-vertex unit path, and edge
+// weights whose directed total overflows int64. Load without FullValidate
+// must refuse each one.
+func TestLoadRejectsBadWeights(t *testing.T) {
+	unitPath := func() *graph.Graph {
+		edges := make([]graph.Edge, 79)
+		for i := range edges {
+			edges[i] = graph.Edge{U: int32(i), V: int32(i + 1), W: 1}
+		}
+		return graph.MustFromEdges(80, edges)
+	}
+	ones := func() []int64 {
+		vw := make([]int64, 80)
+		for i := range vw {
+			vw[i] = 1
+		}
+		return vw
+	}
+	neg, huge := ones(), ones()
+	neg[40] = -1000
+	huge[10], huge[70] = 1<<62, 1<<62
+	heavy := unitPath()
+	for i := range heavy.Wgt[:4] {
+		heavy.Wgt[i] = 1 << 62 // edges {0,1} and {1,2}, both directions: 2^64
+	}
+	cases := []struct {
+		name string
+		vw   []int64
+		g    *graph.Graph
+		want string
+	}{
+		{"negative-vertex", neg, unitPath(), "non-positive vertex weight -1000"},
+		{"zero-vertex", make([]int64, 80), unitPath(), "non-positive vertex weight 0"},
+		{"vertex-total", huge, unitPath(), "vertex weight total overflows int64"},
+		{"edge-total", nil, heavy, "edge weight total overflows int64"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.g.VWgt = tc.vw
+			var buf bytes.Buffer
+			if err := SaveGraph(&buf, tc.g, SaveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := LoadGraph(buf.Bytes(), LoadOptions{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("LoadGraph error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

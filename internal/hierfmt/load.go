@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 	"unsafe"
 
@@ -288,10 +289,8 @@ func (c *cursor) readGraph(lvl uint32) (*graph.Graph, error) {
 		return nil, fmt.Errorf("EWGT has %d elements, Xadj claims %d", sw.count, nnz)
 	}
 	wgt := c.i64View(sw)
-	for _, w := range wgt {
-		if w <= 0 {
-			return nil, fmt.Errorf("non-positive edge weight %d", w)
-		}
+	if err := checkWeights(wgt, "edge"); err != nil {
+		return nil, err
 	}
 
 	g := &graph.Graph{NumV: int32(n), Xadj: xadj, Adj: adj, Wgt: wgt}
@@ -300,8 +299,27 @@ func (c *cursor) readGraph(lvl uint32) (*graph.Graph, error) {
 			return nil, fmt.Errorf("VWGT covers %d of %d vertices", sv.count, n)
 		}
 		g.VWgt = c.i64View(sv)
+		if err := checkWeights(g.VWgt, "vertex"); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
+}
+
+// checkWeights is the structural weight rule for EWGT and VWGT: every
+// weight is positive and the running total stays within int64.
+func checkWeights(ws []int64, what string) error {
+	var total int64
+	for _, w := range ws {
+		if w <= 0 {
+			return fmt.Errorf("non-positive %s weight %d", what, w)
+		}
+		if w > math.MaxInt64-total {
+			return fmt.Errorf("%s weight total overflows int64", what)
+		}
+		total += w
+	}
+	return nil
 }
 
 // readMap reads one coarse map and range-checks it against its two levels.

@@ -72,10 +72,15 @@ const (
 
 	// The spectral counters instrument the power-iteration eigensolvers
 	// (internal/partition Fiedler and FiedlerK): CtrFiedlerIters counts
-	// iterations run, and CtrSpMVNNZ counts the Laplacian nonzeros their
-	// matrix-free multiplies touch, 2m+n per multiply. Both are exact.
+	// iterations run, CtrSpMVNNZ counts the Laplacian nonzeros their
+	// matrix-free multiplies touch, 2m+n per multiply, and
+	// CtrFiedlerCapped counts calls that stopped at MaxIter without
+	// meeting the tolerance (an iteration count of MaxIter alone does not
+	// tell, since a solve can converge on its last iteration). All three
+	// are exact.
 	CtrFiedlerIters
 	CtrSpMVNNZ
+	CtrFiedlerCapped
 
 	// The FM counters instrument Fiduccia–Mattheyses refinement
 	// (internal/partition RefineFM): CtrFMPasses counts passes run,
@@ -115,8 +120,9 @@ var counterNames = [numCounters]string{
 	CtrEmbedNegatives: "embed_negatives",
 	CtrEmbedProjRows:  "embed_proj_rows",
 
-	CtrFiedlerIters: "fiedler_iters",
-	CtrSpMVNNZ:      "spmv_nnz",
+	CtrFiedlerIters:  "fiedler_iters",
+	CtrSpMVNNZ:       "spmv_nnz",
+	CtrFiedlerCapped: "fiedler_capped",
 
 	CtrFMPasses:    "fm_passes",
 	CtrFMMoves:     "fm_moves",

@@ -55,7 +55,7 @@ func FiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOpt
 	// old buffer afterwards, which the stopping rule compares against.
 	tol := opt.tol()
 	y := make([]float64, n)
-	iters := 0
+	iters, converged := 0, false
 	for ; iters < opt.maxIter(); iters++ {
 		maxDelta := 0.0
 		for j := range xs {
@@ -83,11 +83,15 @@ func FiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOpt
 		}
 		if maxDelta < tol {
 			iters++
+			converged = true
 			break
 		}
 	}
 	sp.Add(obs.CtrFiedlerIters, int64(iters))
 	sp.Add(obs.CtrSpMVNNZ, int64(iters*k)*g.Size())
+	if !converged {
+		sp.Add(obs.CtrFiedlerCapped, 1)
+	}
 	// Power iteration on σI−L converges to the LARGEST shifted eigenvalues
 	// = the smallest Laplacian ones; the Gram–Schmidt sweep keeps vector j
 	// orthogonal to the previous, so xs comes out eigenvalue-ordered.

@@ -77,7 +77,7 @@ func Fiedler(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) ([]f
 	// iterate the stopping rule compares against.
 	y := make([]float64, n)
 	tol := opt.tol()
-	iters := 0
+	iters, converged := 0, false
 	for ; iters < opt.maxIter(); iters++ {
 		op.apply(y, x)
 		inv := 1 / center(y)
@@ -95,11 +95,15 @@ func Fiedler(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) ([]f
 		x, y = y, x
 		if math.Sqrt(math.Min(dPos, dNeg)) < tol {
 			iters++
+			converged = true
 			break
 		}
 	}
 	sp.Add(obs.CtrFiedlerIters, int64(iters))
 	sp.Add(obs.CtrSpMVNNZ, int64(iters)*g.Size())
+	if !converged {
+		sp.Add(obs.CtrFiedlerCapped, 1)
+	}
 	return x, iters
 }
 

@@ -367,28 +367,71 @@ func TestFiedlerAllocsIndependentOfIterations(t *testing.T) {
 }
 
 // TestFiedlerCounters checks the solvers' telemetry: one "fiedler" span
-// per call, holding the exact iteration count and the nonzeros touched,
-// 2m+n per multiply.
+// per call, holding the exact iteration count, the nonzeros touched, 2m+n
+// per multiply, and fiedler_capped = 1 exactly when the call stopped at
+// MaxIter without meeting tol. A solve that converges on its last allowed
+// iteration also reports MaxIter iterations; it must not count as capped.
 func TestFiedlerCounters(t *testing.T) {
 	g := randGraph(300, 2)
+	loose := FiedlerOptions{Tol: 1e-3, MaxIter: 10000, Workers: 2}
+	_, conv := Fiedler(g, nil, 1, loose)
+	_, convK := FiedlerK(g, 2, nil, 1, loose)
+	if conv < 2 || conv >= loose.MaxIter || convK < 2 || convK >= loose.MaxIter {
+		t.Fatalf("loose solves took %d and %d iterations; want convergence after at least 2", conv, convK)
+	}
+	type call struct {
+		k       int // 0 = Fiedler
+		tol     float64
+		maxIter int
+		capped  int64
+	}
+	calls := []call{
+		{0, 0, 40, 1}, {2, 0, 30, 1},
+		{0, loose.Tol, conv, 0}, {0, loose.Tol, conv - 1, 1},
+		{2, loose.Tol, convK, 0}, {2, loose.Tol, convK - 1, 1},
+	}
 	tr := obs.StartTrace("test")
-	_, iters := Fiedler(g, nil, 1, FiedlerOptions{MaxIter: 40, Workers: 2})
-	_, itersK := FiedlerK(g, 2, nil, 1, FiedlerOptions{MaxIter: 30, Workers: 2})
+	iters := make([]int, len(calls))
+	for i, c := range calls {
+		opt := FiedlerOptions{Tol: c.tol, MaxIter: c.maxIter, Workers: 2}
+		if c.k == 0 {
+			_, iters[i] = Fiedler(g, nil, 1, opt)
+		} else {
+			_, iters[i] = FiedlerK(g, c.k, nil, 1, opt)
+		}
+		if iters[i] != c.maxIter {
+			t.Fatalf("call %d: %d iterations, want MaxIter %d", i, iters[i], c.maxIter)
+		}
+	}
 	tr.Stop()
 	spans := tr.Root.Children()
-	if len(spans) != 2 || spans[0].Name() != "fiedler" || spans[1].Name() != "fiedler" {
-		t.Fatalf("want two fiedler spans, got %d", len(spans))
+	if len(spans) != len(calls) {
+		t.Fatalf("want %d fiedler spans, got %d", len(calls), len(spans))
 	}
 	size := g.Size()
-	for i, want := range []map[string]int64{
-		{"fiedler_iters": int64(iters), "spmv_nnz": int64(iters) * size},
-		{"fiedler_iters": int64(itersK), "spmv_nnz": int64(2*itersK) * size},
-	} {
+	var capped int64
+	for i, c := range calls {
+		if spans[i].Name() != "fiedler" {
+			t.Fatalf("span %d is %q, want fiedler", i, spans[i].Name())
+		}
+		mult := int64(1)
+		if c.k > 0 {
+			mult = int64(c.k)
+		}
+		want := map[string]int64{
+			"fiedler_iters":  int64(iters[i]),
+			"spmv_nnz":       mult * int64(iters[i]) * size,
+			"fiedler_capped": c.capped,
+		}
 		got := spans[i].Counters()
 		for name, v := range want {
 			if got[name] != v {
 				t.Errorf("span %d: %s = %d, want %d", i, name, got[name], v)
 			}
 		}
+		capped += c.capped
+	}
+	if got := tr.Root.Counters()["fiedler_capped"]; got != capped {
+		t.Errorf("trace total fiedler_capped = %d, want %d", got, capped)
 	}
 }
