@@ -17,8 +17,11 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
+# The explicit timeout is for internal/coarsen: under -race its suite took
+# 821 s of a 1337 s full run on a 2-core host, past go test's default
+# 10-minute per-package limit.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Cross-worker determinism gate: the canonical-ID guarantee (byte-identical
 # mappings, coarse graphs, hierarchies, and embeddings at p = 1, 2, 4, 8)
@@ -26,17 +29,19 @@ race:
 # plus the coarse-graph invariant harness (every mapper × builder × worker
 # count), the SGD trainer's schedule-independence sweep, and multilevel
 # spectral and FM bisection and k-way FM with and without pairwise
-# refinement (same partition and cut at every worker count), and graph
+# refinement and nested dissection (same partition, cut or ordering at
+# every worker count), Louvain and multilevel clustering (same labels, K
+# and bit-identical modularity), and graph
 # ingest (StreamEdges and the CSR kernel bit-identical to the global-sort
 # reference), and the SGD trainer against its reference trainer at every
-# worker count. The embed, partition and graph sweeps additionally run under
-# -race (they are cheap enough); the full coarsen suite keeps its race
-# coverage in `make race` where the per-package timeout budget is not
+# worker count. The embed, partition, cluster and graph sweeps additionally
+# run under -race (they are cheap enough); the full coarsen suite keeps its
+# race coverage in `make race` where the per-package timeout budget is not
 # shared with a p=8 interleaving sweep.
 test-determinism:
 	GOMAXPROCS=8 $(GO) test -run 'Determinism|Deterministic|Canonicalize|CoarseInvariants|WorkspaceReuse' ./internal/par/... ./internal/coarsen/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse|MatchesReference' ./internal/embed/...
-	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/partition/...
+	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|Deterministic' ./internal/partition/... ./internal/cluster/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/graph/...
 
 # Static analysis: vet always; staticcheck when it is installed (the

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"mlcg/internal/coarsen"
@@ -210,24 +212,16 @@ func TestLouvainOnCliqueIsOneCluster(t *testing.T) {
 	}
 }
 
+// TestLouvainDeterministic pins Louvain to the worker-count determinism
+// contract.
 func TestLouvainDeterministic(t *testing.T) {
-	g := planted(8, 20, 31)
-	a, err := Louvain(g, Options{Seed: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Louvain(g, Options{Seed: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.K != b.K || a.Modularity != b.Modularity {
-		t.Fatalf("runs differ: K %d/%d Q %v/%v", a.K, b.K, a.Modularity, b.Modularity)
-	}
-	for i := range a.Labels {
-		if a.Labels[i] != b.Labels[i] {
-			t.Fatalf("labels differ at %d", i)
-		}
-	}
+	checkAcrossWorkers(t, Louvain)
+}
+
+// TestMultilevelDeterministic is the same pin for coarsening-driven
+// multilevel clustering.
+func TestMultilevelDeterministic(t *testing.T) {
+	checkAcrossWorkers(t, Multilevel)
 }
 
 func TestLouvainEmpty(t *testing.T) {
@@ -259,5 +253,40 @@ func TestCompactLabels(t *testing.T) {
 	}
 	if labels[0] != labels[2] || labels[0] == labels[1] || labels[3] >= 3 {
 		t.Errorf("labels %v", labels)
+	}
+}
+
+// determinismGraphs are the inputs of the worker-count determinism checks:
+// planted communities plus two skewed-degree generators.
+func determinismGraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
+		"planted": planted(8, 20, 31),
+		"ba":      gen.BA(2500, 4, 1),
+		"rmat":    gen.RMAT(11, 8, 2),
+	}
+}
+
+// checkAcrossWorkers runs cluster at p = 1, 2, 4, 8 on every determinism
+// graph and requires the p = 1 labels, K and bit-identical modularity.
+func checkAcrossWorkers(t *testing.T, cluster func(*graph.Graph, Options) (*Result, error)) {
+	t.Helper()
+	for name, g := range determinismGraphs() {
+		var want *Result
+		for _, p := range []int{1, 2, 4, 8} {
+			res, err := cluster(g, Options{Seed: 4, Workers: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = res
+				continue
+			}
+			if res.K != want.K || math.Float64bits(res.Modularity) != math.Float64bits(want.Modularity) {
+				t.Fatalf("%s: p=%d gives K %d Q %v, p=1 K %d Q %v", name, p, res.K, res.Modularity, want.K, want.Modularity)
+			}
+			if !slices.Equal(res.Labels, want.Labels) {
+				t.Fatalf("%s: p=%d labels differ from p=1", name, p)
+			}
+		}
 	}
 }

@@ -366,6 +366,7 @@ func dedupSortSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int
 			}
 			newCnt[a] = w
 		}
+		span.Add(obs.CtrRadixPass, sc.TakePasses())
 	})
 	return newCnt
 }
@@ -384,7 +385,7 @@ func dedupHashSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int
 	tables := ws.tablesFor(p)
 	par.ForChunked(nc, p, 64, func(wid, aLo, aHi int) {
 		ht := tables[wid]
-		defer ht.flushCounters()
+		defer ht.flushCounters(span)
 		for a := aLo; a < aHi; a++ {
 			lo := r[a]
 			hi := lo + int64(cnt[a])
@@ -431,11 +432,11 @@ type weightTable struct {
 	collisions int64
 }
 
-// flushCounters reports and clears the accumulated probe statistics.
-// Callers flush once per parallel chunk, not per segment.
-func (t *weightTable) flushCounters() {
-	obs.Add(obs.CtrHashProbe, t.probes)
-	obs.Add(obs.CtrHashCollision, t.collisions)
+// flushCounters adds the accumulated probe statistics to span and clears
+// them. Callers flush once per parallel chunk, not per segment.
+func (t *weightTable) flushCounters(span *obs.Span) {
+	span.Add(obs.CtrHashProbe, t.probes)
+	span.Add(obs.CtrHashCollision, t.collisions)
 	t.probes, t.collisions = 0, 0
 }
 

@@ -151,8 +151,8 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		})
 		// Classify and reserve. m is frozen during this phase, so the
 		// inherit-vs-pair decision reads stable values. Reservation issue and
-		// CAS-retry counts are batched per chunk and flushed to the ambient
-		// span in one call, so the uninstrumented cost is a register add.
+		// CAS-retry counts are batched per chunk and flushed to the pass span
+		// in one call, so the uninstrumented cost is a register add.
 		par.ForChunked(len(queue), p, 512, func(_, lo, hi int) {
 			var reserves, retries int64
 			for i := lo; i < hi; i++ {
@@ -173,8 +173,8 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 				retries += par.AtomicMinInt32Retries(&res[v], pos[u])
 				reserves += 2
 			}
-			obs.Add(obs.CtrReserve, reserves)
-			obs.Add(obs.CtrCASRetry, retries)
+			span.Add(obs.CtrReserve, reserves)
+			span.Add(obs.CtrCASRetry, retries)
 		})
 		// Commit. An operation writes only cells it holds the minimum
 		// reservation on, so every write has a unique writer; the only m
@@ -223,7 +223,7 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 					commits++
 				}
 			}
-			obs.Add(obs.CtrCommit, commits)
+			span.Add(obs.CtrCommit, commits)
 		})
 		if aw == nil {
 			// Catch-up wave: a pending vertex whose partner was founded or

@@ -120,8 +120,8 @@ func hemMatch(g *graph.Graph, seed uint64, p, maxPasses int, singletons bool) (m
 				retries += par.AtomicMinInt32Retries(&res[v], pos[u])
 				reserves += 2
 			}
-			obs.Add(obs.CtrReserve, reserves)
-			obs.Add(obs.CtrCASRetry, retries)
+			span.Add(obs.CtrReserve, reserves)
+			span.Add(obs.CtrCASRetry, retries)
 		})
 		par.ForChunked(len(queue), p, 512, func(_, lo, hi int) {
 			var commits int64
@@ -144,7 +144,7 @@ func hemMatch(g *graph.Graph, seed uint64, p, maxPasses int, singletons bool) (m
 					commits++
 				}
 			}
-			obs.Add(obs.CtrCommit, commits)
+			span.Add(obs.CtrCommit, commits)
 		})
 		next := par.Pack(len(queue), p, func(i int) bool {
 			return match[queue[i]] == unset

@@ -1,8 +1,11 @@
 package coarsen
 
 import (
+	"context"
 	"testing"
 
+	"mlcg/internal/gen"
+	"mlcg/internal/graph"
 	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
@@ -41,38 +44,47 @@ func benchMapWithRenumber(b *testing.B, mapper Mapper) {
 	})
 }
 
-// BenchmarkObsOverhead measures the cost of the obs instrumentation on a
-// full multilevel coarsening run: "disabled" is the production path (every
-// span/counter call is a nil-check), "enabled" runs with an active trace.
-// The acceptance target is a disabled-path throughput delta within noise
-// (≤2% vs. the pre-instrumentation baseline); the enabled-path cost is
-// reported for the record, not bounded.
+// BenchmarkObsOverhead measures the cost of the obs instrumentation on
+// full multilevel HEC+sort runs: "disabled" is the production path (every
+// span/counter call is a nil-check), "enabled" runs each op under a fresh
+// trace carried by its context, as mlcg-serve traces every build. "deg6"
+// is a degree-6 random graph whose dedup segments all stay on the
+// insertion sort; "rgg" is serve-mixed's base graph (RGG, n = 10,000),
+// whose coarse segments reach the radix path. The acceptance target is a
+// disabled-path throughput delta within noise; the enabled-path cost is
+// reported for the record (EXPERIMENTS.md), not bounded.
 func BenchmarkObsOverhead(b *testing.B) {
-	g := bigTestGraph(100000, 5)
-	run := func(b *testing.B) {
-		c := &Coarsener{Mapper: HEC{}, Builder: BuildSort{}, Seed: 42}
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Run(g); err != nil {
-				b.Fatal(err)
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"deg6", bigTestGraph(100000, 5)},
+		{"rgg", gen.RGG(10000, 0, 5)},
+	} {
+		c := &Coarsener{Mapper: HEC{}, Builder: BuildSort{}, Cutoff: 50, Seed: 42}
+		b.Run(in.name+"/disabled", func(b *testing.B) {
+			if obs.Enabled() {
+				b.Fatal("trace unexpectedly active")
 			}
-		}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(in.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/enabled", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := obs.NewTrace("bench")
+				_, err := c.RunCtx(obs.NewContext(context.Background(), tr), in.g)
+				tr.Stop()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("disabled", func(b *testing.B) {
-		if obs.Enabled() {
-			b.Fatal("trace unexpectedly active")
-		}
-		b.ReportAllocs()
-		run(b)
-	})
-	b.Run("enabled", func(b *testing.B) {
-		tr := obs.StartTrace("bench")
-		if tr == nil {
-			b.Fatal("could not start trace")
-		}
-		defer tr.Stop()
-		b.ReportAllocs()
-		run(b)
-	})
 }
 
 func BenchmarkMapHEC(b *testing.B)    { benchMapWithRenumber(b, HEC{}) }

@@ -174,8 +174,10 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 	full := true  // round 0 sweeps everything
 	first := true // ... and everything is still undecided in round 0
 	var frontier1, prevIn, prevOut []int32
+	// Round and frontier counts reach obs once per call, not per round.
+	var rounds, frontier int64
 	for remaining > 0 {
-		obs.Add(obs.CtrMIS2FastRounds, 1)
+		rounds++
 
 		// Phase 1: refresh t1. In worklist rounds only vertices whose
 		// cached best candidate just got decided can change; they are
@@ -301,7 +303,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 			}
 		})
 		newlyOut := s.mergeBufs(&s.out, p)
-		obs.Add(obs.CtrMIS2FastFrontier, int64(len(frontier1)+len(newlyIn)+len(newlyOut)))
+		frontier += int64(len(frontier1) + len(newlyIn) + len(newlyOut))
 
 		// Phase 4: eliminate (unique owners, plain stores).
 		par.ForChunked(len(newlyOut), p, 256, func(_, lo, hi int) {
@@ -329,6 +331,8 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 		// overwrite after phase 1 has consumed them.
 		prevIn, prevOut = newlyIn, newlyOut
 	}
+	obs.Add(obs.CtrMIS2FastRounds, rounds)
+	obs.Add(obs.CtrMIS2FastFrontier, frontier)
 	return state
 }
 

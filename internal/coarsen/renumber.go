@@ -78,7 +78,7 @@ func canonicalize(m []int32, pos []int32, p int) int32 {
 			for i := lo; i < hi; i++ {
 				retries += par.AtomicMinInt32Retries(&minPos[m[i]], int32(i)-nn)
 			}
-			obs.Add(obs.CtrCASRetry, retries)
+			span.Add(obs.CtrCASRetry, retries)
 		})
 	default:
 		par.For(n, p, func(_, lo, hi int) {
@@ -86,7 +86,7 @@ func canonicalize(m []int32, pos []int32, p int) int32 {
 			for i := lo; i < hi; i++ {
 				retries += par.AtomicMinInt32Retries(&minPos[m[i]], pos[i]-nn)
 			}
-			obs.Add(obs.CtrCASRetry, retries)
+			span.Add(obs.CtrCASRetry, retries)
 		})
 	}
 	flag := make([]int32, n) // zeroed by make

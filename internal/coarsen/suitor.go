@@ -124,7 +124,7 @@ func parallelSuitor(g *graph.Graph, suitor []int32, ws []int64, pos []int32, p i
 		for i := lo; i < hi; i++ {
 			suitorPropose(g, suitor, ws, pos, int32(i), lock, unlock)
 		}
-		obs.Add(obs.CtrSuitorSpin, spins)
+		span.Add(obs.CtrSuitorSpin, spins)
 	})
 }
 

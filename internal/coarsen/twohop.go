@@ -120,7 +120,7 @@ func twinMatch(g *graph.Graph, match []int32, p, maxDeg int, seed uint64) {
 	}
 	keys := make([]uint64, len(cand))
 	vals := make([]uint64, len(cand))
-	scratch := make([][]int32, par.Workers(p, len(cand)))
+	scratch := make([]twinScratch, par.Workers(p, len(cand)))
 	par.For(len(cand), p, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := cand[i]
@@ -133,7 +133,7 @@ func twinMatch(g *graph.Graph, match []int32, p, maxDeg int, seed uint64) {
 	// Groups are disjoint vertex sets, so this loop could be parallelized
 	// over group boundaries; group sizes are tiny in practice and the scan
 	// is linear, so it runs sequentially for simplicity.
-	var buf1, buf2 []int32
+	var s1, s2 twinScratch
 	for lo := 0; lo < len(keys); {
 		hi := lo + 1
 		for hi < len(keys) && keys[hi] == keys[lo] {
@@ -151,7 +151,7 @@ func twinMatch(g *graph.Graph, match []int32, p, maxDeg int, seed uint64) {
 					continue
 				}
 				v := int32(vals[prevIdx])
-				if sameAdjacency(g, u, v, &buf1, &buf2) {
+				if sameAdjacency(g, u, v, &s1, &s2) {
 					match[u] = v
 					match[v] = u
 					prevIdx = -1
@@ -160,38 +160,51 @@ func twinMatch(g *graph.Graph, match []int32, p, maxDeg int, seed uint64) {
 		}
 		lo = hi
 	}
+	// The per-vertex sorts' radix passes reach obs once per call.
+	passes := s1.sort.TakePasses() + s2.sort.TakePasses()
+	for w := range scratch {
+		passes += scratch[w].sort.TakePasses()
+	}
+	obs.Add(obs.CtrRadixPass, passes)
+}
+
+// twinScratch holds one goroutine's buffers for sorted adjacency copies.
+type twinScratch struct {
+	ids  []int32
+	wgts []int64 // sort payload; twin identity ignores weights
+	sort par.SortScratch
+}
+
+// sortedNeighbors returns u's neighbor ids sorted ascending, in s.ids.
+func (s *twinScratch) sortedNeighbors(g *graph.Graph, u int32) []int32 {
+	adj, _ := g.Neighbors(u)
+	s.ids = append(s.ids[:0], adj...)
+	if cap(s.wgts) < len(adj) {
+		s.wgts = make([]int64, len(adj))
+	}
+	par.SortPairsInt32Scratch(s.ids, s.wgts[:len(adj)], &s.sort)
+	return s.ids
 }
 
 // adjacencyHash returns an order-independent-but-verified hash of u's
 // neighbor ids: the list is copied, sorted, and FNV-style mixed, so equal
 // lists always collide and unequal lists almost never do.
-func adjacencyHash(g *graph.Graph, u int32, scratch *[]int32, seed uint64) uint64 {
-	adj, _ := g.Neighbors(u)
-	buf := append((*scratch)[:0], adj...)
-	*scratch = buf
-	w := make([]int64, len(buf)) // weights ignored for twin identity
-	par.SortPairsInt32(buf, w)
-	h := par.Mix64(seed ^ uint64(len(buf)))
-	for _, v := range buf {
+func adjacencyHash(g *graph.Graph, u int32, s *twinScratch, seed uint64) uint64 {
+	ids := s.sortedNeighbors(g, u)
+	h := par.Mix64(seed ^ uint64(len(ids)))
+	for _, v := range ids {
 		h = par.Mix64(h ^ uint64(uint32(v)))
 	}
 	return h
 }
 
 // sameAdjacency reports whether u and v have identical neighbor sets.
-func sameAdjacency(g *graph.Graph, u, v int32, buf1, buf2 *[]int32) bool {
-	au, _ := g.Neighbors(u)
-	av, _ := g.Neighbors(v)
-	if len(au) != len(av) {
+func sameAdjacency(g *graph.Graph, u, v int32, s1, s2 *twinScratch) bool {
+	if g.Degree(u) != g.Degree(v) {
 		return false
 	}
-	b1 := append((*buf1)[:0], au...)
-	b2 := append((*buf2)[:0], av...)
-	*buf1, *buf2 = b1, b2
-	w1 := make([]int64, len(b1))
-	w2 := make([]int64, len(b2))
-	par.SortPairsInt32(b1, w1)
-	par.SortPairsInt32(b2, w2)
+	b1 := s1.sortedNeighbors(g, u)
+	b2 := s2.sortedNeighbors(g, v)
 	for i := range b1 {
 		if b1[i] != b2[i] {
 			return false

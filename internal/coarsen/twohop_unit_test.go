@@ -173,7 +173,7 @@ func TestAdjacencyHashCollisionFree(t *testing.T) {
 		{U: 1, V: 3, W: 5}, {U: 1, V: 2, W: 1},
 		{U: 4, V: 2, W: 1}, {U: 5, V: 2, W: 1}, {U: 4, V: 5, W: 1},
 	})
-	var buf []int32
+	var buf twinScratch
 	h0 := adjacencyHash(g, 0, &buf, 9)
 	h1 := adjacencyHash(g, 1, &buf, 9)
 	if h0 != h1 {
@@ -191,7 +191,7 @@ func TestSameAdjacency(t *testing.T) {
 		{U: 1, V: 3, W: 1}, {U: 1, V: 2, W: 1},
 		{U: 4, V: 2, W: 1},
 	})
-	var b1, b2 []int32
+	var b1, b2 twinScratch
 	if !sameAdjacency(g, 0, 1, &b1, &b2) {
 		t.Error("twins not recognized")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -145,6 +146,7 @@ func buildSeq(n int, runs [][]Edge) *Graph {
 	mlen := make([]int32, n)
 	var s par.SortScratch
 	mergeBuckets(off, bk, bw, mlen, 0, n, &s)
+	obs.Add(obs.CtrRadixPass, s.TakePasses())
 
 	xadj := make([]int64, n+2)
 	for u := 0; u < n; u++ {
@@ -228,6 +230,11 @@ func buildPar(n int, runs [][]Edge, m, p int) *Graph {
 	par.ForChunked(n, p, 1024, func(w, lo, hi int) {
 		mergeBuckets(off, bk, bw, mlen, lo, hi, &scratch[w])
 	})
+	var passes int64
+	for w := range scratch {
+		passes += scratch[w].TakePasses()
+	}
+	obs.Add(obs.CtrRadixPass, passes)
 
 	for _, h := range hists {
 		clear(h)
@@ -288,7 +295,8 @@ func eachRun(runs [][]Edge, lo, hi int, fn func([]Edge)) {
 // mergeBuckets sorts the buckets u in [lo, hi) by neighbour, skipping
 // buckets that are already sorted, and sums the weights of equal
 // neighbours. The merged bucket is left at the front of its window and its
-// length in mlen[u].
+// length in mlen[u]. The sorts' radix passes add up in s; the caller
+// flushes them to obs once per build, not per bucket.
 func mergeBuckets(off []int64, bk []int32, bw []int64, mlen []int32, lo, hi int, s *par.SortScratch) {
 	for u := lo; u < hi; u++ {
 		keys, wgts := bk[off[u]:off[u+1]], bw[off[u]:off[u+1]]

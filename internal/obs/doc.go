@@ -55,6 +55,31 @@
 // internal/coarsen) bounds the throughput delta of the instrumented
 // disabled path.
 //
+// # The flush rule
+//
+// Resolving a goroutine is the expensive step of the enabled path: the id
+// comes from runtime.Stack, which formats the goroutine's frames under
+// the runtime's print lock (about 13 µs of CPU per call in a profile of
+// traced two-worker builds of serve-mixed's base graph). So lookups happen
+// only at span boundaries — a StartKernel, one Ambient per parallel call
+// in internal/par, one Attach per spawned worker — and never per chunk
+// or per segment:
+//
+//   - A kernel keeps the span StartKernel returned on the orchestrating
+//     goroutine, and its worker bodies flush their per-chunk counts with
+//     Span.Add on that span.
+//   - Counts gathered below a chunk, such as the radix passes of
+//     per-segment sorts (par.SortScratch.TakePasses), accumulate in the
+//     caller's scratch and are flushed once per chunk or per call.
+//   - The package-level Add is for an orchestrator's once-per-call flush;
+//     it returns on a zero delta before resolving anything.
+//
+// A package-level call inside a par worker still lands on the ambient
+// span, because par attaches each worker to the trace; the rule is about
+// cost, not correctness. TestTracedRunLookups caps the lookups of a
+// traced serve-shaped build, and TestLookupsIndependentOfSortedSegments
+// fails if they grow with the number of radix-sorted segments.
+//
 // # Concurrency model
 //
 // Traces are goroutine-scoped, not process-global: the package-level
@@ -74,6 +99,6 @@
 // Child), which is safe: busy slots and counters are atomic adds, and
 // child-span creation takes the span's mutex. internal/par binds each
 // worker goroutine to the spawning run's trace for the duration of a
-// parallel loop, so batched package-level Add flushes inside worker
-// closures reach the correct trace even with many traced runs in flight.
+// parallel loop, so a package-level call inside a worker closure reaches
+// the correct trace even with many traced runs in flight.
 package obs

@@ -212,12 +212,22 @@ type traceShard struct {
 var (
 	registry    [regShards]traceShard
 	activeBinds atomic.Int64
+	// lookups counts goid calls, for tests that bound how often a traced
+	// run resolves its goroutine.
+	lookups atomic.Int64
 )
 
 // goid returns the current goroutine's id, parsed from the first line of
-// runtime.Stack ("goroutine N [running]:"). The tiny buffer keeps the cost
-// to a shallow stack header write; goroutine ids are never reused.
+// runtime.Stack ("goroutine N [running]:"); goroutine ids are never
+// reused. The call is not cheap: runtime.Stack walks and formats every
+// frame of the goroutine's stack (output past the 64-byte buffer is
+// dropped, not skipped), taking the runtime's global print lock for each
+// piece, so one call costs microseconds and concurrent calls serialize.
+// The buffer also escapes, one 64-byte allocation per call. Callers
+// resolve a goroutine only at span boundaries (see the flush rule in
+// doc.go), never per chunk or per segment.
 func goid() uint64 {
+	lookups.Add(1)
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	const prefix = len("goroutine ")
@@ -437,10 +447,17 @@ func (s *Span) Add(c Counter, n int64) {
 	atomic.AddInt64(&s.ctr[c], n)
 }
 
-// Add increments counter c on the calling goroutine's ambient span — the
-// form hot paths use after batching counts locally. One atomic load + nil
-// check when tracing is disabled.
-func Add(c Counter, n int64) { Ambient().Add(c, n) }
+// Add increments counter c on the calling goroutine's ambient span. A
+// zero delta returns before anything is resolved; otherwise the cost is
+// one atomic load when no trace is live and a goroutine lookup when one
+// is, so kernels flush per-chunk counts to the span they captured
+// (Span.Add) and keep Add for at most one flush per parallel call.
+func Add(c Counter, n int64) {
+	if n == 0 {
+		return
+	}
+	Ambient().Add(c, n)
+}
 
 // BusyAdd accumulates d of busy time for worker w on this span. Safe on
 // nil and from any goroutine; worker ids beyond the slot bound fold into

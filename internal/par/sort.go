@@ -90,12 +90,13 @@ func RadixSortPairs(keys, vals []uint64, p int) {
 // and as the p==1 path.
 func radixSortPairsSeq(keys, vals []uint64) {
 	n := len(keys)
-	radixSortPairsSeqScratch(keys, vals, make([]uint64, n), make([]uint64, n))
+	obs.Add(obs.CtrRadixPass, radixSortPairsSeqScratch(keys, vals, make([]uint64, n), make([]uint64, n)))
 }
 
 // radixSortPairsSeqScratch is radixSortPairsSeq with caller-provided
-// ping-pong buffers (each at least len(keys) long).
-func radixSortPairsSeqScratch(keys, vals, tmpK, tmpV []uint64) {
+// ping-pong buffers (each at least len(keys) long). It returns the digit
+// passes it ran and leaves reporting them to the caller.
+func radixSortPairsSeqScratch(keys, vals, tmpK, tmpV []uint64) int64 {
 	n := len(keys)
 	var orAll uint64
 	andAll := ^uint64(0)
@@ -137,11 +138,11 @@ func radixSortPairsSeqScratch(keys, vals, tmpK, tmpV []uint64) {
 		srcK, dstK = dstK, srcK
 		srcV, dstV = dstV, srcV
 	}
-	obs.Add(obs.CtrRadixPass, passes)
 	if &srcK[0] != &keys[0] {
 		copy(keys, srcK)
 		copy(vals, srcV)
 	}
+	return passes
 }
 
 // SortPairsInt32 sorts a short (key int32, weight int64) list ascending by
@@ -168,12 +169,25 @@ func SortPairsInt32(keys []int32, wgts []int64) {
 	}
 	var s SortScratch
 	sortPairsInt32Radix(keys, wgts, &s)
+	obs.Add(obs.CtrRadixPass, s.TakePasses())
 }
 
-// SortScratch holds the reusable buffers of SortPairsInt32Scratch. The
-// zero value is ready; buffers grow on demand and are retained.
+// SortScratch holds the reusable buffers of SortPairsInt32Scratch and
+// counts the radix digit passes its sorts run. The zero value is ready;
+// buffers grow on demand and are retained.
 type SortScratch struct {
 	k64, v64, tmpK, tmpV []uint64
+	passes               int64
+}
+
+// TakePasses returns the radix digit passes run since the last call and
+// resets the count. Sorting many segments with one scratch and flushing
+// TakePasses once per chunk keeps the radix_passes counter exact without
+// an obs call per segment.
+func (s *SortScratch) TakePasses() int64 {
+	n := s.passes
+	s.passes = 0
+	return n
 }
 
 func (s *SortScratch) ensure(n int) {
@@ -187,7 +201,9 @@ func (s *SortScratch) ensure(n int) {
 
 // SortPairsInt32Scratch is SortPairsInt32 with caller-provided scratch,
 // for callers that sort many segments in a loop and want zero steady-state
-// allocations. The scratch must not be shared between concurrent callers.
+// allocations. The radix passes add to the scratch's count instead of
+// reaching obs; the caller flushes TakePasses. The scratch must not be
+// shared between concurrent callers.
 func SortPairsInt32Scratch(keys []int32, wgts []int64, s *SortScratch) {
 	n := len(keys)
 	if n < 2 {
@@ -211,7 +227,7 @@ func sortPairsInt32Radix(keys []int32, wgts []int64, s *SortScratch) {
 		k64[i] = uint64(uint32(keys[i]) ^ 0x80000000)
 		v64[i] = uint64(wgts[i])
 	}
-	radixSortPairsSeqScratch(k64, v64, s.tmpK, s.tmpV)
+	s.passes += radixSortPairsSeqScratch(k64, v64, s.tmpK, s.tmpV)
 	for i := 0; i < n; i++ {
 		keys[i] = int32(uint32(k64[i]) ^ 0x80000000)
 		wgts[i] = int64(v64[i])

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"mlcg/internal/graph"
@@ -113,5 +114,28 @@ func TestEnvelopeSizeKnown(t *testing.T) {
 	}
 	if got := EnvelopeSize(g, nat); got != 9 {
 		t.Errorf("path envelope = %d, want 9", got)
+	}
+}
+
+// TestNestedDissectionDeterminismAcrossWorkers pins nested dissection to
+// the worker-count determinism contract: the same ordering at
+// p = 1, 2, 4, 8.
+func TestNestedDissectionDeterminismAcrossWorkers(t *testing.T) {
+	cases := append(fmDeterminismGraphs(), fmCase{"grid", gridGraph(30, 30)})
+	for _, in := range cases {
+		var want []int32
+		for _, p := range oracleWorkers {
+			perm, err := NestedDissection(in.g, NDOptions{Seed: 7, Workers: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = perm
+				continue
+			}
+			if !slices.Equal(perm, want) {
+				t.Fatalf("%s: p=%d gives a different ordering than p=1", in.name, p)
+			}
+		}
 	}
 }

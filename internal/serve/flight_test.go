@@ -1,16 +1,22 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
+	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 )
 
 func TestFlightRecorderKeepSlowest(t *testing.T) {
@@ -156,5 +162,52 @@ func TestBuildDeadlineOutcome(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no Error-level deadline dump in the log:\n%s", sink.String())
+	}
+}
+
+// TestBuildFlightCountersMatchDirectRun checks that a build's flight
+// record carries exactly the kernel counters of a direct traced RunCtx on
+// the same graph and parameters, so the server's per-request trace loses
+// or misplaces nothing. cas_retries depends on the worker interleaving at
+// p > 1 and is compared only at p = 1.
+func TestBuildFlightCountersMatchDirectRun(t *testing.T) {
+	payload := metisBytes(t, gen.RGG(3000, 0, 11))
+	for _, workers := range []int{1, 2} {
+		s, ts := testServer(t, Config{Workers: workers})
+		gi := ingest(t, ts, payload, "")
+		params := buildParams{Graph: gi.ID, Seed: 5}
+		st := buildWait(t, ts, params)
+		var got map[string]int64
+		for _, rec := range s.flight.snapshot().Recent {
+			if rec.Kind == "build" && rec.Target == st.ID {
+				got = rec.Counters
+			}
+		}
+		if got["radix_passes"] == 0 {
+			t.Fatalf("workers=%d: flight record %v has no radix passes; the graph no longer reaches the radix path", workers, got)
+		}
+
+		g, err := graph.ReadMetis(bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := params.normalize()
+		tr := obs.NewTrace("direct")
+		c := coarsen.Coarsener{
+			Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{},
+			Cutoff: p.Cutoff, MaxLevels: p.MaxLevels, Seed: p.Seed, Workers: workers,
+		}
+		if _, err := c.RunCtx(obs.NewContext(context.Background(), tr), g); err != nil {
+			t.Fatal(err)
+		}
+		tr.Stop()
+		want := tr.Root.Counters()
+		if workers > 1 {
+			delete(got, "cas_retries")
+			delete(want, "cas_retries")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: flight-record counters\n%v\nwant the direct run's\n%v", workers, got, want)
+		}
 	}
 }
