@@ -156,10 +156,14 @@ bench-baseline:
 
 # Kernel-level trace of a representative coarsening run: writes a Chrome
 # trace_event file (load it at chrome://tracing or https://ui.perfetto.dev),
-# prints the metrics dump, and validates the trace structure.
+# prints the metrics dump, and validates the trace structure. The FM and
+# spectral bisection traces are checked for well-formedness only.
 trace:
 	$(GO) run ./cmd/mlcg-coarsen -gen rmat -trace /tmp/mlcg-trace.json -metrics
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace.json
+	$(GO) run ./cmd/mlcg-partition -gen trimesh -method fm -trace /tmp/mlcg-trace-fm.json
+	$(GO) run ./cmd/mlcg-partition -gen trimesh -method spectral -trace /tmp/mlcg-trace-spectral.json
+	$(GO) run ./cmd/mlcg-tracecheck /tmp/mlcg-trace-fm.json /tmp/mlcg-trace-spectral.json
 
 # Regenerate the paper's tables and figures (writes to stdout).
 tables:

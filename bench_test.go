@@ -191,18 +191,6 @@ func BenchmarkMicroFiedler(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroCascadicFiedler(b *testing.B) {
-	g := benchGraph(b, "channel050")
-	for i := 0; i < b.N; i++ {
-		if _, _, err := partition.CascadicFiedler(g, partition.CascadicOptions{
-			Fiedler: partition.FiedlerOptions{MaxIter: 50},
-			Seed:    uint64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkKWayPartition(b *testing.B) {
 	g := benchGraph(b, "delaunay24")
 	for _, k := range []int{4, 8} {
@@ -213,19 +201,6 @@ func BenchmarkKWayPartition(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkMicroParallelRefine(b *testing.B) {
-	g := benchGraph(b, "channel050")
-	base := make([]int32, g.N())
-	for i := range base {
-		base[i] = int32(i % 2)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		part := append([]int32(nil), base...)
-		partition.RefineParallelGreedy(g, part, partition.ParallelRefineOptions{})
 	}
 }
 

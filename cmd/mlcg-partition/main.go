@@ -35,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	method := fs.String("method", "fm", "refinement: fm or spectral")
 	k := fs.Int("k", 2, "number of parts (k > 2 uses recursive bisection)")
 	pairwise := fs.Int("pairwise", 0, "pairwise k-way refinement rounds (k > 2)")
-	parallelRefine := fs.Bool("parrefine", false, "use the fully parallel greedy refinement instead of sequential FM")
 	order := fs.String("order", "", "compute an elimination ordering instead: nd (nested dissection) or rcm")
 	mapper := fs.String("mapper", "hec", "coarse mapping: "+cli.Mappers())
 	construct := fs.String("construct", "auto", "construction policy: "+cli.ConstructPolicies())
@@ -142,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var res *partition.Result
 	switch *method {
 	case "fm":
-		fb := &partition.FMBisector{Coarsener: c, Seed: seeds.Partition, ParallelRefine: *parallelRefine}
+		fb := &partition.FMBisector{Coarsener: c, Seed: seeds.Partition}
 		res, err = fb.Bisect(g)
 	case "spectral":
 		sb := &partition.SpectralBisector{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,11 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
+// TestMedianHelpers checks medianOf's contract without assuming how long
+// a call takes: f runs exactly runs times, raw holds one sample per call,
+// the result is the middle of the sorted samples in whatever order they
+// came back, and a failing call k ends the loop with its error after k
+// calls.
 func TestMedianHelpers(t *testing.T) {
 	if m := medianInt64([]int64{5, 1, 9}); m != 5 {
 		t.Errorf("medianInt64 = %d, want 5", m)
@@ -41,21 +47,37 @@ func TestMedianHelpers(t *testing.T) {
 	if m := medianInt64([]int64{4}); m != 4 {
 		t.Errorf("medianInt64 single = %d", m)
 	}
-	calls := 0
-	d, raw, err := medianOf(3, func() error {
-		calls++
-		time.Sleep(time.Duration(calls) * time.Millisecond)
-		return nil
-	})
-	if err != nil || calls != 3 || len(raw) != 3 {
-		t.Fatalf("medianOf: err=%v calls=%d raw=%v", err, calls, raw)
-	}
-	if d != time.Duration(raw[1]) || raw[0] > raw[1] || raw[1] > raw[2] {
-		t.Errorf("median %v is not the middle of the raw samples %v", d, raw)
+	for _, runs := range []int{1, 3, 5} {
+		calls := 0
+		d, raw, err := medianOf(runs, func() error {
+			// The sleeps only spread the samples apart; the check below
+			// sorts them, so it holds in whatever order they come back.
+			calls++
+			time.Sleep(time.Duration(calls%3) * 200 * time.Microsecond)
+			return nil
+		})
+		if err != nil || calls != runs || len(raw) != runs {
+			t.Fatalf("runs=%d: err=%v calls=%d raw=%v", runs, err, calls, raw)
+		}
+		sorted := slices.Clone(raw)
+		slices.Sort(sorted)
+		if d != time.Duration(sorted[runs/2]) {
+			t.Errorf("runs=%d: median %v is not the middle of the raw samples %v", runs, d, raw)
+		}
 	}
 	boom := errors.New("boom")
-	if _, _, err := medianOf(3, func() error { return boom }); err != boom {
-		t.Errorf("medianOf error = %v, want %v", err, boom)
+	for k := 1; k <= 3; k++ {
+		calls := 0
+		_, _, err := medianOf(3, func() error {
+			calls++
+			if calls == k {
+				return boom
+			}
+			return nil
+		})
+		if err != boom || calls != k {
+			t.Errorf("failing call %d: err=%v after %d calls, want %v after %d", k, err, calls, boom, k)
+		}
 	}
 }
 

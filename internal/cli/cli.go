@@ -60,7 +60,9 @@ func LoadOrGenerate(path, format, genName string, seed uint64) (*graph.Graph, er
 			if err != nil {
 				return nil, err
 			}
-			g, _, err := hierfmt.LoadGraph(data, hierfmt.LoadOptions{})
+			// A graph from outside gets the symmetry and duplicate
+			// check that ReadBinary runs on every body.
+			g, _, err := hierfmt.LoadGraph(data, hierfmt.LoadOptions{FullValidate: true})
 			return g, err
 		}
 		return nil, fmt.Errorf("unknown format %q (want %s)", format, Formats())

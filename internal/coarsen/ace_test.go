@@ -107,16 +107,15 @@ func TestACEDensifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("one level on grid8x9: input n=%d avg degree %.2f; ACE n=%d avg degree %.2f; HEC n=%d avg degree %.2f",
+		g.N(), g.AvgDegree(), res.Coarse.N(), res.Coarse.AvgDegree(), hecCoarse.N(), hecCoarse.AvgDegree())
 	if res.Coarse.AvgDegree() <= g.AvgDegree() {
 		t.Errorf("ACE coarse avg degree %.2f did not grow from %.2f",
 			res.Coarse.AvgDegree(), g.AvgDegree())
 	}
-	// Normalize by reduction: ACE density per vertex should exceed HEC's.
-	aceDensity := res.Coarse.AvgDegree()
-	hecDensity := hecCoarse.AvgDegree()
-	if aceDensity < hecDensity*0.8 {
-		t.Errorf("expected ACE (%.2f) to densify at least comparably to HEC (%.2f)",
-			aceDensity, hecDensity)
+	// At about the same reduction, ACE's coarse graph is denser than HEC's.
+	if aceDensity, hecDensity := res.Coarse.AvgDegree(), hecCoarse.AvgDegree(); aceDensity <= hecDensity {
+		t.Errorf("ACE coarse avg degree %.2f does not exceed HEC's %.2f", aceDensity, hecDensity)
 	}
 }
 

@@ -233,23 +233,3 @@ func compareHierarchies(t *testing.T, inst string, p int, ref, h *Hierarchy) {
 		t.Errorf("%s p=%d: stalled %v, want %v", inst, p, h.Stalled, ref.Stalled)
 	}
 }
-
-// TestHECCapDeterminismAcrossWorkers covers the cap-admission path, which
-// takes a different (sorted greedy) route than the uncapped catch-up wave.
-func TestHECCapDeterminismAcrossWorkers(t *testing.T) {
-	g := bigTestGraph(2000, 3)
-	var ref *Mapping
-	for _, p := range determinismWorkers {
-		m, err := HEC{MaxAggWeight: 16}.Map(g, 5, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = m
-			continue
-		}
-		if err := sameMapping(ref, m); err != nil {
-			t.Errorf("p=%d: %v", p, err)
-		}
-	}
-}

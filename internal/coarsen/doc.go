@@ -18,7 +18,8 @@ package coarsen
 //	             DEDUPWITHWTS (hash)............ dedupHashSegments
 //	             GRAPHCONSWITHTRANS............. symmetrizeDeduped
 //	Algorithm 7  (GOSH, tech report)............ GOSH.Map
-//	Algorithm 8  (ACE, tech report)............. ACE.Coarsen
+//	Algorithm 8  (ACE, tech report)............. ACE.Coarsen (§II's
+//	             densification claim)........... TestACEDensifies
 //	Algorithm 9  (HEC2, tech report)............ HEC2.Map (reconstruction)
 //	Algorithm 10 (parallel HEM, tech report).... HEM.Map / hemMatch
 //	Algorithm 11 (leaf matching)................ leafMatch

@@ -83,15 +83,6 @@ type HEC struct {
 	// of 64. In practice the paper observes >99% of vertices mapping
 	// within two passes.
 	MaxPasses int
-
-	// MaxAggWeight optionally caps the vertex weight an aggregate may
-	// accumulate (0 = unbounded, the paper's setting). Partitioners use a
-	// cap so hub aggregates cannot grow past the balance tolerance —
-	// the same guard Metis applies during matching. A vertex whose heavy
-	// neighbor's aggregate is full becomes a singleton instead, and a
-	// vertex whose own weight exceeds the cap is always a singleton (it
-	// could never share an aggregate without blowing the cap).
-	MaxAggWeight int64
 }
 
 // Name implements Mapper.
@@ -126,16 +117,6 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	res := make([]int32, n)
 	act := make([]int8, n)
 	inf := int32(n)
-
-	// Aggregate weights by root vertex, tracked only when a cap is
-	// configured. All writes are made by the unique reservation winner or
-	// inside the owner's sorted segment, so no atomics are needed.
-	maxAW := h.MaxAggWeight
-	var aw []int64
-	if maxAW > 0 {
-		aw = make([]int64, n)
-	}
-	vw := func(u int32) int64 { return g.VertexWeight(u) }
 
 	queue := perm
 	var passMapped []int64
@@ -186,36 +167,16 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 				switch act[u] {
 				case hecActSingle:
 					m[u] = u
-					if aw != nil {
-						aw[u] = vw(u)
-					}
 					commits++
 				case hecActPair:
 					v := hv[u]
 					if res[u] != pos[u] || res[v] != pos[u] {
 						continue
 					}
-					if aw != nil {
-						wu, wv := vw(u), vw(v)
-						if wu+wv > maxAW {
-							// Over-cap pair: both endpoints become singletons
-							// (this operation holds both cells).
-							m[u] = u
-							m[v] = v
-							aw[u] = wu
-							aw[v] = wv
-							commits++
-							continue
-						}
-						aw[v] = wu + wv
-					}
 					m[v] = v
 					m[u] = v
 					commits++
 				case hecActInherit:
-					if aw != nil {
-						continue // cap admissions resolve in sorted order below
-					}
 					if res[u] != pos[u] {
 						continue
 					}
@@ -225,35 +186,31 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 			}
 			span.Add(obs.CtrCommit, commits)
 		})
-		if aw == nil {
-			// Catch-up wave: a pending vertex whose partner was founded or
-			// claimed this round adopts the partner's aggregate now instead
-			// of waiting a pass. Reads are of post-commit values (stable —
-			// nothing writes m between the waves) and each vertex writes
-			// only its own cell, so the wave is race-free and its outcome
-			// schedule-independent. Two sub-phases keep adoption values
-			// frozen: first gather, then write.
-			par.ForEach(len(queue), p, func(i int) {
-				u := queue[i]
-				if m[u] != unset || act[u] == hecActSingle {
-					res[u] = inf // reuse res as the adoption buffer flag
-					return
-				}
-				if t := m[hv[u]]; t != unset {
-					res[u] = t
-				} else {
-					res[u] = inf
-				}
-			})
-			par.ForEach(len(queue), p, func(i int) {
-				u := queue[i]
-				if m[u] == unset && res[u] != inf {
-					m[u] = res[u]
-				}
-			})
-		} else {
-			hecCapAdmission(g, m, hv, pos, act, aw, maxAW, queue, p)
-		}
+		// Catch-up wave: a pending vertex whose partner was founded or
+		// claimed this round adopts the partner's aggregate now instead of
+		// waiting a pass. Reads are of post-commit values (stable — nothing
+		// writes m between the waves) and each vertex writes only its own
+		// cell, so the wave is race-free and its outcome
+		// schedule-independent. Two sub-phases keep adoption values frozen:
+		// first gather, then write.
+		par.ForEach(len(queue), p, func(i int) {
+			u := queue[i]
+			if m[u] != unset || act[u] == hecActSingle {
+				res[u] = inf // reuse res as the adoption buffer flag
+				return
+			}
+			if t := m[hv[u]]; t != unset {
+				res[u] = t
+			} else {
+				res[u] = inf
+			}
+		})
+		par.ForEach(len(queue), p, func(i int) {
+			u := queue[i]
+			if m[u] == unset && res[u] != inf {
+				m[u] = res[u]
+			}
+		})
 		next := par.Pack(len(queue), p, func(i int) bool {
 			return m[queue[i]] == unset
 		})
@@ -283,39 +240,16 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 			v := hv[u]
 			if v == u {
 				m[u] = u
-				if aw != nil {
-					aw[u] = vw(u)
-				}
 				cleaned++
 				continue
 			}
 			if m[v] == unset {
-				if aw != nil && vw(u)+vw(v) > maxAW {
-					m[u] = u
-					aw[u] = vw(u)
-					cleaned++
-					continue // v maps on its own turn
-				}
 				m[v] = v
 				m[u] = v
-				if aw != nil {
-					aw[v] = vw(u) + vw(v)
-				}
 				cleaned += 2
 				continue
 			}
-			if aw != nil {
-				r := m[v]
-				if vw(u) > maxAW || aw[r]+vw(u) > maxAW {
-					m[u] = u
-					aw[u] = vw(u)
-				} else {
-					m[u] = r
-					aw[r] += vw(u)
-				}
-			} else {
-				m[u] = m[v]
-			}
+			m[u] = m[v]
 			cleaned++
 		}
 		passMapped = append(passMapped, cleaned)
@@ -324,58 +258,4 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	}
 	nc := canonicalize(m, pos, p)
 	return &Mapping{M: m, NC: nc, Passes: pass, PassMapped: passMapped}, nil
-}
-
-// hecCapAdmission resolves this pass's joins under an aggregate-weight cap
-// deterministically: all pending vertices whose heavy neighbor now carries
-// an aggregate are grouped by target root and admitted greedily in
-// permutation order within each group. Sorting by (root, pos) makes the
-// admission order — and thus which joins bounce off the cap — independent
-// of worker count. A vertex heavier than the cap itself is an explicit
-// singleton; the historical tryJoin guard (`cur > 0`) let such a vertex
-// slip into an aggregate whose weight counter was still zero.
-func hecCapAdmission(g *graph.Graph, m, hv, pos []int32, act []int8, aw []int64, maxAW int64, queue []int32, p int) {
-	cand := par.Pack(len(queue), p, func(i int) bool {
-		u := queue[i]
-		return m[u] == unset && act[u] != hecActSingle && m[hv[u]] != unset
-	})
-	if len(cand) == 0 {
-		return
-	}
-	keys := make([]uint64, len(cand))
-	vals := make([]uint64, len(cand))
-	par.ForEach(len(cand), p, func(i int) {
-		u := queue[cand[i]]
-		r := m[hv[u]] // root vertex id of the target aggregate
-		keys[i] = uint64(uint32(r))<<32 | uint64(uint32(pos[u]))
-		vals[i] = uint64(uint32(u))
-	})
-	par.RadixSortPairs(keys, vals, p)
-	// Each worker handles the whole segment whose head it sees; segments
-	// (one per target root) are disjoint, so all writes are exclusive.
-	par.ForEachChunked(len(cand), p, 64, func(i int) {
-		root := int32(keys[i] >> 32)
-		if i > 0 && int32(keys[i-1]>>32) == root {
-			return // not a segment head
-		}
-		w := aw[root]
-		for j := i; j < len(cand) && int32(keys[j]>>32) == root; j++ {
-			u := int32(uint32(vals[j]))
-			wu := g.VertexWeight(u)
-			if wu > maxAW {
-				// Explicit over-weight singleton (see the comment above).
-				m[u] = u
-				aw[u] = wu
-				continue
-			}
-			if w+wu <= maxAW {
-				m[u] = root
-				w += wu
-			} else {
-				m[u] = u
-				aw[u] = wu
-			}
-		}
-		aw[root] = w
-	})
 }

@@ -7,7 +7,7 @@ import (
 
 // Raw-array views. The container stores int32/int64 arrays as their
 // little-endian memory image, so on a little-endian host a section can be
-// written straight from (and, for aligned mmap data, read straight into) a
+// written straight from (and, for aligned data, copied straight into) a
 // slice header with no per-element work. Big-endian or misaligned cases
 // fall back to an explicit per-element loop; both paths produce identical
 // bytes, the fast path just skips the copy.
@@ -51,8 +51,7 @@ func i32Bytes(s []int32) []byte {
 }
 
 // bytesToI64 decodes count little-endian int64 values from b into a fresh
-// slice (always copies: loaded hierarchies own their storage unless the
-// caller explicitly opted into a zero-copy mapped view).
+// slice (always copies: loaded hierarchies own their storage).
 func bytesToI64(b []byte, count int) []int64 {
 	out := make([]int64, count)
 	if hostLittleEndian && count > 0 && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {

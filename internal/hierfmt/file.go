@@ -43,67 +43,15 @@ func SaveFile(path string, h *coarsen.Hierarchy, opt SaveOptions) error {
 	return nil
 }
 
-// LoadFile reads a container into freshly allocated storage. For lazy
-// page-in of large hierarchies use Open instead.
+// LoadFile reads a container into freshly allocated storage.
 func LoadFile(path string, opt LoadOptions) (*coarsen.Hierarchy, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	opt.ZeroCopy = false // the backing buffer dies with this frame
 	h, meta, err := Load(data, opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return h, meta, nil
-}
-
-// Mapped is a hierarchy backed by an open file mapping (or, on platforms
-// without mmap support, a plain in-memory copy). Close releases the
-// mapping; the hierarchy and metadata must not be used afterwards when
-// ZeroCopy was in effect.
-type Mapped struct {
-	H    *coarsen.Hierarchy
-	Meta []byte
-
-	data  []byte
-	unmap func([]byte) error
-}
-
-// Close releases the file mapping, if any.
-func (m *Mapped) Close() error {
-	if m.unmap == nil || m.data == nil {
-		return nil
-	}
-	data := m.data
-	m.data = nil
-	return m.unmap(data)
-}
-
-// Open maps path and parses it with the given options. With ZeroCopy set
-// (and a little-endian host) the hierarchy's arrays alias the mapping, so
-// opening costs validation only — pages fault in as queries touch them,
-// which is what makes a server's warm restart on a large hierarchy cheap.
-// The checksum pass does touch every page once; integrity beats laziness
-// here, and the pages are then warm for the queries that follow.
-func Open(path string, opt LoadOptions) (*Mapped, error) {
-	data, unmap, err := mapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if unmap == nil {
-		// No mmap on this platform: the data is a private copy and aliasing
-		// it is lifetime-safe, so ZeroCopy can stand.
-		h, meta, err := Load(data, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &Mapped{H: h, Meta: meta}, nil
-	}
-	h, meta, err := Load(data, opt)
-	if err != nil {
-		unmap(data)
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &Mapped{H: h, Meta: meta, data: data, unmap: unmap}, nil
 }

@@ -1,5 +1,5 @@
-// Package hierfmt implements the module's versioned, checksummed,
-// mmap-friendly binary container for graphs and full coarsening
+// Package hierfmt implements the module's versioned, checksummed binary
+// container for graphs and full coarsening
 // hierarchies — the on-disk artifact that lets mlcg-serve restart without
 // rebuilding and batch pipelines skip re-parsing text inputs. The
 // normative byte-level specification lives in docs/FORMAT.md; this package
@@ -10,7 +10,7 @@
 //	header (64 B) ‖ section table (32 B × nsections) ‖ payload sections
 //
 // Every payload section starts at a 64-byte-aligned file offset (one cache
-// line, and a safe alignment for zero-copy int64 views over an mmap), is
+// line, and a safe alignment for any int64 view of the payload), is
 // individually CRC-32C checksummed, and is bounded by the file size before
 // a single byte is allocated — the chunked-length discipline the graph
 // binary reader adopted for untrusted inputs, extended here to a whole

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"math"
 	"time"
-	"unsafe"
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
 )
 
-// LoadOptions tunes the reader. The zero value is the safe default:
-// copied storage, structural validation.
+// LoadOptions tunes the reader. The zero value is the default:
+// structural validation only.
 type LoadOptions struct {
 	// FullValidate additionally runs graph.Validate on every level — the
 	// O(n+m) symmetry and duplicate check, which allocates about 20n + 12m
@@ -22,17 +21,11 @@ type LoadOptions struct {
 	// edge weights positive. Checksums make silent corruption loud either
 	// way; FullValidate is for distrusted writers, not distrusted media.
 	FullValidate bool
-	// ZeroCopy aliases fixed-width sections (Xadj/Adj/Wgt/VWgt/maps)
-	// directly into data instead of copying, when host endianness and
-	// alignment permit (a 64-byte-aligned mmap always does). The returned
-	// hierarchy then shares data's lifetime: keep the mapping alive for as
-	// long as the hierarchy is in use, and never mutate either.
-	ZeroCopy bool
 }
 
-// Load parses a version-1 container from data (typically an mmap or a
-// whole-file read) and returns the hierarchy plus the caller metadata
-// stored at save time (nil if none).
+// Load parses a version-1 container from data (typically a whole-file
+// read) and returns the hierarchy, in storage of its own, plus the
+// caller metadata stored at save time (nil if none).
 //
 // The reader is hardened against hostile input, extending the chunked
 // length discipline of graph.ReadBinary to a whole container: every
@@ -104,7 +97,7 @@ func Load(data []byte, opt LoadOptions) (*coarsen.Hierarchy, []byte, error) {
 	}
 
 	// Pass 2: walk the normative section order, building each level.
-	c := &cursor{data: data, secs: secs, opt: opt, varint: hdr.flags&FlagDeltaVarint != 0}
+	c := &cursor{data: data, secs: secs, varint: hdr.flags&FlagDeltaVarint != 0}
 	h := &coarsen.Hierarchy{Stalled: hdr.flags&FlagStalled != 0}
 	for lvl := uint32(0); lvl < hdr.nlevels; lvl++ {
 		g, err := c.readGraph(lvl)
@@ -181,7 +174,6 @@ type cursor struct {
 	data   []byte
 	secs   []section
 	pos    int
-	opt    LoadOptions
 	varint bool
 }
 
@@ -214,22 +206,14 @@ func (c *cursor) need(kind, level uint32) (section, error) {
 	return s, nil
 }
 
-// i64View returns the section's int64 payload, aliasing the underlying
-// data in zero-copy mode when the host representation matches.
-func (c *cursor) i64View(s section) []int64 {
-	b := c.payload(s)
-	if c.opt.ZeroCopy && hostLittleEndian && s.count > 0 && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), s.count)
-	}
-	return bytesToI64(b, int(s.count))
+// int64s decodes the section's int64 payload into fresh storage.
+func (c *cursor) int64s(s section) []int64 {
+	return bytesToI64(c.payload(s), int(s.count))
 }
 
-func (c *cursor) i32View(s section) []int32 {
-	b := c.payload(s)
-	if c.opt.ZeroCopy && hostLittleEndian && s.count > 0 && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), s.count)
-	}
-	return bytesToI32(b, int(s.count))
+// int32s is int64s for int32 payloads.
+func (c *cursor) int32s(s section) []int32 {
+	return bytesToI32(c.payload(s), int(s.count))
 }
 
 // readGraph assembles one level's CSR and runs the structural check.
@@ -245,7 +229,7 @@ func (c *cursor) readGraph(lvl uint32) (*graph.Graph, error) {
 	if n > graph.MaxParseVertices {
 		return nil, fmt.Errorf("vertex count %d exceeds format cap %d", n, graph.MaxParseVertices)
 	}
-	xadj := c.i64View(sx)
+	xadj := c.int64s(sx)
 	if xadj[0] != 0 {
 		return nil, fmt.Errorf("Xadj[0] = %d, want 0", xadj[0])
 	}
@@ -273,7 +257,7 @@ func (c *cursor) readGraph(lvl uint32) (*graph.Graph, error) {
 		if uint64(sa.count)*4 != sa.length {
 			return nil, fmt.Errorf("raw ADJC claims %d elements in %d bytes", sa.count, sa.length)
 		}
-		adj = c.i32View(sa)
+		adj = c.int32s(sa)
 		for _, v := range adj {
 			if v < 0 || int(v) >= n {
 				return nil, fmt.Errorf("neighbor id %d out of range [0,%d)", v, n)
@@ -288,7 +272,7 @@ func (c *cursor) readGraph(lvl uint32) (*graph.Graph, error) {
 	if int64(sw.count) != nnz {
 		return nil, fmt.Errorf("EWGT has %d elements, Xadj claims %d", sw.count, nnz)
 	}
-	wgt := c.i64View(sw)
+	wgt := c.int64s(sw)
 	if err := checkWeights(wgt, "edge"); err != nil {
 		return nil, err
 	}
@@ -298,7 +282,7 @@ func (c *cursor) readGraph(lvl uint32) (*graph.Graph, error) {
 		if int(sv.count) != n {
 			return nil, fmt.Errorf("VWGT covers %d of %d vertices", sv.count, n)
 		}
-		g.VWgt = c.i64View(sv)
+		g.VWgt = c.int64s(sv)
 		if err := checkWeights(g.VWgt, "vertex"); err != nil {
 			return nil, err
 		}
@@ -331,7 +315,7 @@ func (c *cursor) readMap(lvl uint32, fine, coarse *graph.Graph) ([]int32, error)
 	if int(s.count) != fine.N() {
 		return nil, fmt.Errorf("covers %d vertices, level has %d", s.count, fine.N())
 	}
-	m := c.i32View(s)
+	m := c.int32s(s)
 	nc := coarse.NumV
 	for u, a := range m {
 		if a < 0 || a >= nc {

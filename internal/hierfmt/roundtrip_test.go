@@ -188,26 +188,6 @@ func TestSaveFileLoadFileOpen(t *testing.T) {
 	if string(meta) != "m" {
 		t.Errorf("meta %q", meta)
 	}
-
-	m, err := Open(path, LoadOptions{ZeroCopy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hierEqual(t, h, m.H)
-	// The mapped view is usable for a real solve before Close.
-	labels := make([]int32, m.H.Coarsest().N())
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	if fine := m.H.ProjectToFine(labels); len(fine) != h.Graphs[0].N() {
-		t.Errorf("projection covers %d vertices", len(fine))
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Errorf("double Close: %v", err)
-	}
 }
 
 func TestVarintAdjacency(t *testing.T) {

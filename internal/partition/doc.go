@@ -6,8 +6,6 @@ package partition
 //	spectral partitioning (power iteration,
 //	  1e-10 stopping rule)...................... Fiedler, SpectralBisector
 //	multiple eigenvectors (drawing/embedding)... FiedlerK, SpectralCoordinates
-//	cascadic multigrid Fiedler (ref [14],
-//	  where HEC originates)..................... CascadicFiedler (+ ACE option)
 //	Fiduccia–Mattheyses refinement [27]......... RefineFM, fmState (one per
 //	                                             call: gain buckets, move
 //	                                             log, gains carried across
@@ -15,8 +13,6 @@ package partition
 //	greedy graph growing initial partition...... GreedyGrow(Target)
 //	multilevel FM pipeline (Table VI)........... FMBisector
 //	Metis / mt-Metis baselines (Table VI)....... NewMetisLike, NewMtMetisLike
-//	fully parallel refinement (paper §V
-//	  future work).............................. RefineParallelGreedy
 //	recursive k-way (FM and spectral,
 //	  proportional targets)..................... KWayFM, KWaySpectral
 //	pairwise KL k-way cleanup................... RefineKWayPairwise

@@ -310,20 +310,16 @@ func TestRefineFMAllocsIndependentOfPasses(t *testing.T) {
 }
 
 // TestFMBisectorReportsExactCut: Result.Cut is the last refinement's
-// returned cut, which must equal the cut of Result.Part for both
-// refinement methods, including a graph too small to coarsen.
+// returned cut, which must equal the cut of Result.Part, including on a
+// graph too small to coarsen.
 func TestFMBisectorReportsExactCut(t *testing.T) {
 	for _, g := range []*graph.Graph{gen.BA(2000, 4, 6), gridGraph(24, 24), pathGraph(5)} {
-		for _, parallel := range []bool{false, true} {
-			b := NewHECFM(3, 2)
-			b.ParallelRefine = parallel
-			res, err := b.Bisect(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := EdgeCut(g, res.Part); res.Cut != want {
-				t.Errorf("n=%d parallel=%v: reported cut %d, actual %d", g.N(), parallel, res.Cut, want)
-			}
+		res, err := NewHECFM(3, 2).Bisect(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := EdgeCut(g, res.Part); res.Cut != want {
+			t.Errorf("n=%d: reported cut %d, actual %d", g.N(), res.Cut, want)
 		}
 	}
 }

@@ -224,25 +224,6 @@ func TestKWaySpectralNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestCascadicMapperOverride(t *testing.T) {
-	g := gridGraph(14, 14)
-	x, iters, err := CascadicFiedler(g, CascadicOptions{
-		Mapper:  coarsen.HEMSeq{},
-		Fiedler: FiedlerOptions{MaxIter: 800, Workers: 1},
-		Seed:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters == 0 || len(x) != g.N() {
-		t.Fatalf("iters=%d len=%d", iters, len(x))
-	}
-	part := SplitByVector(g, x)
-	if err := CheckBisection(g, part, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestKWayEdgeCutMatchesBisection(t *testing.T) {
 	g := gridGraph(12, 12)
 	res, err := KWayFM(g, 2, KWayOptions{Seed: 4})

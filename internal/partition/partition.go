@@ -89,10 +89,6 @@ type FMBisector struct {
 	// TargetW0 is the desired side-0 vertex weight (0 = half), used by
 	// the recursive k-way partitioner for proportional splits.
 	TargetW0 int64
-	// ParallelRefine replaces the sequential FM passes with the fully
-	// parallel greedy boundary refinement (the paper's future-work
-	// direction); expect slightly worse cuts for much better scaling.
-	ParallelRefine bool
 }
 
 // Bisect partitions g into two balanced parts.
@@ -113,19 +109,11 @@ func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
 
 	fm := b.FM
 	fm.TargetW0 = b.TargetW0
-	// Both refinements return the exact cut of the partition they leave,
-	// so the last one's result is the cut of the finest partition.
-	refine := func(gg *graph.Graph, pp []int32) int64 {
-		if b.ParallelRefine {
-			return RefineParallelGreedy(gg, pp, ParallelRefineOptions{
-				Tol: fm.Tol, TargetW0: b.TargetW0, Workers: b.Coarsener.Workers,
-			})
-		}
-		return RefineFM(gg, pp, fm)
-	}
+	// RefineFM returns the exact cut of the partition it leaves, so the
+	// last call's result is the cut of the finest partition.
 	coarsest := h.Coarsest()
 	part := GreedyGrowTarget(coarsest, b.Seed^0x99, trials, b.TargetW0)
-	cut := refine(coarsest, part)
+	cut := RefineFM(coarsest, part, fm)
 	t2 := time.Now()
 
 	for i := len(h.Maps) - 1; i >= 0; i-- {
@@ -135,7 +123,7 @@ func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
 		for u := range m {
 			pf[u] = part[m[u]]
 		}
-		cut = refine(fineG, pf)
+		cut = RefineFM(fineG, pf, fm)
 		part = pf
 	}
 	t3 := time.Now()

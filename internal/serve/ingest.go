@@ -73,8 +73,10 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (*graphInfo, int
 		g, err = graph.StreamEdges(body, s.cfg.Workers)
 	case "mlcg":
 		var data []byte
+		// Uploads get the symmetry and duplicate check that ReadBinary
+		// runs on every body.
 		if data, err = io.ReadAll(body); err == nil {
-			g, _, err = hierfmt.LoadGraph(data, hierfmt.LoadOptions{})
+			g, _, err = hierfmt.LoadGraph(data, hierfmt.LoadOptions{FullValidate: true})
 		}
 	default:
 		err = fmt.Errorf("unknown format %q (want metis, binary, edgelist, or mlcg)", format)

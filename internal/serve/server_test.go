@@ -13,6 +13,7 @@ import (
 
 	"mlcg/internal/gen"
 	"mlcg/internal/graph"
+	"mlcg/internal/hierfmt"
 )
 
 func metisBytes(t testing.TB, g *graph.Graph) []byte {
@@ -179,6 +180,34 @@ func TestIngestBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestIngestMlcgRejectsAsymmetricGraph: a .mlcg upload passes the same
+// symmetry check as a binary one. The body is a 200-vertex path whose
+// vertex 5 lists itself in place of vertex 4, which the container's
+// structural check alone accepts.
+func TestIngestMlcgRejectsAsymmetricGraph(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	g := gen.Grid2D(1, 200) // a 200-vertex path
+	adj, _ := g.Neighbors(5)
+	for k, v := range adj {
+		if v == 4 {
+			adj[k] = 5
+		}
+	}
+	var buf bytes.Buffer
+	if err := hierfmt.SaveGraph(&buf, g, hierfmt.SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/graphs?format=mlcg", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "edge {4,5} missing reverse") {
+		t.Fatalf("status %d body %s, want 400 naming the missing reverse edge", resp.StatusCode, raw)
 	}
 }
 
