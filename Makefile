@@ -34,15 +34,17 @@ race:
 # and bit-identical modularity), and graph
 # ingest (StreamEdges and the CSR kernel bit-identical to the global-sort
 # reference), and the SGD trainer against its reference trainer at every
-# worker count. The embed, partition, cluster and graph sweeps additionally
-# run under -race (they are cheap enough); the full coarsen suite keeps its
-# race coverage in `make race` where the per-package timeout budget is not
-# shared with a p=8 interleaving sweep.
+# worker count, and the serving layer (every response of an ingest, build
+# and query sequence byte-identical, timings aside, at every Workers ×
+# BuildWorkers setting). The embed, partition, cluster, graph and serve
+# sweeps additionally run under -race (they are cheap enough); the full
+# coarsen suite keeps its race coverage in `make race` where the
+# per-package timeout budget is not shared with a p=8 interleaving sweep.
 test-determinism:
 	GOMAXPROCS=8 $(GO) test -run 'Determinism|Deterministic|Canonicalize|CoarseInvariants|WorkspaceReuse' ./internal/par/... ./internal/coarsen/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse|MatchesReference' ./internal/embed/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|Deterministic' ./internal/partition/... ./internal/cluster/...
-	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/graph/...
+	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/graph/... ./internal/serve/...
 
 # Static analysis: vet always; staticcheck when it is installed (the
 # pinned dev container has no network to fetch it, CI installs it).
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=30s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzTrainerMatchesReference -fuzztime=30s -run=Fuzz ./internal/embed/
+	$(GO) test -fuzz=FuzzServeHandlers -fuzztime=30s -run=Fuzz ./internal/serve/
 
 # The CI slice of `fuzz`: 20s per target on the structured-input targets
 # (CSR construction, StreamEdges against ReadEdgeList, the versioned
@@ -76,8 +79,10 @@ fuzz:
 # projection over hostile level maps, every builder's agreement with the
 # P·A·Pᵀ reference over hostile mappings, the matrix-free Fiedler solvers'
 # bit-identity to their explicit-Laplacian reference, FM refinement's
-# identity to its per-pass reference, and the SGD trainer's bit-identity
-# to its per-slot delta reference).
+# identity to its per-pass reference, the SGD trainer's bit-identity
+# to its per-slot delta reference, and the serve handlers, which must
+# answer every hostile ingest body and request JSON with a 2xx or a
+# non-500 JSON error).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCSRFromEdges -fuzztime=20s -run=Fuzz ./internal/graph/
 	$(GO) test -fuzz=FuzzStreamEdges -fuzztime=20s -run=Fuzz ./internal/graph/
@@ -88,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFiedlerMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzRefineFMMatchesReference -fuzztime=20s -run=Fuzz ./internal/partition/
 	$(GO) test -fuzz=FuzzTrainerMatchesReference -fuzztime=20s -run=Fuzz ./internal/embed/
+	$(GO) test -fuzz=FuzzServeHandlers -fuzztime=20s -run=Fuzz ./internal/serve/
 
 # End-to-end smoke of the mlcg-serve daemon over a real socket: start,
 # ingest, build, query, scrape /metrics (left at $(METRICS_FILE)), lint
@@ -156,11 +162,15 @@ bench-baseline:
 
 # Kernel-level trace of a representative coarsening run: writes a Chrome
 # trace_event file (load it at chrome://tracing or https://ui.perfetto.dev),
-# prints the metrics dump, and validates the trace structure. The FM and
-# spectral bisection traces are checked for well-formedness only.
+# prints the metrics dump, and validates the trace structure. The
+# embedding trace (GOSH coarsening, then embed:level/train/project spans)
+# is checked the same way; the FM and spectral bisection traces for
+# well-formedness only.
 trace:
 	$(GO) run ./cmd/mlcg-coarsen -gen rmat -trace /tmp/mlcg-trace.json -metrics
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace.json
+	$(GO) run ./cmd/mlcg-embed -gen rgg -epochs 4 -trace /tmp/mlcg-trace-embed.json
+	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-embed.json
 	$(GO) run ./cmd/mlcg-partition -gen trimesh -method fm -trace /tmp/mlcg-trace-fm.json
 	$(GO) run ./cmd/mlcg-partition -gen trimesh -method spectral -trace /tmp/mlcg-trace-spectral.json
 	$(GO) run ./cmd/mlcg-tracecheck /tmp/mlcg-trace-fm.json /tmp/mlcg-trace-spectral.json

@@ -61,7 +61,7 @@ func BenchmarkBuildConstruct(b *testing.B) {
 	for _, gname := range []string{"kron21", "ppa"} {
 		g := benchGraph(b, gname)
 		g.MaterializeVWgt()
-		m, err := coarsen.HEC{}.Map(g, 1, 0)
+		m, err := coarsen.HEC{}.Map(g, 1, par.Exec{P: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func BenchmarkBuildConstruct(b *testing.B) {
 				b.SetBytes(g.Size())
 				ws := coarsen.NewWorkspace()
 				for i := 0; i < b.N; i++ {
-					if _, err := builder.BuildWith(ws, g, m, 0); err != nil {
+					if _, err := builder.BuildWith(ws, g, m, par.Exec{P: 0}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -97,14 +97,14 @@ func BenchmarkFig1Fig2Classification(b *testing.B) {
 
 func BenchmarkMicroHeavyNeighbors(b *testing.B) {
 	g := benchGraph(b, "kron21")
-	m, err := coarsen.HEC{}.Map(g, 1, 0)
+	m, err := coarsen.HEC{}.Map(g, 1, par.Exec{P: 0})
 	if err != nil {
 		b.Fatal(err)
 	}
 	_ = m
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (coarsen.HEC{}).Map(g, uint64(i), 0); err != nil {
+		if _, err := (coarsen.HEC{}).Map(g, uint64(i), par.Exec{P: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func BenchmarkSuitorFamily(b *testing.B) {
 	for _, m := range []coarsen.Mapper{coarsen.Suitor{}, coarsen.BSuitor{}} {
 		b.Run(m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Map(g, uint64(i), 0); err != nil {
+				if _, err := m.Map(g, uint64(i), par.Exec{P: 0}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,7 +222,7 @@ func BenchmarkMicroRadixSortPairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(work, keys)
 		copy(workV, vals)
-		par.RadixSortPairs(work, workV, 0)
+		par.RadixSortPairs(work, workV, par.Exec{P: 0})
 	}
 }
 
@@ -236,13 +236,13 @@ func BenchmarkMicroPrefixSum(b *testing.B) {
 	b.SetBytes(int64(n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		par.PrefixSumInt64(dst, src, 0)
+		par.PrefixSumInt64(dst, src, par.Exec{P: 0})
 	}
 }
 
 func BenchmarkMicroRandPerm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		par.RandPerm(1<<17, uint64(i), 0)
+		par.RandPerm(1<<17, uint64(i), par.Exec{P: 0})
 	}
 }
 
@@ -264,13 +264,13 @@ func BenchmarkMicroSpMV(b *testing.B) {
 func BenchmarkMicroSpGEMMTriple(b *testing.B) {
 	g := benchGraph(b, "channel050")
 	a := spmat.FromGraph(g)
-	m, err := coarsen.HEC{}.Map(g, 1, 0)
+	m, err := coarsen.HEC{}.Map(g, 1, par.Exec{P: 0})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spmat.PAPt(a, m.M, m.NC, 0)
+		spmat.PAPt(a, m.M, m.NC, par.Exec{P: 0})
 	}
 }
 
@@ -280,6 +280,6 @@ func BenchmarkMicroTranspose(b *testing.B) {
 	b.SetBytes(a.NNZ() * 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Transpose(0)
+		a.Transpose(par.Exec{P: 0})
 	}
 }

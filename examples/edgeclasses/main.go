@@ -11,6 +11,7 @@ import (
 
 	"mlcg/internal/bench"
 	"mlcg/internal/coarsen"
+	"mlcg/internal/par"
 )
 
 func main() {
@@ -33,11 +34,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := mapper.Map(g, 20210517, 1)
+		m, err := mapper.Map(g, 20210517, par.Exec{P: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cg, err := coarsen.BuildSort{}.Build(g, m, 1)
+		cg, err := coarsen.BuildSort{}.Build(g, m, par.Exec{P: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

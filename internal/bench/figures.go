@@ -7,6 +7,7 @@ import (
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 	"mlcg/internal/partition"
 )
@@ -41,6 +42,7 @@ func Fig1Demo() *graph.Graph {
 // rows summarize (mlcg-figures -dot draws them).
 func Fig1(opt Options) ([]Fig1Row, []*coarsen.Mapping, error) {
 	g := Fig1Demo()
+	ex := par.Exec{P: 1, Span: obs.Ambient()}
 	var rows []Fig1Row
 	var maps []*coarsen.Mapping
 	for _, name := range coarsen.MapperNames() {
@@ -48,11 +50,11 @@ func Fig1(opt Options) ([]Fig1Row, []*coarsen.Mapping, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		m, err := mapper.Map(g, opt.seed(), 1)
+		m, err := mapper.Map(g, opt.seed(), ex)
 		if err != nil {
 			return nil, nil, err
 		}
-		cg, err := coarsen.BuildSort{}.Build(g, m, 1)
+		cg, err := coarsen.BuildSort{}.Build(g, m, ex)
 		if err != nil {
 			return nil, nil, err
 		}

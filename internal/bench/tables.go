@@ -6,6 +6,8 @@ import (
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
+	"mlcg/internal/obs"
+	"mlcg/internal/par"
 	"mlcg/internal/partition"
 )
 
@@ -332,7 +334,7 @@ type ConstructBenchRow struct {
 // restrict or extend with Options.Only.
 func ConstructBench(opt Options) []ConstructBenchRow {
 	runs := opt.runs()
-	workers := opt.workers()
+	ex := par.Exec{P: opt.workers(), Span: obs.Ambient()}
 	sel := opt
 	if len(sel.Only) == 0 {
 		sel.Only = []string{"kron21", "ppa"}
@@ -341,7 +343,7 @@ func ConstructBench(opt Options) []ConstructBenchRow {
 	for _, inst := range sel.Suite() {
 		g := inst.Graph
 		g.MaterializeVWgt()
-		m, err := coarsen.HEC{}.Map(g, sel.seed(), workers)
+		m, err := coarsen.HEC{}.Map(g, sel.seed(), ex)
 		if err != nil {
 			panic(err)
 		}
@@ -352,18 +354,18 @@ func ConstructBench(opt Options) []ConstructBenchRow {
 			}
 			row := ConstructBenchRow{Graph: inst.Name, Skewed: inst.Skewed, Builder: name}
 			if row.TFresh, _, err = medianOf(runs, func() error {
-				_, err := b.Build(g, m, workers)
+				_, err := b.Build(g, m, ex)
 				return err
 			}); err != nil {
 				panic(err)
 			}
 			ws := coarsen.NewWorkspace()
 			// Warm the arena outside the measurement.
-			if _, err := b.BuildWith(ws, g, m, workers); err != nil {
+			if _, err := b.BuildWith(ws, g, m, ex); err != nil {
 				panic(err)
 			}
 			if row.TReused, _, err = medianOf(runs, func() error {
-				_, err := b.BuildWith(ws, g, m, workers)
+				_, err := b.BuildWith(ws, g, m, ex)
 				return err
 			}); err != nil {
 				panic(err)

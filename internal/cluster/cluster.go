@@ -9,10 +9,13 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
+	"mlcg/internal/par"
 )
 
 // Options configures multilevel clustering.
@@ -30,6 +33,17 @@ type Options struct {
 	RefinePasses int
 	Seed         uint64
 	Workers      int
+	// Span is the span the coarsening and contraction kernels open their
+	// spans under; nil means obs.Ambient().
+	Span *obs.Span
+}
+
+// span resolves the span the run's kernels open their spans under.
+func (o Options) span() *obs.Span {
+	if o.Span != nil {
+		return o.Span
+	}
+	return obs.Ambient()
 }
 
 // Result is a clustering of the input graph.
@@ -66,7 +80,7 @@ func Multilevel(g *graph.Graph, opt Options) (*Result, error) {
 		Cutoff: target, DiscardBelow: -1,
 		Seed: opt.Seed, Workers: opt.Workers,
 	}
-	h, err := c.Run(g)
+	h, err := c.RunCtx(obs.ContextWithSpan(context.Background(), opt.span()), g)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -160,6 +174,7 @@ func Louvain(g *graph.Graph, opt Options) (*Result, error) {
 		passes = 8
 	}
 	mTotal := float64(g.TotalEdgeWeight())
+	ex := par.Exec{P: opt.Workers, Span: opt.span()}
 
 	cur := g
 	selfW := make([]int64, n)
@@ -182,7 +197,7 @@ func Louvain(g *graph.Graph, opt Options) (*Result, error) {
 
 		// Contract via the module's construction machinery.
 		m := &coarsen.Mapping{M: labels, NC: k}
-		next, err := opt.Builder.Build(cur, m, opt.Workers)
+		next, err := opt.Builder.Build(cur, m, ex)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: louvain contraction: %w", err)
 		}

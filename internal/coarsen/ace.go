@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 	"mlcg/internal/spmat"
 )
@@ -59,7 +60,8 @@ func (a ACE) Coarsen(g *graph.Graph, seed uint64, p int) (*ACEResult, error) {
 	// coarse set unless it is already strongly coupled to it (has a
 	// coarse neighbor). This yields an independent-set-like dominating
 	// set, the standard AMG C/F splitting heuristic ACE builds on.
-	perm := par.RandPerm(n, seed, p)
+	ex := par.Exec{P: p, Span: obs.Ambient()}
+	perm := par.RandPerm(n, seed, ex)
 	isCoarse := make([]bool, n)
 	hasCoarseNbr := make([]bool, n)
 	for _, u := range perm {
@@ -95,7 +97,7 @@ func (a ACE) Coarsen(g *graph.Graph, seed uint64, p int) (*ACEResult, error) {
 		val float64
 	}
 	cols := make([][]entry, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.ForEachChunked(n, ex, 256, func(i int) {
 		u := int32(i)
 		if isCoarse[u] {
 			cols[u] = []entry{{coarseID[u], 1}}
@@ -144,7 +146,7 @@ func (a ACE) Coarsen(g *graph.Graph, seed uint64, p int) (*ACEResult, error) {
 		}
 	}
 	rowptr := make([]int64, nc+1)
-	par.PrefixSumInt32(rowptr, rowCnt, 1)
+	par.PrefixSumInt32(rowptr, rowCnt, par.Exec{P: 1})
 	col := make([]int32, rowptr[nc])
 	val := make([]float64, rowptr[nc])
 	pos := make([]int64, nc)
@@ -160,8 +162,8 @@ func (a ACE) Coarsen(g *graph.Graph, seed uint64, p int) (*ACEResult, error) {
 
 	// Coarse matrix P·A·Pᵀ; strip diagonal, round weights (floor 1).
 	amat := spmat.FromGraph(g)
-	pt := pm.Transpose(p)
-	ac := spmat.SpGEMM(pm, spmat.SpGEMM(amat, pt, p), p)
+	pt := pm.Transpose(ex)
+	ac := spmat.SpGEMM(pm, spmat.SpGEMM(amat, pt, ex), ex)
 
 	var edges []graph.Edge
 	for i := int32(0); i < nc; i++ {

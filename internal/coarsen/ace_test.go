@@ -3,6 +3,8 @@ package coarsen
 import (
 	"math"
 	"testing"
+
+	"mlcg/internal/par"
 )
 
 func TestACESelectionIsDominating(t *testing.T) {
@@ -99,11 +101,11 @@ func TestACEDensifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := HEC{}.Map(g, 11, 1)
+	m, err := HEC{}.Map(g, 11, par.Exec{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hecCoarse, err := BuildSort{}.Build(g, m, 1)
+	hecCoarse, err := BuildSort{}.Build(g, m, par.Exec{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

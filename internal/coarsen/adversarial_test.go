@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 // Adversarial structures that historically break coarsening codes: deep
@@ -77,14 +78,14 @@ func TestAdversarialStructuresAllMappers(t *testing.T) {
 			t.Fatalf("%s: %v", gname, err)
 		}
 		for _, mapper := range allMappers(t) {
-			m, err := mapper.Map(g, 3, 4)
+			m, err := mapper.Map(g, 3, par.Exec{P: 4})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gname, mapper.Name(), err)
 			}
 			if err := m.Validate(g.N()); err != nil {
 				t.Fatalf("%s/%s: %v", gname, mapper.Name(), err)
 			}
-			cg, err := BuildSort{}.Build(g, m, 4)
+			cg, err := BuildSort{}.Build(g, m, par.Exec{P: 4})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gname, mapper.Name(), err)
 			}
@@ -100,7 +101,7 @@ func TestIncreasingChainHECPasses(t *testing.T) {
 	// The implementation must fall back to the sequential cleanup rather
 	// than looping forever, and still map everything.
 	g := increasingChain(2000)
-	m, err := HEC{MaxPasses: 4}.Map(g, 1, 4)
+	m, err := HEC{MaxPasses: 4}.Map(g, 1, par.Exec{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +133,11 @@ func TestHugeWeightsNoOverflow(t *testing.T) {
 	total := g.TotalEdgeWeight()
 	for _, bname := range BuilderNames() {
 		b, _ := BuilderByName(bname)
-		m, err := HEC{}.Map(g, 5, 2)
+		m, err := HEC{}.Map(g, 5, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cg, err := b.Build(g, m, 2)
+		cg, err := b.Build(g, m, par.Exec{P: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", bname, err)
 		}
@@ -221,7 +222,7 @@ func TestAutoPolicyEdgeCases(t *testing.T) {
 		for _, b := range policyBuilders(t) {
 			for _, p := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", tc.name, b.Name(), p), func(t *testing.T) {
-					cg, err := b.Build(tc.g, tc.m, p)
+					cg, err := b.Build(tc.g, tc.m, par.Exec{P: p})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -303,7 +304,7 @@ func TestWorkspaceReuseAcrossBuilderSwitch(t *testing.T) {
 		// reused smaller, then regrown — the sizing hazard, not just the
 		// staleness hazard.
 		for _, tg := range graphs {
-			m, err := HEC{}.Map(tg.g, 3, 2)
+			m, err := HEC{}.Map(tg.g, 3, par.Exec{P: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,11 +314,11 @@ func TestWorkspaceReuseAcrossBuilderSwitch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := b.BuildWith(shared, tg.g, m, p)
+					got, err := b.BuildWith(shared, tg.g, m, par.Exec{P: p})
 					if err != nil {
 						t.Fatalf("round %d %s/%s/p%d (shared): %v", round, tg.name, bn, p, err)
 					}
-					want, err := b.BuildWith(NewWorkspace(), tg.g, m, p)
+					want, err := b.BuildWith(NewWorkspace(), tg.g, m, par.Exec{P: p})
 					if err != nil {
 						t.Fatalf("%s/%s/p%d (fresh): %v", tg.name, bn, p, err)
 					}
@@ -334,7 +335,7 @@ func TestWorkspaceReuseAcrossBuilderSwitch(t *testing.T) {
 func TestBarbellBisection(t *testing.T) {
 	// The optimal barbell bisection cuts the single bridge.
 	g := barbell(24)
-	m, err := HEC{}.Map(g, 3, 2)
+	m, err := HEC{}.Map(g, 3, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

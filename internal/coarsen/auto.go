@@ -76,18 +76,18 @@ func (b *AutoConstruct) Name() string { return "auto" }
 func (b *AutoConstruct) LastChoice() *Choice { return b.last }
 
 // Build implements Builder with a private workspace.
-func (b *AutoConstruct) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return b.BuildWith(NewWorkspace(), g, m, p)
+func (b *AutoConstruct) Build(g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return b.BuildWith(NewWorkspace(), g, m, ex)
 }
 
 // BuildWith implements Builder: it decides, records the choice, and
 // forwards the shared workspace to the chosen builder.
-func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
+func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
 	if err := m.Validate(g.N()); err != nil {
 		return nil, err
 	}
 	n, edges, nc := g.NumV, g.M(), m.NC
-	skew := g.DegreeSkew()
+	skew := degreeSkew(g, ex.Span)
 	dens := 0.0
 	if nc > 0 {
 		dens = 2 * float64(edges) / (float64(nc) * float64(nc))
@@ -96,23 +96,23 @@ func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p i
 	// way down to the kernels, but the serial-vs-parallel branches need
 	// the actual degree). n bounds it the same way par.Workers does for
 	// the builders themselves.
-	rp := par.Workers(p, int(n))
+	rp := par.Workers(ex.P, int(n))
 	name, reason := decideConstruct(edges, nc, skew, dens, rp)
 	t, ok := autoTargets[name]
 	if !ok {
 		return nil, fmt.Errorf("coarsen: auto policy chose unregistered builder %q", name)
 	}
-	cg, err := t.builder.BuildWith(ws, g, m, p)
+	cg, err := t.builder.BuildWith(ws, g, m, ex)
 	if err != nil {
 		return nil, err
 	}
 
 	b.last = &Choice{Builder: name, Reason: reason}
-	obs.Add(t.counter, 1)
-	if obs.Enabled() {
+	ex.Span.Add(t.counter, 1)
+	if ex.Span != nil {
 		// A zero-width marker span makes the per-level decision visible in
 		// the trace tree under the enclosing build span.
-		obs.StartKernel("policy:" + name + ":" + reason).Done()
+		ex.Span.Child("policy:" + name + ":" + reason).End()
 	}
 	return cg, nil
 }

@@ -2,7 +2,6 @@ package coarsen
 
 import (
 	"mlcg/internal/graph"
-	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -73,17 +72,17 @@ func (s *suitorList) contains(u int32) bool {
 }
 
 // Map implements Mapper.
-func (bs BSuitor) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (bs BSuitor) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
 	b := bs.B
 	if b <= 0 {
 		b = 2
 	}
-	lists, pos := bsuitorLists(g, seed, p, b)
+	lists, pos := bsuitorLists(g, seed, ex, b)
 
 	// Mutual proposals form the b-matching; aggregates are its connected
 	// components (paths/cycles for b=2), found by union-find.
-	span := obs.StartKernel("bsuitor:components")
+	span := ex.Span.Child("bsuitor:components")
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
@@ -116,18 +115,18 @@ func (bs BSuitor) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	for u := int32(0); int(u) < n; u++ {
 		m[u] = find(u)
 	}
-	span.Done()
-	nc := canonicalize(m, pos, p)
+	span.End()
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
 // bsuitorLists runs the proposal rounds and returns every vertex's final
 // suitor list (exposed for the invariant tests) together with the random
 // permutation positions used, which drive the canonical relabeling.
-func bsuitorLists(g *graph.Graph, seed uint64, p, b int) ([]suitorList, []int32) {
+func bsuitorLists(g *graph.Graph, seed uint64, ex par.Exec, b int) ([]suitorList, []int32) {
 	n := g.N()
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
 
 	// better reports whether proposal (w1 from u1) beats (w2 from u2).
 	better := func(w1 int64, u1 int32, w2 int64, u2 int32) bool {
@@ -149,8 +148,8 @@ func bsuitorLists(g *graph.Graph, seed uint64, p, b int) ([]suitorList, []int32)
 	// lists exactly like parallelSuitor; coarsening cost is dominated by
 	// construction, so the sequential matcher keeps this variant simple
 	// and deterministic).
-	span := obs.StartKernel("bsuitor:propose")
-	defer span.Done()
+	span := ex.Span.Child("bsuitor:propose")
+	defer span.End()
 	stack := make([]int32, 0, 64)
 	nextWork := func() int32 {
 		if len(stack) > 0 {

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 func TestBSuitorListsRespectBound(t *testing.T) {
 	for gname, g := range testGraphs() {
 		for _, b := range []int{1, 2, 3} {
-			lists, _ := bsuitorLists(g, 7, 1, b)
+			lists, _ := bsuitorLists(g, 7, par.Exec{P: 1}, b)
 			for u := int32(0); u < g.NumV; u++ {
 				if len(lists[u].who) > b {
 					t.Fatalf("%s b=%d: vertex %d holds %d suitors", gname, b, u, len(lists[u].who))
@@ -34,7 +35,7 @@ func TestBSuitorListsRespectBound(t *testing.T) {
 func TestBSuitorB1MatchesSuitorSemantics(t *testing.T) {
 	// With B = 1 aggregates are matched pairs or singletons.
 	for gname, g := range testGraphs() {
-		m, err := BSuitor{B: 1}.Map(g, 5, 1)
+		m, err := BSuitor{B: 1}.Map(g, 5, par.Exec{P: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestBSuitorB1MatchesSuitorSemantics(t *testing.T) {
 
 func TestBSuitorDefaultAggregatesConnectedAndBounded(t *testing.T) {
 	for gname, g := range testGraphs() {
-		m, err := BSuitor{}.Map(g, 9, 2)
+		m, err := BSuitor{}.Map(g, 9, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +74,8 @@ func TestBSuitorCoarsensAtLeastAsMuchAsMatching(t *testing.T) {
 	// can exceed 3 on heavy chains; it must at least match a plain
 	// matching's reduction.
 	g := bigTestGraph(3000, 7)
-	hem, _ := HEM{}.Map(g, 3, 1)
-	bs, _ := BSuitor{}.Map(g, 3, 1)
+	hem, _ := HEM{}.Map(g, 3, par.Exec{P: 1})
+	bs, _ := BSuitor{}.Map(g, 3, par.Exec{P: 1})
 	if bs.Ratio() < hem.Ratio()*0.9 {
 		t.Errorf("b-suitor ratio %.2f should be at least matching's %.2f", bs.Ratio(), hem.Ratio())
 	}
@@ -85,7 +86,7 @@ func TestBSuitorMutualDegreeBound(t *testing.T) {
 	// partners, and aggregates (b=2) induce paths/cycles.
 	for gname, g := range testGraphs() {
 		for _, b := range []int{1, 2, 3} {
-			lists, _ := bsuitorLists(g, 13, 1, b)
+			lists, _ := bsuitorLists(g, 13, par.Exec{P: 1}, b)
 			for u := int32(0); u < g.NumV; u++ {
 				deg := 0
 				for _, v := range lists[u].who {
@@ -107,7 +108,7 @@ func TestBSuitorPrefersHeavyEdges(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 100}, {U: 2, V: 3, W: 1}, {U: 3, V: 4, W: 1},
 	})
 	for seed := uint64(0); seed < 8; seed++ {
-		m, err := BSuitor{}.Map(g, seed, 1)
+		m, err := BSuitor{}.Map(g, seed, par.Exec{P: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 // fuzzWeightedCSR decodes a graph of 1..48 vertices: n from the first byte,
@@ -140,7 +141,7 @@ func FuzzBuildersAgree(f *testing.F) {
 		var ref *graph.Graph
 		if m.Validate(g.N()) == nil {
 			var err error
-			if ref, err = (BuildSpGEMM{}).Build(g, m, p); err != nil {
+			if ref, err = (BuildSpGEMM{}).Build(g, m, par.Exec{P: p}); err != nil {
 				t.Fatalf("spgemm reference: %v", err)
 			}
 			ref.SortAdjacency(1)
@@ -150,7 +151,7 @@ func FuzzBuildersAgree(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cg, err := b.Build(g, m, p)
+			cg, err := b.Build(g, m, par.Exec{P: p})
 			if ref == nil {
 				if err == nil {
 					t.Fatalf("%s accepted invalid mapping M=%v NC=%d", name, m.M, m.NC)

@@ -2,6 +2,7 @@ package coarsen
 
 import (
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -53,9 +54,10 @@ type Classification struct {
 // it forms a pseudoforest.
 func ClassifyHeavyEdges(g *graph.Graph, seed uint64) *Classification {
 	n := g.N()
-	perm := par.RandPerm(n, seed, 1)
-	pos := par.InversePerm(perm, 1)
-	hv := heavyNeighbors(g, pos, 1)
+	ex := par.Exec{P: 1, Span: obs.Ambient()}
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
+	hv := heavyNeighbors(g, pos, ex)
 
 	m := make([]int32, n)
 	for i := range m {

@@ -37,6 +37,7 @@ import (
 	"fmt"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 // Mapping is the result of one fine-to-coarse mapping step: M[u] is the
@@ -87,8 +88,9 @@ func (m *Mapping) Ratio() float64 {
 }
 
 // Mapper computes a fine-to-coarse mapping of g. Implementations must
-// return compact coarse ids. seed controls the random ordering; p is the
-// worker count (p <= 0 means GOMAXPROCS).
+// return compact coarse ids. seed controls the random ordering; ex gives
+// the worker count (ex.P <= 0 means GOMAXPROCS) and the span the mapper's
+// kernels open their spans under (nil when untraced).
 //
 // All registered mappers are schedule-independent: for a fixed (graph,
 // seed), M and NC are byte-identical at every worker count. Coarse ids are
@@ -97,17 +99,17 @@ func (m *Mapping) Ratio() float64 {
 // "Canonical coarse IDs and cross-worker determinism").
 type Mapper interface {
 	Name() string
-	Map(g *graph.Graph, seed uint64, p int) (*Mapping, error)
+	Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error)
 }
 
 // Builder constructs the coarse graph from a fine graph and a mapping.
 // Build runs on private scratch; BuildWith runs its scratch phase out of a
 // caller-provided Workspace (ws must be non-nil), which Coarsener.Run
-// reuses across all levels of a hierarchy.
+// reuses across all levels of a hierarchy. ex is as for Mapper.Map.
 type Builder interface {
 	Name() string
-	Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error)
-	BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error)
+	Build(g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error)
+	BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error)
 }
 
 // mapperRegistry is the single roster of mapping algorithms in canonical

@@ -31,14 +31,24 @@ const (
 )
 
 // applies reports whether the one-sided write is used on g.
-func (o OneSidedMode) applies(g *graph.Graph) bool {
+func (o OneSidedMode) applies(g *graph.Graph, span *obs.Span) bool {
 	switch o {
 	case OneSidedOff:
 		return false
 	case OneSidedOn:
 		return true
 	}
-	return g.DegreeSkew() >= DefaultSkewThreshold
+	return degreeSkew(g, span) >= DefaultSkewThreshold
+}
+
+// degreeSkew is g.DegreeSkew with its max-degree scan charged to span.
+func degreeSkew(g *graph.Graph, span *obs.Span) float64 {
+	ad := g.AvgDegree()
+	if ad == 0 {
+		return 0
+	}
+	maxDeg := par.MaxInt64(g.N(), par.Exec{Span: span}, 0, func(i int) int64 { return g.Degree(int32(i)) })
+	return float64(maxDeg) / ad
 }
 
 // BuildSort is the paper's default construction (Algorithm 6 with
@@ -63,13 +73,13 @@ type BuildSort struct {
 func (BuildSort) Name() string { return "sort" }
 
 // Build implements Builder.
-func (b BuildSort) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return b.BuildWith(NewWorkspace(), g, m, p)
+func (b BuildSort) Build(g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return b.BuildWith(NewWorkspace(), g, m, ex)
 }
 
 // BuildWith implements Builder.
-func (b BuildSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return buildVertexCentric(ws, g, m, p, b.OneSided.applies(g), dedupSortSegments)
+func (b BuildSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return buildVertexCentric(ws, g, m, ex, b.OneSided.applies(g, ex.Span), dedupSortSegments)
 }
 
 // BuildHash is Algorithm 6 with hash-based DEDUPWITHWTS: per-vertex open
@@ -82,13 +92,13 @@ type BuildHash struct{}
 func (BuildHash) Name() string { return "hash" }
 
 // Build implements Builder.
-func (b BuildHash) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return b.BuildWith(NewWorkspace(), g, m, p)
+func (b BuildHash) Build(g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return b.BuildWith(NewWorkspace(), g, m, ex)
 }
 
 // BuildWith implements Builder.
-func (BuildHash) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return buildVertexCentric(ws, g, m, p, OneSidedBySkew.applies(g), dedupHashSegments)
+func (BuildHash) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return buildVertexCentric(ws, g, m, ex, OneSidedBySkew.applies(g, ex.Span), dedupHashSegments)
 }
 
 // dedupFunc deduplicates every coarse vertex's segment in place: for each
@@ -98,28 +108,29 @@ func (BuildHash) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*g
 // newCnt[a] for every a (including empty segments) and must be
 // deterministic functions of the segment contents alone, so the final CSR
 // stays byte-identical across worker counts.
-type dedupFunc func(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, p int) []int32
+type dedupFunc func(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, ex par.Exec) []int32
 
 // aggregateVertexWeights sums fine vertex weights per aggregate without
 // contention-free: per-worker partial arrays over the fixed ranges, then a
 // bin-parallel reduction. The int64 sums are exact, so the result is
 // independent of the worker count.
-func aggregateVertexWeights(ws *Workspace, g *graph.Graph, mv []int32, nc, p int, bounds []int) []int64 {
+func aggregateVertexWeights(ws *Workspace, g *graph.Graph, mv []int32, nc int, ex par.Exec, bounds []int) []int64 {
 	vwgt := make([]int64, nc)
+	p := ex.P
 	if p == 1 {
 		for i := range mv {
 			vwgt[mv[i]] += g.VertexWeight(int32(i))
 		}
 		return vwgt
 	}
-	parts := ws.weightPartials(p, nc)
-	par.ForRanges(bounds, func(w, lo, hi int) {
+	parts := ws.weightPartials(p, nc, ex.Span)
+	par.ForRanges(bounds, ex.Span, func(w, lo, hi int) {
 		pw := parts[w]
 		for i := lo; i < hi; i++ {
 			pw[mv[i]] += g.VertexWeight(int32(i))
 		}
 	})
-	par.ForChunked(nc, p, 2048, func(_, lo, hi int) {
+	par.ForChunked(nc, ex, 2048, func(_, lo, hi int) {
 		for a := lo; a < hi; a++ {
 			var s int64
 			for w := 0; w < p; w++ {
@@ -139,28 +150,29 @@ func aggregateVertexWeights(ws *Workspace, g *graph.Graph, mv []int32, nc, p int
 // entry to its precomputed slot without contended writes. Because the ranges are
 // ordered, bin contents come out in fine-vertex order regardless of the
 // worker count — the basis of the byte-identical determinism guarantee.
-func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, oneSided bool, dedup dedupFunc) (*graph.Graph, error) {
+func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec, oneSided bool, dedup dedupFunc) (*graph.Graph, error) {
 	n := g.N()
 	if err := m.Validate(n); err != nil {
 		return nil, err
 	}
 	nc := int(m.NC)
 	mv := m.M
-	p = par.Workers(p, n)
+	ex.P = par.Workers(ex.P, n)
+	p := ex.P
 
 	ws.bounds = par.BalancedRanges(ws.bounds, g.Xadj, p)
 	bounds := ws.bounds
 
 	// Aggregate vertex weights.
-	span := obs.StartKernel("cons:vwgt")
-	vwgt := aggregateVertexWeights(ws, g, mv, nc, p, bounds)
-	span.Done()
+	kx := ex.Kernel("cons:vwgt")
+	vwgt := aggregateVertexWeights(ws, g, mv, nc, kx, bounds)
+	kx.Span.End()
 
 	// Step 1: upper-bound coarse degrees C' (both-sided counts) via
 	// per-worker histograms.
-	span = obs.StartKernel("cons:count")
-	hists := ws.histograms(p, nc)
-	par.ForRanges(bounds, func(w, lo, hi int) {
+	kx = ex.Kernel("cons:count")
+	hists := ws.histograms(p, nc, kx.Span)
+	par.ForRanges(bounds, kx.Span, func(w, lo, hi int) {
 		h := hists[w]
 		for i := lo; i < hi; i++ {
 			u := int32(i)
@@ -173,9 +185,9 @@ func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, oneSid
 			}
 		}
 	})
-	cEst := growI32(&ws.cEst, nc)
-	par.MergeHistograms(hists, cEst, p)
-	span.Done()
+	cEst := growI32(&ws.cEst, nc, kx.Span)
+	par.MergeHistograms(hists, cEst, kx)
+	kx.Span.End()
 
 	// writeHere reports whether the directed fine edge (u, v) is placed in
 	// the bin of M[u]. One-sided mode picks the endpoint whose coarse
@@ -196,9 +208,9 @@ func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, oneSid
 	// one-sided mode recount with the one-sided filter.
 	cnt := cEst
 	if oneSided {
-		span = obs.StartKernel("cons:recount")
-		hists = ws.histograms(p, nc)
-		par.ForRanges(bounds, func(w, lo, hi int) {
+		kx = ex.Kernel("cons:recount")
+		hists = ws.histograms(p, nc, kx.Span)
+		par.ForRanges(bounds, kx.Span, func(w, lo, hi int) {
 			h := hists[w]
 			for i := lo; i < hi; i++ {
 				u := int32(i)
@@ -212,21 +224,21 @@ func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, oneSid
 				}
 			}
 		})
-		cnt = growI32(&ws.cnt, nc)
-		par.MergeHistograms(hists, cnt, p)
-		span.Done()
+		cnt = growI32(&ws.cnt, nc, kx.Span)
+		par.MergeHistograms(hists, cnt, kx)
+		kx.Span.End()
 	}
 
 	// Step 3: offsets.
-	r := growI64(&ws.r, nc+1)
-	total := par.PrefixSumInt32(r, cnt, p)
+	r := growI64(&ws.r, nc+1, ex.Span)
+	total := par.PrefixSumInt32(r, cnt, ex)
 
 	// Step 4: scatter adjacencies and weights into precomputed windows —
 	// worker w owns [r[a]+hists[w][a], ...) of bin a.
-	span = obs.StartKernel("cons:scatter")
-	f := growI32(&ws.binF, int(total))
-	x := growI64(&ws.binX, int(total))
-	par.ForRanges(bounds, func(w, lo, hi int) {
+	kx = ex.Kernel("cons:scatter")
+	f := growI32(&ws.binF, int(total), kx.Span)
+	x := growI64(&ws.binX, int(total), kx.Span)
+	par.ForRanges(bounds, kx.Span, func(w, lo, hi int) {
 		h := hists[w]
 		for i := lo; i < hi; i++ {
 			u := int32(i)
@@ -244,32 +256,32 @@ func buildVertexCentric(ws *Workspace, g *graph.Graph, m *Mapping, p int, oneSid
 			}
 		}
 	})
-	span.Done()
+	kx.Span.End()
 
 	// Step 5: per-vertex deduplication.
-	newCnt := dedup(ws, f, x, r, cnt, p)
+	newCnt := dedup(ws, f, x, r, cnt, ex)
 
 	// Step 6: final CSR, with the transpose merge in one-sided mode.
 	var cg *graph.Graph
 	if oneSided {
-		span = obs.StartKernel("cons:symmetrize")
-		cg = symmetrizeDeduped(ws, f, x, r, newCnt, nc, p, dedup)
+		kx = ex.Kernel("cons:symmetrize")
+		cg = symmetrizeDeduped(ws, f, x, r, newCnt, nc, kx, dedup)
 	} else {
-		span = obs.StartKernel("cons:compact")
-		cg = compactDeduped(f, x, r, newCnt, nc, p)
+		kx = ex.Kernel("cons:compact")
+		cg = compactDeduped(f, x, r, newCnt, nc, kx)
 	}
-	span.Done()
+	kx.Span.End()
 	cg.VWgt = vwgt
 	return cg, nil
 }
 
 // compactDeduped packs the dedup'd segments into a tight CSR graph.
-func compactDeduped(f []int32, x []int64, r []int64, newCnt []int32, nc, p int) *graph.Graph {
+func compactDeduped(f []int32, x []int64, r []int64, newCnt []int32, nc int, ex par.Exec) *graph.Graph {
 	xadj := make([]int64, nc+1)
-	par.PrefixSumInt32(xadj, newCnt, p)
+	par.PrefixSumInt32(xadj, newCnt, ex)
 	adj := make([]int32, xadj[nc])
 	wgt := make([]int64, xadj[nc])
-	par.ForEachChunked(nc, p, 256, func(a int) {
+	par.ForEachChunked(nc, ex, 256, func(a int) {
 		src := r[a]
 		dst := xadj[a]
 		for k := int32(0); k < newCnt[a]; k++ {
@@ -291,13 +303,13 @@ func compactDeduped(f []int32, x []int64, r []int64, newCnt []int32, nc, p int) 
 // source bins (balanced by the pre-dedup bin mass in r), so the merged
 // bins come out ordered by source bin — again byte-identical across
 // worker counts, without contended writes.
-func symmetrizeDeduped(ws *Workspace, f []int32, x []int64, r []int64, newCnt []int32, nc, p int, dedup dedupFunc) *graph.Graph {
-	p = par.Workers(p, nc)
-	ws.bounds2 = par.BalancedRanges(ws.bounds2, r, p)
+func symmetrizeDeduped(ws *Workspace, f []int32, x []int64, r []int64, newCnt []int32, nc int, ex par.Exec, dedup dedupFunc) *graph.Graph {
+	ex.P = par.Workers(ex.P, nc)
+	ws.bounds2 = par.BalancedRanges(ws.bounds2, r, ex.P)
 	bounds := ws.bounds2
 
-	hists := ws.histograms(p, nc)
-	par.ForRanges(bounds, func(w, lo, hi int) {
+	hists := ws.histograms(ex.P, nc, ex.Span)
+	par.ForRanges(bounds, ex.Span, func(w, lo, hi int) {
 		h := hists[w]
 		for a := lo; a < hi; a++ {
 			base := r[a]
@@ -307,14 +319,14 @@ func symmetrizeDeduped(ws *Workspace, f []int32, x []int64, r []int64, newCnt []
 			}
 		}
 	})
-	cnt2 := growI32(&ws.cnt2, nc)
-	par.MergeHistograms(hists, cnt2, p)
-	r2 := growI64(&ws.r2, nc+1)
-	total := par.PrefixSumInt32(r2, cnt2, p)
+	cnt2 := growI32(&ws.cnt2, nc, ex.Span)
+	par.MergeHistograms(hists, cnt2, ex)
+	r2 := growI64(&ws.r2, nc+1, ex.Span)
+	total := par.PrefixSumInt32(r2, cnt2, ex)
 
-	f2 := growI32(&ws.symF, int(total))
-	x2 := growI64(&ws.symX, int(total))
-	par.ForRanges(bounds, func(w, lo, hi int) {
+	f2 := growI32(&ws.symF, int(total), ex.Span)
+	x2 := growI64(&ws.symX, int(total), ex.Span)
+	par.ForRanges(bounds, ex.Span, func(w, lo, hi int) {
 		h := hists[w]
 		for a := lo; a < hi; a++ {
 			base := r[a]
@@ -332,21 +344,22 @@ func symmetrizeDeduped(ws *Workspace, f []int32, x []int64, r []int64, newCnt []
 			}
 		}
 	})
-	newCnt2 := dedup(ws, f2, x2, r2, cnt2, p)
-	return compactDeduped(f2, x2, r2, newCnt2, nc, p)
+	newCnt2 := dedup(ws, f2, x2, r2, cnt2, ex)
+	return compactDeduped(f2, x2, r2, newCnt2, nc, ex)
 }
 
 // dedupSortSegments sorts each segment by neighbor id and merges equal
 // keys by summing weights (the bitonic/radix team sort of the paper,
 // realized as insertion sort for short lists and LSD radix above).
-func dedupSortSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, p int) []int32 {
-	span := obs.StartKernel("dedup:sort")
-	defer span.Done()
+func dedupSortSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, ex par.Exec) []int32 {
+	ex = ex.Kernel("dedup:sort")
+	span := ex.Span
+	defer span.End()
 	nc := len(cnt)
-	newCnt := growI32(&ws.newCnt, nc)
-	p = par.Workers(p, nc)
-	scratch := ws.sortScratchFor(p)
-	par.ForChunked(nc, p, 64, func(wid, aLo, aHi int) {
+	newCnt := growI32(&ws.newCnt, nc, span)
+	ex.P = par.Workers(ex.P, nc)
+	scratch := ws.sortScratchFor(ex.P)
+	par.ForChunked(nc, ex, 64, func(wid, aLo, aHi int) {
 		sc := scratch[wid]
 		for a := aLo; a < aHi; a++ {
 			lo := r[a]
@@ -376,14 +389,15 @@ func dedupSortSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int
 // segment prefix (unsorted). The table's logical capacity is a function
 // of the segment size alone, so the slot layout — and therefore the
 // unsorted output order — is deterministic for any worker count.
-func dedupHashSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, p int) []int32 {
-	span := obs.StartKernel("dedup:hash")
-	defer span.Done()
+func dedupHashSegments(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, ex par.Exec) []int32 {
+	ex = ex.Kernel("dedup:hash")
+	span := ex.Span
+	defer span.End()
 	nc := len(cnt)
-	newCnt := growI32(&ws.newCnt, nc)
-	p = par.Workers(p, nc)
-	tables := ws.tablesFor(p)
-	par.ForChunked(nc, p, 64, func(wid, aLo, aHi int) {
+	newCnt := growI32(&ws.newCnt, nc, span)
+	ex.P = par.Workers(ex.P, nc)
+	tables := ws.tablesFor(ex.P)
+	par.ForChunked(nc, ex, 64, func(wid, aLo, aHi int) {
 		ht := tables[wid]
 		defer ht.flushCounters(span)
 		for a := aLo; a < aHi; a++ {

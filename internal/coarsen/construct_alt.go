@@ -21,21 +21,21 @@ type BuildSpGEMM struct{}
 func (BuildSpGEMM) Name() string { return "spgemm" }
 
 // Build implements Builder.
-func (b BuildSpGEMM) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return b.BuildWith(NewWorkspace(), g, m, p)
+func (b BuildSpGEMM) Build(g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return b.BuildWith(NewWorkspace(), g, m, ex)
 }
 
 // BuildWith implements Builder. The SpGEMM kernel manages its own
 // scratch; the workspace covers the vertex-weight aggregation.
-func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
+func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
 	n := g.N()
 	if err := m.Validate(n); err != nil {
 		return nil, err
 	}
 	nc := int(m.NC)
-	p = par.Workers(p, n)
+	ex.P = par.Workers(ex.P, n)
 	a := spmat.FromGraph(g)
-	ac := spmat.PAPt(a, m.M, m.NC, p)
+	ac := spmat.PAPt(a, m.M, m.NC, ex)
 
 	// Strip the diagonal and convert the float64 accumulators back to
 	// integer weights. Every kept entry is a sum of positive weights, so
@@ -43,8 +43,8 @@ func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (
 	// an entry below 2^53 is exact, and one at or above it may have been
 	// rounded, which is reported instead of returned.
 	var inexact atomic.Bool
-	cnt := growI32(&ws.cnt, nc)
-	par.ForEachChunked(nc, p, 256, func(i int) {
+	cnt := growI32(&ws.cnt, nc, ex.Span)
+	par.ForEachChunked(nc, ex, 256, func(i int) {
 		cols, vals := ac.Row(int32(i))
 		var c int32
 		for k, cc := range cols {
@@ -61,10 +61,10 @@ func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (
 		return nil, fmt.Errorf("coarsen: spgemm: a coarse edge weight reaches 2^53, beyond exact float64 accumulation")
 	}
 	xadj := make([]int64, nc+1)
-	par.PrefixSumInt32(xadj, cnt, p)
+	par.PrefixSumInt32(xadj, cnt, ex)
 	adj := make([]int32, xadj[nc])
 	wgt := make([]int64, xadj[nc])
-	par.ForEachChunked(nc, p, 256, func(i int) {
+	par.ForEachChunked(nc, ex, 256, func(i int) {
 		cols, vals := ac.Row(int32(i))
 		pos := xadj[i]
 		for k, cc := range cols {
@@ -76,8 +76,8 @@ func (BuildSpGEMM) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (
 			pos++
 		}
 	})
-	ws.bounds = par.BalancedRanges(ws.bounds, g.Xadj, p)
-	vwgt := aggregateVertexWeights(ws, g, m.M, nc, p, ws.bounds)
+	ws.bounds = par.BalancedRanges(ws.bounds, g.Xadj, ex.P)
+	vwgt := aggregateVertexWeights(ws, g, m.M, nc, ex, ws.bounds)
 	return &graph.Graph{NumV: int32(nc), Xadj: xadj, Adj: adj, Wgt: wgt, VWgt: vwgt}, nil
 }
 
@@ -93,23 +93,23 @@ type BuildGlobalSort struct{}
 func (BuildGlobalSort) Name() string { return "globalsort" }
 
 // Build implements Builder.
-func (b BuildGlobalSort) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return b.BuildWith(NewWorkspace(), g, m, p)
+func (b BuildGlobalSort) Build(g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return b.BuildWith(NewWorkspace(), g, m, ex)
 }
 
 // BuildWith implements Builder.
-func (BuildGlobalSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
+func (BuildGlobalSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
 	n := g.N()
 	if err := m.Validate(n); err != nil {
 		return nil, err
 	}
 	nc := int(m.NC)
 	mv := m.M
-	p = par.Workers(p, n)
+	ex.P = par.Workers(ex.P, n)
 
 	// Count cross-aggregate directed edges per vertex.
-	perVertex := growI32(&ws.cEst, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	perVertex := growI32(&ws.cEst, n, ex.Span)
+	par.ForEachChunked(n, ex, 256, func(i int) {
 		u := int32(i)
 		a := mv[u]
 		adj, _ := g.Neighbors(u)
@@ -121,12 +121,12 @@ func (BuildGlobalSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p in
 		}
 		perVertex[i] = c
 	})
-	offs := growI64(&ws.offs, n+1)
-	total := par.PrefixSumInt32(offs, perVertex, p)
+	offs := growI64(&ws.offs, n+1, ex.Span)
+	total := par.PrefixSumInt32(offs, perVertex, ex)
 
-	keys := growU64(&ws.keys64, int(total))
-	vals := growU64(&ws.vals64, int(total))
-	par.ForEachChunked(n, p, 256, func(i int) {
+	keys := growU64(&ws.keys64, int(total), ex.Span)
+	vals := growU64(&ws.vals64, int(total), ex.Span)
+	par.ForEachChunked(n, ex, 256, func(i int) {
 		u := int32(i)
 		a := mv[u]
 		adj, wgt := g.Neighbors(u)
@@ -141,7 +141,7 @@ func (BuildGlobalSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p in
 			pos++
 		}
 	})
-	par.RadixSortPairs(keys, vals, p)
+	par.RadixSortPairs(keys, vals, ex)
 
 	// Segmented reduction over equal keys. Boundaries are computed in
 	// parallel; the compaction itself is a sequential scan (the sorted
@@ -168,7 +168,7 @@ func (BuildGlobalSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p in
 	for i := 0; i < nc; i++ {
 		xadj[i+1] += xadj[i]
 	}
-	ws.bounds = par.BalancedRanges(ws.bounds, g.Xadj, p)
-	vwgt := aggregateVertexWeights(ws, g, mv, nc, p, ws.bounds)
+	ws.bounds = par.BalancedRanges(ws.bounds, g.Xadj, ex.P)
+	vwgt := aggregateVertexWeights(ws, g, mv, nc, ex, ws.bounds)
 	return &graph.Graph{NumV: int32(nc), Xadj: xadj, Adj: adj, Wgt: wgt, VWgt: vwgt}, nil
 }

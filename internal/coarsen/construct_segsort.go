@@ -17,13 +17,13 @@ type BuildSegSort struct{}
 func (BuildSegSort) Name() string { return "segsort" }
 
 // Build implements Builder.
-func (b BuildSegSort) Build(g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return b.BuildWith(NewWorkspace(), g, m, p)
+func (b BuildSegSort) Build(g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return b.BuildWith(NewWorkspace(), g, m, ex)
 }
 
 // BuildWith implements Builder.
-func (BuildSegSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) (*graph.Graph, error) {
-	return buildVertexCentric(ws, g, m, p, OneSidedBySkew.applies(g), dedupSegmentedSort)
+func (BuildSegSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex par.Exec) (*graph.Graph, error) {
+	return buildVertexCentric(ws, g, m, ex, OneSidedBySkew.applies(g, ex.Span), dedupSegmentedSort)
 }
 
 // dedupSegmentedSort deduplicates all segments with a single global sort
@@ -32,14 +32,14 @@ func (BuildSegSort) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, p int) 
 // cnt[a]), so packing the composite keys is an index-parallel pass and the
 // sorted stream unpacks back into the same positions. LSD radix is stable,
 // so the result is deterministic for every worker count.
-func dedupSegmentedSort(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, p int) []int32 {
+func dedupSegmentedSort(ws *Workspace, f []int32, x []int64, r []int64, cnt []int32, ex par.Exec) []int32 {
 	nc := len(cnt)
-	newCnt := growI32(&ws.newCnt, nc)
+	newCnt := growI32(&ws.newCnt, nc, ex.Span)
 	total := r[nc]
-	keys := growU64(&ws.keys64, int(total))
-	vals := growU64(&ws.vals64, int(total))
+	keys := growU64(&ws.keys64, int(total), ex.Span)
+	vals := growU64(&ws.vals64, int(total), ex.Span)
 	// Pack (segment id, neighbor id) into one 64-bit key.
-	par.ForEachChunked(nc, p, 256, func(a int) {
+	par.ForEachChunked(nc, ex, 256, func(a int) {
 		lo := r[a]
 		hi := lo + int64(cnt[a])
 		for i := lo; i < hi; i++ {
@@ -47,12 +47,12 @@ func dedupSegmentedSort(ws *Workspace, f []int32, x []int64, r []int64, cnt []in
 			vals[i] = uint64(x[i])
 		}
 	})
-	par.RadixSortPairs(keys, vals, p)
+	par.RadixSortPairs(keys, vals, ex)
 
 	// Unpack: the sorted stream is grouped by segment (high bits), so each
 	// segment's entries are back at [r[a], r[a]+cnt[a]); merge duplicates
 	// into f/x.
-	par.ForChunked(nc, p, 64, func(_, aLo, aHi int) {
+	par.ForChunked(nc, ex, 64, func(_, aLo, aHi int) {
 		for a := aLo; a < aHi; a++ {
 			lo := r[a]
 			hi := lo + int64(cnt[a])

@@ -42,13 +42,13 @@ func TestBuildersAgreeAndConserve(t *testing.T) {
 	for gname, g := range testGraphs() {
 		g.MaterializeVWgt()
 		for _, mapper := range mappers {
-			m, err := mapper.Map(g, 77, 2)
+			m, err := mapper.Map(g, 77, par.Exec{P: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var ref *graph.Graph
 			for _, b := range builders {
-				cg, err := b.Build(g, m, 2)
+				cg, err := b.Build(g, m, par.Exec{P: 2})
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", gname, mapper.Name(), b.Name(), err)
 				}
@@ -87,15 +87,15 @@ func TestBuildSortOneSidedMatchesBothSided(t *testing.T) {
 		{"segsort", dedupSegmentedSort},
 	}
 	for gname, g := range testGraphs() {
-		m, err := HEC{}.Map(g, 5, 2)
+		m, err := HEC{}.Map(g, 5, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := BuildSort{OneSided: OneSidedOff}.Build(g, m, 2)
+		plain, err := BuildSort{OneSided: OneSidedOff}.Build(g, m, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		forced, err := BuildSort{OneSided: OneSidedOn}.Build(g, m, 2)
+		forced, err := BuildSort{OneSided: OneSidedOn}.Build(g, m, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestBuildSortOneSidedMatchesBothSided(t *testing.T) {
 			t.Errorf("%s: BuildSort{OneSided: OneSidedOn} output differs from both-sided", gname)
 		}
 		for _, k := range kernels {
-			cg, err := buildVertexCentric(NewWorkspace(), g, m, 2, true, k.dedup)
+			cg, err := buildVertexCentric(NewWorkspace(), g, m, par.Exec{P: 2}, true, k.dedup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestBuildAggregatesVertexWeights(t *testing.T) {
 	g.VWgt = []int64{1, 2, 3, 4}
 	m := &Mapping{M: []int32{0, 0, 1, 1}, NC: 2}
 	for _, b := range allBuilders(t) {
-		cg, err := b.Build(g, m, 1)
+		cg, err := b.Build(g, m, par.Exec{P: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestBuildMergesParallelCoarseEdges(t *testing.T) {
 	m := &Mapping{M: []int32{0, 0, 1, 1}, NC: 2}
 	// Cross edges: (0,2)=2, (0,3)=3, (1,2)=4, (1,3)=5 => 14.
 	for _, b := range allBuilders(t) {
-		cg, err := b.Build(g, m, 1)
+		cg, err := b.Build(g, m, par.Exec{P: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestBuildSpGEMMRejectsInexactWeights(t *testing.T) {
 	for _, w := range []int64{1<<53 - 1, 1<<53 + 1} {
 		g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: w}, {U: 2, V: 3, W: 1}})
 		for _, b := range allBuilders(t) {
-			cg, err := b.Build(g, m, 1)
+			cg, err := b.Build(g, m, par.Exec{P: 1})
 			if b.Name() == "spgemm" && w >= 1<<53 {
 				if err == nil {
 					t.Errorf("spgemm returned weights %v for coarse weight %d, want an error", cg.Wgt, w)
@@ -199,7 +199,7 @@ func TestBuildIdentityMapping(t *testing.T) {
 		m.M[i] = int32(i)
 	}
 	for _, b := range allBuilders(t) {
-		cg, err := b.Build(g, m, 3)
+		cg, err := b.Build(g, m, par.Exec{P: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestBuildAllToOneMapping(t *testing.T) {
 	g := testGraphs()["grid8x9"]
 	m := &Mapping{M: make([]int32, g.N()), NC: 1}
 	for _, b := range allBuilders(t) {
-		cg, err := b.Build(g, m, 2)
+		cg, err := b.Build(g, m, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestBuildRejectsInvalidMapping(t *testing.T) {
 	g := testGraphs()["triangle"]
 	bad := &Mapping{M: []int32{0, 5, 0}, NC: 2}
 	for _, b := range allBuilders(t) {
-		if _, err := b.Build(g, bad, 1); err == nil {
+		if _, err := b.Build(g, bad, par.Exec{P: 1}); err == nil {
 			t.Errorf("%s accepted an invalid mapping", b.Name())
 		}
 	}
@@ -281,7 +281,7 @@ func TestQuickBuildersEquivalent(t *testing.T) {
 		}
 		var ref *graph.Graph
 		for _, b := range builders {
-			cg, err := b.Build(g, m, 2)
+			cg, err := b.Build(g, m, par.Exec{P: 2})
 			if err != nil {
 				return false
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlcg/internal/gen"
+	"mlcg/internal/par"
 )
 
 // determinismWorkers is the worker grid every cross-worker test runs on.
@@ -34,7 +35,7 @@ func TestMapperDeterminismAcrossWorkers(t *testing.T) {
 	g := bigTestGraph(1500, 9)
 	for _, mapper := range allMappers(t) {
 		t.Run(mapper.Name(), func(t *testing.T) {
-			ref, err := mapper.Map(g, 42, determinismWorkers[0])
+			ref, err := mapper.Map(g, 42, par.Exec{P: determinismWorkers[0]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestMapperDeterminismAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range determinismWorkers[1:] {
-				m, err := mapper.Map(g, 42, p)
+				m, err := mapper.Map(g, 42, par.Exec{P: p})
 				if err != nil {
 					t.Fatalf("p=%d: %v", p, err)
 				}
@@ -51,11 +52,11 @@ func TestMapperDeterminismAcrossWorkers(t *testing.T) {
 				}
 			}
 			// Run-to-run repeatability at a parallel worker count.
-			a, err := mapper.Map(g, 42, 4)
+			a, err := mapper.Map(g, 42, par.Exec{P: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := mapper.Map(g, 42, 4)
+			b, err := mapper.Map(g, 42, par.Exec{P: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,19 +71,19 @@ func TestMapperDeterminismAcrossWorkers(t *testing.T) {
 // constructed CSR must be verbatim identical at every worker count.
 func TestBuilderDeterminismAcrossWorkers(t *testing.T) {
 	g := bigTestGraph(1000, 11)
-	m, err := HEC{}.Map(g, 7, 1)
+	m, err := HEC{}.Map(g, 7, par.Exec{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range BuilderNames() {
 		t.Run(name, func(t *testing.T) {
 			b, _ := BuilderByName(name)
-			ref, err := b.Build(g, m, determinismWorkers[0])
+			ref, err := b.Build(g, m, par.Exec{P: determinismWorkers[0]})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range determinismWorkers[1:] {
-				x, err := b.Build(g, m, p)
+				x, err := b.Build(g, m, par.Exec{P: p})
 				if err != nil {
 					t.Fatalf("p=%d: %v", p, err)
 				}
@@ -99,8 +100,8 @@ func TestBuilderDeterminismAcrossWorkers(t *testing.T) {
 func TestSeedSensitivity(t *testing.T) {
 	g := bigTestGraph(1500, 13)
 	for _, mapper := range allMappers(t) {
-		a, _ := mapper.Map(g, 1, 1)
-		b, _ := mapper.Map(g, 2, 1)
+		a, _ := mapper.Map(g, 1, par.Exec{P: 1})
+		b, _ := mapper.Map(g, 2, par.Exec{P: 1})
 		same := 0
 		for i := range a.M {
 			if b.M != nil && i < len(b.M) && a.M[i] == b.M[i] {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 func TestComposeMaps(t *testing.T) {
@@ -44,7 +45,7 @@ func TestFlattenMatchesProjection(t *testing.T) {
 		}
 	}
 	// Building with the flattened mapping reproduces the coarsest graph.
-	direct, err := BuildSort{}.Build(g, flat, 2)
+	direct, err := BuildSort{}.Build(g, flat, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 // fig1Demo mirrors bench.Fig1Demo (duplicated here to avoid an import
@@ -64,7 +65,7 @@ func TestGoldenDemoOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := mapper.Map(g, 20210517, 1)
+		m, err := mapper.Map(g, 20210517, par.Exec{P: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

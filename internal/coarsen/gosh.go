@@ -2,7 +2,6 @@ package coarsen
 
 import (
 	"mlcg/internal/graph"
-	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -45,7 +44,7 @@ func goshThreshold(g *graph.Graph, factor float64) int64 {
 }
 
 // Map implements Mapper.
-func (gm GOSH) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (gm GOSH) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
 	delta := goshThreshold(g, gm.HubDegreeFactor)
 	hub := func(v int32) bool { return g.Degree(v) > delta }
@@ -54,30 +53,30 @@ func (gm GOSH) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	// the seed, then by id (radix sort is stable), so ranks are unique.
 	// rank[u] is u's visit position — it plays the role pos[] plays for
 	// the permutation-driven mappers, including in the canonical relabel.
-	span := obs.StartKernel("gosh:rank")
+	rx := ex.Kernel("gosh:rank")
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, rx, func(i int) {
 		d := uint64(g.Degree(int32(i)))
 		// Sort ascending on (maxdeg-d, noise) == descending on degree.
 		keys[i] = (^d)<<20 | (par.Mix64(seed^uint64(i)) & 0xfffff)
 		vals[i] = uint64(i)
 	})
-	par.RadixSortPairs(keys, vals, p)
+	par.RadixSortPairs(keys, vals, rx)
 	rank := make([]int32, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, rx, func(i int) {
 		rank[vals[i]] = int32(i)
 	})
-	span.Done()
-	span = obs.StartKernel("gosh:aggregate")
+	rx.Span.End()
+	ax := ex.Kernel("gosh:aggregate")
 
 	// Phase 1: centers. u becomes a center when no neighbor that could
 	// claim it (hub–hub edges never claim) outranks it — the vertices the
 	// sequential degree-order sweep would visit unclaimed. Read-only on
 	// shared state, each vertex writes its own entry.
 	m := make([]int32, n)
-	par.Fill(m, unset, p)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.Fill(m, unset, ax)
+	par.ForEachChunked(n, ax, 256, func(i int) {
 		u := int32(i)
 		uHub := hub(u)
 		adj, _ := g.Neighbors(u)
@@ -96,7 +95,7 @@ func (gm GOSH) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	// center neighbor. Written into a fresh array so the center test reads
 	// only the frozen phase-1 output.
 	m2 := make([]int32, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.ForEachChunked(n, ax, 256, func(i int) {
 		u := int32(i)
 		if m[u] != unset {
 			m2[u] = m[u]
@@ -126,8 +125,8 @@ func (gm GOSH) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	// best-ranked assigned neighbor, unless that would merge two hubs.
 	for round := 0; round < 2; round++ {
 		snapshot := make([]int32, n)
-		par.Copy(snapshot, m, p)
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.Copy(snapshot, m, ax)
+		par.ForEachChunked(n, ax, 256, func(i int) {
 			u := int32(i)
 			if snapshot[u] != unset {
 				return
@@ -151,13 +150,13 @@ func (gm GOSH) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 			}
 		})
 	}
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ax, func(i int) {
 		if m[i] == unset {
 			m[i] = int32(i)
 		}
 	})
-	span.Done()
-	nc := canonicalize(m, rank, p)
+	ax.Span.End()
+	nc := canonicalize(m, rank, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
@@ -186,11 +185,11 @@ type GOSHHEC struct {
 func (GOSHHEC) Name() string { return "goshhec" }
 
 // Map implements Mapper.
-func (gm GOSHHEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (gm GOSHHEC) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
 	delta := goshThreshold(g, gm.HubDegreeFactor)
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
 
 	// Priority: degree first (GOSH's ordering), random tie-break, vertex
 	// id as the final strict tie-break so priorities are unique.
@@ -206,10 +205,10 @@ func (gm GOSHHEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	}
 
 	// Phase 1: centers = local priority maxima (independent set).
-	span := obs.StartKernel("goshhec:aggregate")
+	ax := ex.Kernel("goshhec:aggregate")
 	m := make([]int32, n)
-	par.Fill(m, unset, p)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.Fill(m, unset, ax)
+	par.ForEachChunked(n, ax, 256, func(i int) {
 		u := int32(i)
 		adj, _ := g.Neighbors(u)
 		for _, v := range adj {
@@ -225,7 +224,7 @@ func (gm GOSHHEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	// only the frozen phase-1 output (reading m while peers assign their
 	// own entries would race).
 	m2 := make([]int32, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.ForEachChunked(n, ax, 256, func(i int) {
 		u := int32(i)
 		if m[u] != unset {
 			m2[u] = m[u]
@@ -258,8 +257,8 @@ func (gm GOSHHEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	// directly at roots.
 	for round := 0; round < 2; round++ {
 		snapshot := make([]int32, n)
-		par.Copy(snapshot, m, p)
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.Copy(snapshot, m, ax)
+		par.ForEachChunked(n, ax, 256, func(i int) {
 			u := int32(i)
 			if snapshot[u] != unset {
 				return
@@ -281,12 +280,12 @@ func (gm GOSHHEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 			}
 		})
 	}
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ax, func(i int) {
 		if m[i] == unset {
 			m[i] = int32(i)
 		}
 	})
-	span.Done()
-	nc := canonicalize(m, pos, p)
+	ax.Span.End()
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }

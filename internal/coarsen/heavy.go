@@ -2,7 +2,6 @@ package coarsen
 
 import (
 	"mlcg/internal/graph"
-	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -19,12 +18,12 @@ import (
 // for k > 2.
 //
 // Vertices with no neighbors get H[u] = u.
-func heavyNeighbors(g *graph.Graph, pos []int32, p int) []int32 {
-	span := obs.StartKernel("heavy-neighbors")
-	defer span.Done()
+func heavyNeighbors(g *graph.Graph, pos []int32, ex par.Exec) []int32 {
+	ex = ex.Kernel("heavy-neighbors")
+	defer ex.Span.End()
 	n := g.N()
 	h := make([]int32, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.ForEachChunked(n, ex, 256, func(i int) {
 		u := int32(i)
 		adj, wgt := g.Neighbors(u)
 		if len(adj) == 0 {
@@ -48,12 +47,12 @@ func heavyNeighbors(g *graph.Graph, pos []int32, p int) []int32 {
 // (match[v] == unset), the HEM variant (tech-report Algorithm 10): a
 // vertex looks for its heaviest still-unmatched neighbor. Vertices that
 // are matched, or whose neighbors are all matched, get H[u] = u.
-func heavyUnmatchedNeighbors(g *graph.Graph, match, pos []int32, p int) []int32 {
-	span := obs.StartKernel("heavy-unmatched")
-	defer span.Done()
+func heavyUnmatchedNeighbors(g *graph.Graph, match, pos []int32, ex par.Exec) []int32 {
+	ex = ex.Kernel("heavy-unmatched")
+	defer ex.Span.End()
 	n := g.N()
 	h := make([]int32, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.ForEachChunked(n, ex, 256, func(i int) {
 		u := int32(i)
 		h[u] = u
 		if match[u] != unset {

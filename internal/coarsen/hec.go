@@ -17,10 +17,10 @@ type HECSeq struct{}
 func (HECSeq) Name() string { return "hecseq" }
 
 // Map implements Mapper.
-func (HECSeq) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (HECSeq) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
 	m := make([]int32, n)
 	for i := range m {
 		m[i] = unset
@@ -49,7 +49,7 @@ func (HECSeq) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		}
 		m[u] = m[x]
 	}
-	nc := canonicalize(m, pos, p)
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
@@ -96,20 +96,20 @@ const (
 )
 
 // Map implements Mapper.
-func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (h HEC) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
 	maxPasses := h.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 64
 	}
-	setup := obs.StartKernel("hec:setup")
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
-	hv := heavyNeighbors(g, pos, p)
-	setup.Done()
+	setup := ex.Kernel("hec:setup")
+	perm := par.RandPerm(n, seed, setup)
+	pos := par.InversePerm(perm, setup)
+	hv := heavyNeighbors(g, pos, setup)
+	setup.Span.End()
 
 	m := make([]int32, n)
-	par.Fill(m, unset, p)
+	par.Fill(m, unset, ex)
 	// res[x] = pos of the strongest (minimum-position) pending operation
 	// that reserved cell x this round; act[u] = u's classified operation.
 	// Only cells of queued vertices are read, so neither array needs a
@@ -123,18 +123,19 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	pass := 0
 	for len(queue) > 0 && pass < maxPasses {
 		pass++
-		span := obs.StartKernel("hec:pass")
+		px := ex.Kernel("hec:pass")
+		span := px.Span
 		// Reset reservations. Every reservable cell belongs to a queued
 		// vertex (pair partners are unmapped, hence queued), so resetting
 		// res[u] for u in the queue covers them all with exclusive writes.
-		par.ForEach(len(queue), p, func(i int) {
+		par.ForEach(len(queue), px, func(i int) {
 			res[queue[i]] = inf
 		})
 		// Classify and reserve. m is frozen during this phase, so the
 		// inherit-vs-pair decision reads stable values. Reservation issue and
 		// CAS-retry counts are batched per chunk and flushed to the pass span
 		// in one call, so the uninstrumented cost is a register add.
-		par.ForChunked(len(queue), p, 512, func(_, lo, hi int) {
+		par.ForChunked(len(queue), px, 512, func(_, lo, hi int) {
 			var reserves, retries int64
 			for i := lo; i < hi; i++ {
 				u := queue[i]
@@ -160,7 +161,7 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		// Commit. An operation writes only cells it holds the minimum
 		// reservation on, so every write has a unique writer; the only m
 		// reads are of aggregates mapped in earlier passes (stable).
-		par.ForChunked(len(queue), p, 512, func(_, lo, hi int) {
+		par.ForChunked(len(queue), px, 512, func(_, lo, hi int) {
 			var commits int64
 			for i := lo; i < hi; i++ {
 				u := queue[i]
@@ -193,7 +194,7 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		// cell, so the wave is race-free and its outcome
 		// schedule-independent. Two sub-phases keep adoption values frozen:
 		// first gather, then write.
-		par.ForEach(len(queue), p, func(i int) {
+		par.ForEach(len(queue), px, func(i int) {
 			u := queue[i]
 			if m[u] != unset || act[u] == hecActSingle {
 				res[u] = inf // reuse res as the adoption buffer flag
@@ -205,23 +206,23 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 				res[u] = inf
 			}
 		})
-		par.ForEach(len(queue), p, func(i int) {
+		par.ForEach(len(queue), px, func(i int) {
 			u := queue[i]
 			if m[u] == unset && res[u] != inf {
 				m[u] = res[u]
 			}
 		})
-		next := par.Pack(len(queue), p, func(i int) bool {
+		next := par.Pack(len(queue), px, func(i int) bool {
 			return m[queue[i]] == unset
 		})
 		remapped := int64(len(queue) - len(next))
 		passMapped = append(passMapped, remapped)
 		q2 := make([]int32, len(next))
-		par.ForEach(len(next), p, func(i int) {
+		par.ForEach(len(next), px, func(i int) {
 			q2[i] = queue[next[i]]
 		})
 		queue = q2
-		span.Done()
+		span.End()
 		if remapped == 0 {
 			// Unreachable given the progress guarantee, but kept as a
 			// backstop: fall through to the sequential residue.
@@ -231,7 +232,7 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	if len(queue) > 0 {
 		// Sequential residue in permutation order (the queue preserves
 		// it), exact Algorithm 3 semantics with root labels.
-		span := obs.StartKernel("hec:residue")
+		span := ex.Span.Child("hec:residue")
 		var cleaned int64
 		for _, u := range queue {
 			if m[u] != unset {
@@ -254,8 +255,8 @@ func (h HEC) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		}
 		passMapped = append(passMapped, cleaned)
 		pass++
-		span.Done()
+		span.End()
 	}
-	nc := canonicalize(m, pos, p)
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: pass, PassMapped: passMapped}, nil
 }

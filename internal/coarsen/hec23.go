@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"mlcg/internal/graph"
-	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -25,13 +24,13 @@ type HEC3 struct{}
 func (HEC3) Name() string { return "hec3" }
 
 // Map implements Mapper.
-func (HEC3) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (HEC3) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
-	hv := heavyNeighbors(g, pos, p)
-	m := hec3FromHeavy(g, hv, pos, p, nil)
-	nc := canonicalize(m, pos, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
+	hv := heavyNeighbors(g, pos, ex)
+	m := hec3FromHeavy(g, hv, pos, ex, nil)
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
@@ -40,16 +39,16 @@ func (HEC3) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 // high-degree vertices); excluded vertices become singleton roots unless
 // some other vertex targets them. The returned slice maps each vertex to
 // its aggregate's root vertex id (m[r] == r for roots).
-func hec3FromHeavy(g *graph.Graph, hv, pos []int32, p int, skip []bool) []int32 {
-	span := obs.StartKernel("hec3:pseudoforest")
-	defer span.Done()
+func hec3FromHeavy(g *graph.Graph, hv, pos []int32, ex par.Exec, skip []bool) []int32 {
+	ex = ex.Kernel("hec3:pseudoforest")
+	defer ex.Span.End()
 	n := g.N()
 	m := make([]int32, n)
-	par.Fill(m, unset, p)
+	par.Fill(m, unset, ex)
 
 	// Phase 1 (lines 5-8): collapse mutual heavy pairs. The lower-position
 	// endpoint becomes the root of the pair.
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		u := int32(i)
 		if skip != nil && skip[u] {
 			return
@@ -75,7 +74,7 @@ func hec3FromHeavy(g *graph.Graph, hv, pos []int32, p int, skip []bool) []int32 
 	// root set a pure function of (graph, seed). The flag store is atomic
 	// only to license the concurrent same-value writes.
 	x := make([]int32, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		u := int32(i)
 		if skip != nil && skip[u] {
 			return
@@ -89,7 +88,7 @@ func hec3FromHeavy(g *graph.Graph, hv, pos []int32, p int, skip []bool) []int32 
 		}
 		atomic.StoreInt32(&x[v], 1)
 	})
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		u := int32(i)
 		if m[u] == unset && x[u] == 1 {
 			m[u] = u
@@ -100,7 +99,7 @@ func hec3FromHeavy(g *graph.Graph, hv, pos []int32, p int, skip []bool) []int32 
 	// Every proposed target was finalized above (pair member or fresh
 	// root), so this loop reads only finished values. Vertices excluded
 	// from aggregation become singleton roots.
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		u := int32(i)
 		if m[u] != unset {
 			return
@@ -114,7 +113,7 @@ func hec3FromHeavy(g *graph.Graph, hv, pos []int32, p int, skip []bool) []int32 
 	})
 
 	// Phase 4 (lines 17-21): pointer jumping to the aggregate root.
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		u := int32(i)
 		r := atomic.LoadInt32(&m[u])
 		for {
@@ -141,17 +140,17 @@ type HEC2 struct{}
 func (HEC2) Name() string { return "hec2" }
 
 // Map implements Mapper.
-func (HEC2) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (HEC2) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
-	hv := heavyNeighbors(g, pos, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
+	hv := heavyNeighbors(g, pos, ex)
 
 	// X[v] = 1 when some vertex proposes to v (v must become a root);
 	// Y assigns root flags without racing on M.
-	span := obs.StartKernel("hec2:roots")
+	rx := ex.Kernel("hec2:roots")
 	x := make([]int32, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, rx, func(i int) {
 		u := int32(i)
 		v := hv[u]
 		if v != u {
@@ -159,7 +158,7 @@ func (HEC2) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		}
 	})
 	m := make([]int32, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, rx, func(i int) {
 		u := int32(i)
 		if x[u] == 1 || hv[u] == u {
 			m[u] = u // root: targeted by someone, or isolated
@@ -167,13 +166,13 @@ func (HEC2) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 			m[u] = unset
 		}
 	})
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, rx, func(i int) {
 		u := int32(i)
 		if m[u] == unset {
 			m[u] = hv[u] // target is a root by construction
 		}
 	})
-	span.Done()
-	nc := canonicalize(m, pos, p)
+	rx.Span.End()
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }

@@ -17,10 +17,10 @@ type HEMSeq struct{}
 func (HEMSeq) Name() string { return "hemseq" }
 
 // Map implements Mapper.
-func (HEMSeq) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (HEMSeq) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
 	m := make([]int32, n)
 	for i := range m {
 		m[i] = unset
@@ -45,7 +45,7 @@ func (HEMSeq) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		}
 		m[u] = u
 	}
-	nc := canonicalize(m, pos, p)
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
@@ -63,9 +63,9 @@ type HEM struct {
 func (HEM) Name() string { return "hem" }
 
 // Map implements Mapper.
-func (h HEM) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
-	match, pos, passes, passMapped := hemMatch(g, seed, p, h.MaxPasses, true)
-	m, nc := matchToMapping(match, pos, p)
+func (h HEM) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
+	match, pos, passes, passMapped := hemMatch(g, seed, ex, h.MaxPasses, true)
+	m, nc := matchToMapping(match, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: passes, PassMapped: passMapped}, nil
 }
 
@@ -83,32 +83,33 @@ func (h HEM) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 // depend only on (graph, seed), never on scheduling, and the
 // minimum-position pending proposal always commits, so passes make
 // progress until only neighborless vertices remain.
-func hemMatch(g *graph.Graph, seed uint64, p, maxPasses int, singletons bool) (match, pos []int32, passes int, passMapped []int64) {
+func hemMatch(g *graph.Graph, seed uint64, ex par.Exec, maxPasses int, singletons bool) (match, pos []int32, passes int, passMapped []int64) {
 	n := g.N()
 	if maxPasses <= 0 {
 		maxPasses = 64
 	}
-	perm := par.RandPerm(n, seed, p)
-	pos = par.InversePerm(perm, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos = par.InversePerm(perm, ex)
 
 	match = make([]int32, n)
-	par.Fill(match, unset, p)
+	par.Fill(match, unset, ex)
 	res := make([]int32, n)
 	inf := int32(n)
 
 	queue := perm
 	for len(queue) > 0 && passes < maxPasses {
 		passes++
-		span := obs.StartKernel("hem:pass")
-		hv := heavyUnmatchedNeighbors(g, match, pos, p)
+		px := ex.Kernel("hem:pass")
+		span := px.Span
+		hv := heavyUnmatchedNeighbors(g, match, pos, px)
 		// Reservable cells all belong to queued vertices (proposal targets
 		// are unmatched), so resetting the queue's cells covers them.
-		par.ForEach(len(queue), p, func(i int) {
+		par.ForEach(len(queue), px, func(i int) {
 			res[queue[i]] = inf
 		})
 		// Reservation issue and CAS-retry counts batch per chunk (one
 		// flush each — free when tracing is off).
-		par.ForChunked(len(queue), p, 512, func(_, lo, hi int) {
+		par.ForChunked(len(queue), px, 512, func(_, lo, hi int) {
 			var reserves, retries int64
 			for i := lo; i < hi; i++ {
 				u := queue[i]
@@ -123,7 +124,7 @@ func hemMatch(g *graph.Graph, seed uint64, p, maxPasses int, singletons bool) (m
 			span.Add(obs.CtrReserve, reserves)
 			span.Add(obs.CtrCASRetry, retries)
 		})
-		par.ForChunked(len(queue), p, 512, func(_, lo, hi int) {
+		par.ForChunked(len(queue), px, 512, func(_, lo, hi int) {
 			var commits int64
 			for i := lo; i < hi; i++ {
 				u := queue[i]
@@ -146,17 +147,17 @@ func hemMatch(g *graph.Graph, seed uint64, p, maxPasses int, singletons bool) (m
 			}
 			span.Add(obs.CtrCommit, commits)
 		})
-		next := par.Pack(len(queue), p, func(i int) bool {
+		next := par.Pack(len(queue), px, func(i int) bool {
 			return match[queue[i]] == unset
 		})
 		matched := int64(len(queue) - len(next))
 		passMapped = append(passMapped, matched)
 		q2 := make([]int32, len(next))
-		par.ForEach(len(next), p, func(i int) {
+		par.ForEach(len(next), px, func(i int) {
 			q2[i] = queue[next[i]]
 		})
 		queue = q2
-		span.Done()
+		span.End()
 		if matched == 0 {
 			// Only vertices with no unmatched neighbors remain (and
 			// singletons is false, or they would have been finalized);
@@ -179,10 +180,10 @@ func hemMatch(g *graph.Graph, seed uint64, p, maxPasses int, singletons bool) (m
 // matchToMapping converts a complete match array (no unset entries) into a
 // canonically labeled compact mapping. The root of a pair is the lower
 // vertex id; canonicalize then relabels by minimum permutation position.
-func matchToMapping(match, pos []int32, p int) ([]int32, int32) {
+func matchToMapping(match, pos []int32, ex par.Exec) ([]int32, int32) {
 	n := len(match)
 	m := make([]int32, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		u := int32(i)
 		v := match[u]
 		if v == unset {
@@ -194,6 +195,6 @@ func matchToMapping(match, pos []int32, p int) ([]int32, int32) {
 			m[u] = u
 		}
 	})
-	nc := canonicalize(m, pos, p)
+	nc := canonicalize(m, pos, ex)
 	return m, nc
 }

@@ -6,6 +6,7 @@ import (
 
 	"mlcg/internal/gen"
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 // CheckCoarseInvariants asserts every structural property a coarse graph
@@ -149,7 +150,7 @@ func TestCoarseInvariants(t *testing.T) {
 		g := inst.Graph
 		g.MaterializeVWgt()
 		for _, mapper := range mappers {
-			m, err := mapper.Map(g, 42, 2)
+			m, err := mapper.Map(g, 42, par.Exec{P: 2})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", inst.Name, mapper.Name(), err)
 			}
@@ -159,7 +160,7 @@ func TestCoarseInvariants(t *testing.T) {
 			for _, b := range builders {
 				for _, p := range workers {
 					t.Run(fmt.Sprintf("%s/%s/%s/p%d", inst.Name, mapper.Name(), b.Name(), p), func(t *testing.T) {
-						cg, err := b.Build(g, m, p)
+						cg, err := b.Build(g, m, par.Exec{P: p})
 						if err != nil {
 							t.Fatal(err)
 						}

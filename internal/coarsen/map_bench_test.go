@@ -23,23 +23,23 @@ func benchMapWithRenumber(b *testing.B, mapper Mapper) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mapper.Map(g, 42, p); err != nil {
+			if _, err := mapper.Map(g, 42, par.Exec{P: p}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("renumber", func(b *testing.B) {
-		m, err := mapper.Map(g, 42, p)
+		m, err := mapper.Map(g, 42, par.Exec{P: p})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pos := par.InversePerm(par.RandPerm(g.N(), 42, p), p)
+		pos := par.InversePerm(par.RandPerm(g.N(), 42, par.Exec{P: p}), par.Exec{P: p})
 		labels := append([]int32(nil), m.M...)
-		canonicalize(labels, pos, p) // reach the fixpoint once
+		canonicalize(labels, pos, par.Exec{P: p}) // reach the fixpoint once
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			canonicalize(labels, pos, p)
+			canonicalize(labels, pos, par.Exec{P: p})
 		}
 	})
 }
@@ -63,7 +63,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	} {
 		c := &Coarsener{Mapper: HEC{}, Builder: BuildSort{}, Cutoff: 50, Seed: 42}
 		b.Run(in.name+"/disabled", func(b *testing.B) {
-			if obs.Enabled() {
+			if obs.Ambient() != nil {
 				b.Fatal("trace unexpectedly active")
 			}
 			b.ReportAllocs()

@@ -160,7 +160,7 @@ func TestAllMappersProduceValidMappings(t *testing.T) {
 	for _, mapper := range allMappers(t) {
 		for gname, g := range graphs {
 			for _, p := range []int{1, 4} {
-				m, err := mapper.Map(g, 42, p)
+				m, err := mapper.Map(g, 42, par.Exec{P: p})
 				if err != nil {
 					t.Fatalf("%s/%s p=%d: %v", mapper.Name(), gname, p, err)
 				}
@@ -181,7 +181,7 @@ func TestMappersReduceVertexCount(t *testing.T) {
 			if g.N() < 8 {
 				continue
 			}
-			m, err := mapper.Map(g, 3, 2)
+			m, err := mapper.Map(g, 3, par.Exec{P: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestHECFamilyAggregatesConnected(t *testing.T) {
 	for _, name := range []string{"hec", "hecseq", "hec2", "hec3", "hem", "hemseq", "gosh", "goshhec", "mis2"} {
 		mapper, _ := MapperByName(name)
 		for gname, g := range graphs {
-			m, err := mapper.Map(g, 99, 4)
+			m, err := mapper.Map(g, 99, par.Exec{P: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestMatchingAggregatesAreSmall(t *testing.T) {
 	for _, name := range []string{"hem", "hemseq", "twohop"} {
 		mapper, _ := MapperByName(name)
 		for gname, g := range graphs {
-			m, err := mapper.Map(g, 5, 4)
+			m, err := mapper.Map(g, 5, par.Exec{P: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func TestHECRatioCanExceedTwo(t *testing.T) {
 	g := testGraphs()["star30"]
 	for _, name := range []string{"hec", "hecseq"} {
 		mapper, _ := MapperByName(name)
-		m, err := mapper.Map(g, 1, 2)
+		m, err := mapper.Map(g, 1, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,14 +259,14 @@ func TestHECRatioCanExceedTwo(t *testing.T) {
 
 func TestHECSeqDeterministic(t *testing.T) {
 	g := testGraphs()["rand200"]
-	a, _ := HECSeq{}.Map(g, 7, 1)
-	b, _ := HECSeq{}.Map(g, 7, 4) // parallelism must not change p=seq algorithm output
+	a, _ := HECSeq{}.Map(g, 7, par.Exec{P: 1})
+	b, _ := HECSeq{}.Map(g, 7, par.Exec{P: 4}) // parallelism must not change p=seq algorithm output
 	for i := range a.M {
 		if a.M[i] != b.M[i] {
 			t.Fatalf("HECSeq output differs at %d", i)
 		}
 	}
-	c, _ := HECSeq{}.Map(g, 8, 1)
+	c, _ := HECSeq{}.Map(g, 8, par.Exec{P: 1})
 	same := 0
 	for i := range a.M {
 		if a.M[i] == c.M[i] {
@@ -280,7 +280,7 @@ func TestHECSeqDeterministic(t *testing.T) {
 
 func TestHECPassStatistics(t *testing.T) {
 	g := testGraphs()["rand999"]
-	m, err := HEC{}.Map(g, 11, 4)
+	m, err := HEC{}.Map(g, 11, par.Exec{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestHEMSeqMatchesAreHeavy(t *testing.T) {
 	// For the sequential algorithm with a known seed, each matched pair
 	// must be joined by an edge (sanity of the matching).
 	g := testGraphs()["grid8x9"]
-	m, err := HEMSeq{}.Map(g, 3, 1)
+	m, err := HEMSeq{}.Map(g, 3, par.Exec{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestHEMSeqMatchesAreHeavy(t *testing.T) {
 
 func TestMIS2Invariants(t *testing.T) {
 	for gname, g := range testGraphs() {
-		state := mis2States(g, 17, 4)
+		state := mis2States(g, 17, par.Exec{P: 4})
 		n := g.N()
 		// (1) No two MIS vertices within distance two.
 		for u := int32(0); int(u) < n; u++ {
@@ -378,7 +378,7 @@ func TestMIS2Invariants(t *testing.T) {
 
 func TestMIS2CoarsensAggressively(t *testing.T) {
 	g := testGraphs()["grid8x9"]
-	m, err := MIS2{}.Map(g, 23, 4)
+	m, err := MIS2{}.Map(g, 23, par.Exec{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestGOSHAvoidsHubHubMerge(t *testing.T) {
 	}
 	g := graph.MustFromEdges(22, e)
 	for seed := uint64(0); seed < 10; seed++ {
-		m, err := GOSH{}.Map(g, seed, 4)
+		m, err := GOSH{}.Map(g, seed, par.Exec{P: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +418,7 @@ func TestGOSHHECPrefersHeavyEdges(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{
 		{U: 0, V: 1, W: 100}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 3, V: 0, W: 1},
 	})
-	m, err := GOSHHEC{}.Map(g, 5, 2)
+	m, err := GOSHHEC{}.Map(g, 5, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestTwoHopMatchesLeaves(t *testing.T) {
 		e = append(e, graph.Edge{U: 0, V: i, W: 1})
 	}
 	g := graph.MustFromEdges(21, e)
-	m, err := TwoHop{}.Map(g, 9, 2)
+	m, err := TwoHop{}.Map(g, 9, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestTwoHopMatchesTwins(t *testing.T) {
 		e = append(e, graph.Edge{U: 1, V: i, W: 1})
 	}
 	g := graph.MustFromEdges(20, e)
-	m, err := TwoHop{}.Map(g, 31, 2)
+	m, err := TwoHop{}.Map(g, 31, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,9 +472,9 @@ func TestHeavyNeighborsTieBreak(t *testing.T) {
 		{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 5}, {U: 2, V: 0, W: 5},
 	})
 	for seed := uint64(0); seed < 20; seed++ {
-		perm := par.RandPerm(3, seed, 1)
-		pos := par.InversePerm(perm, 1)
-		hv := heavyNeighbors(g, pos, 1)
+		perm := par.RandPerm(3, seed, par.Exec{P: 1})
+		pos := par.InversePerm(perm, par.Exec{P: 1})
+		hv := heavyNeighbors(g, pos, par.Exec{P: 1})
 		// Follow pointers from each vertex; must reach a 2-cycle within n
 		// steps.
 		for s := int32(0); s < 3; s++ {
@@ -497,7 +497,7 @@ func TestHeavyNeighborsPicksHeaviest(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 9}, {U: 0, V: 3, W: 3},
 	})
 	pos := []int32{0, 1, 2, 3}
-	hv := heavyNeighbors(g, pos, 1)
+	hv := heavyNeighbors(g, pos, par.Exec{P: 1})
 	if hv[0] != 2 {
 		t.Errorf("H[0] = %d, want 2 (heaviest)", hv[0])
 	}
@@ -523,7 +523,7 @@ func TestQuickAllMappersOnRandomGraphs(t *testing.T) {
 		}
 		g := graph.MustFromEdges(n, e)
 		for _, mp := range mappers {
-			m, err := mp.Map(g, seed^0xabc, 3)
+			m, err := mp.Map(g, seed^0xabc, par.Exec{P: 3})
 			if err != nil {
 				return false
 			}
@@ -561,14 +561,14 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.MustFromEdges(0, nil)
 	single := graph.MustFromEdges(1, nil)
 	for _, mapper := range allMappers(t) {
-		m, err := mapper.Map(empty, 1, 2)
+		m, err := mapper.Map(empty, 1, par.Exec{P: 2})
 		if err != nil {
 			t.Fatalf("%s on empty: %v", mapper.Name(), err)
 		}
 		if len(m.M) != 0 {
 			t.Errorf("%s on empty: M=%v", mapper.Name(), m.M)
 		}
-		m, err = mapper.Map(single, 1, 2)
+		m, err = mapper.Map(single, 1, par.Exec{P: 2})
 		if err != nil {
 			t.Fatalf("%s on single: %v", mapper.Name(), err)
 		}

@@ -2,7 +2,6 @@ package coarsen
 
 import (
 	"mlcg/internal/graph"
-	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -25,14 +24,14 @@ const (
 )
 
 // Map implements Mapper.
-func (MIS2) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (MIS2) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
-	span := obs.StartKernel("mis2:select")
-	state := mis2States(g, seed, p)
-	span.Done()
-	span = obs.StartKernel("mis2:aggregate")
+	sel := ex.Kernel("mis2:select")
+	state := mis2States(g, seed, sel)
+	sel.Span.End()
+	ax := ex.Kernel("mis2:aggregate")
 	key := make([]uint64, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ax, func(i int) {
 		key[i] = par.Mix64(seed ^ uint64(i)*0x9e3779b97f4a7c15)
 	})
 	higher := func(a, b int32) bool {
@@ -44,16 +43,16 @@ func (MIS2) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	// two). Maximality guarantees coverage; a final sweep turns anything
 	// unreached (possible only on degenerate inputs) into singletons.
 	m := make([]int32, n)
-	par.Fill(m, unset, p)
-	par.ForEach(n, p, func(i int) {
+	par.Fill(m, unset, ax)
+	par.ForEach(n, ax, func(i int) {
 		if state[i] == misIn {
 			m[i] = int32(i)
 		}
 	})
 	for round := 0; round < 2; round++ {
 		next := make([]int32, n)
-		par.Copy(next, m, p)
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.Copy(next, m, ax)
+		par.ForEachChunked(n, ax, 256, func(i int) {
 			v := int32(i)
 			if m[v] != unset {
 				return
@@ -74,26 +73,26 @@ func (MIS2) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		})
 		m = next
 	}
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ax, func(i int) {
 		if m[i] == unset {
 			m[i] = int32(i)
 		}
 	})
-	span.Done()
+	ax.Span.End()
 	// MIS2 has no random visit permutation, so the canonical order is the
 	// identity: aggregates are numbered by their minimum member vertex id.
-	nc := canonicalize(m, nil, p)
+	nc := canonicalize(m, nil, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
 // mis2States runs the iterated random-priority elimination and returns the
 // per-vertex state array (misIn marks the distance-2 MIS).
-func mis2States(g *graph.Graph, seed uint64, p int) []int32 {
+func mis2States(g *graph.Graph, seed uint64, ex par.Exec) []int32 {
 	n := g.N()
 	state := make([]int32, n)
 	// Random priorities; ties broken by id via the tuple (key, id).
 	key := make([]uint64, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		key[i] = par.Mix64(seed ^ uint64(i)*0x9e3779b97f4a7c15)
 	})
 	higher := func(a, b int32) bool { // does a beat b?
@@ -103,12 +102,12 @@ func mis2States(g *graph.Graph, seed uint64, p int) []int32 {
 	t1 := make([]int32, n) // best undecided vertex within distance 1
 	t2 := make([]int32, n) // best undecided vertex within distance 2
 	for {
-		undecided := par.CountInt64(n, p, func(i int) bool { return state[i] == misUndecided })
+		undecided := par.CountInt64(n, ex, func(i int) bool { return state[i] == misUndecided })
 		if undecided == 0 {
 			break
 		}
 		// t1[v]: the strongest undecided candidate among v and neighbors.
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.ForEachChunked(n, ex, 256, func(i int) {
 			v := int32(i)
 			best := unset
 			if state[v] == misUndecided {
@@ -124,7 +123,7 @@ func mis2States(g *graph.Graph, seed uint64, p int) []int32 {
 		})
 		// t2[v]: strongest candidate within distance 2 (max of t1 over the
 		// closed neighborhood).
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.ForEachChunked(n, ex, 256, func(i int) {
 			v := int32(i)
 			best := t1[v]
 			adj, _ := g.Neighbors(v)
@@ -137,7 +136,7 @@ func mis2States(g *graph.Graph, seed uint64, p int) []int32 {
 		})
 		// A vertex that dominates its own distance-2 neighborhood joins
 		// the MIS.
-		par.ForEach(n, p, func(i int) {
+		par.ForEach(n, ex, func(i int) {
 			v := int32(i)
 			if state[v] == misUndecided && t2[v] == v {
 				state[v] = misIn
@@ -145,7 +144,7 @@ func mis2States(g *graph.Graph, seed uint64, p int) []int32 {
 		})
 		// Eliminate everything within distance 2 of a new MIS vertex.
 		near := make([]bool, n)
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.ForEachChunked(n, ex, 256, func(i int) {
 			v := int32(i)
 			if state[v] == misIn {
 				near[v] = true
@@ -159,7 +158,7 @@ func mis2States(g *graph.Graph, seed uint64, p int) []int32 {
 				}
 			}
 		})
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.ForEachChunked(n, ex, 256, func(i int) {
 			v := int32(i)
 			if state[v] != misUndecided {
 				return

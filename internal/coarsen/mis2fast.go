@@ -38,39 +38,39 @@ type MIS2Fast struct{}
 func (MIS2Fast) Name() string { return "mis2fast" }
 
 // Map implements Mapper.
-func (m MIS2Fast) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
-	return m.MapWith(NewWorkspace(), g, seed, p)
+func (m MIS2Fast) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
+	return m.MapWith(NewWorkspace(), g, seed, ex)
 }
 
 // MapWith is Map with explicit scratch; ws must be non-nil. Coarsener.Run
 // uses it to reuse one arena's selection/frontier buffers across all levels
 // of a hierarchy.
-func (MIS2Fast) MapWith(ws *Workspace, g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (MIS2Fast) MapWith(ws *Workspace, g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
-	p = par.Workers(p, n)
-	s := ws.mis2Scratch(n, p)
+	ex.P = par.Workers(ex.P, n)
+	s := ws.mis2Scratch(n, ex.P, ex.Span)
 
 	// Random priorities; ties broken by id via the tuple (key, id). The
 	// hash matches MIS2 exactly so both mappers converge to the same MIS.
 	// (Mix64 of distinct inputs never collides — it is a bijection — so the
 	// id tie-break is defensive, not load-bearing.)
 	key := s.key
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		key[i] = par.Mix64(seed ^ uint64(i)*0x9e3779b97f4a7c15)
 	})
 
-	span := obs.StartKernel("mis2fast:select")
-	state := mis2FastStates(g, s, p)
-	span.Done()
+	sel := ex.Kernel("mis2fast:select")
+	state := mis2FastStates(g, s, sel)
+	sel.Span.End()
 
-	span = obs.StartKernel("mis2fast:aggregate")
-	m := mis2FastAggregate(g, s, state, p)
-	span.Done()
+	agg := ex.Kernel("mis2fast:aggregate")
+	m := mis2FastAggregate(g, s, state, agg)
+	agg.Span.End()
 
 	// No random visit permutation, so the canonical order is the identity:
 	// aggregates are numbered by their minimum member vertex id (same as
 	// MIS2).
-	nc := canonicalize(m, nil, p)
+	nc := canonicalize(m, nil, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
@@ -91,22 +91,23 @@ func (MIS2Fast) MapWith(ws *Workspace, g *graph.Graph, seed uint64, p int) (*Map
 // quantity is reachable from the previous round's transitions, which is
 // what makes the frontiers sound; since undecided sets only shrink, every
 // skipped vertex provably keeps its value.
-func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
+func mis2FastStates(g *graph.Graph, s *mis2Scratch, ex par.Exec) []int32 {
 	n := g.N()
-	p = par.Workers(p, n) // scratch is sized for the clamped worker count
+	ex.P = par.Workers(ex.P, n) // scratch is sized for the clamped worker count
+	p := ex.P
 	key := s.key
 	state := s.state
 	t1 := s.t1
 	near := s.near
-	par.Fill(state, misUndecided, p)
-	par.Fill(near, 0, p)
+	par.Fill(state, misUndecided, ex)
+	par.Fill(near, 0, ex)
 	s.roots = s.roots[:0]
 
 	// recomputeT1 refreshes t1 for every vertex in list. The loop body is
 	// written out inline: at ~5 loads per visited edge an indirect
 	// per-element call would be a measurable fraction of the pass.
 	recomputeT1 := func(list []int32) {
-		par.ForChunked(len(list), p, 256, func(_, lo, hi int) {
+		par.ForChunked(len(list), ex, 256, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v := list[i]
 				best := unset
@@ -131,7 +132,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 	// recomputeT1All is recomputeT1 over every vertex (the defensive full
 	// resweep; round 0 uses the specialized all-undecided sweep instead).
 	recomputeT1All := func() {
-		par.ForChunked(n, p, 256, func(_, lo, hi int) {
+		par.ForChunked(n, ex, 256, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v := int32(i)
 				best := unset
@@ -188,7 +189,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 		case first:
 			// Round 0: every vertex is undecided, so the state checks
 			// vanish and t1[v] is the plain key argmax over N[v] ∪ {v}.
-			par.ForChunked(n, p, 256, func(_, lo, hi int) {
+			par.ForChunked(n, ex, 256, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := int32(i)
 					best, bk := v, key[v]
@@ -206,7 +207,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 		default:
 			s.resetBufs(p)
 			scanDecided := func(list []int32) {
-				par.ForChunked(len(list), p, 256, func(w, lo, hi int) {
+				par.ForChunked(len(list), ex, 256, func(w, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						d := list[i]
 						if t1[d] == d {
@@ -223,7 +224,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 			}
 			scanDecided(prevIn)
 			scanDecided(prevOut)
-			frontier1 = s.mergeBufs(&s.f1, p)
+			frontier1 = s.mergeBufs(&s.f1, ex)
 			recomputeT1(frontier1)
 		}
 
@@ -237,7 +238,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 		// unique owner: its state read and misIn write cannot race.
 		s.resetBufs(p)
 		if full {
-			par.ForChunked(n, p, 256, func(w, lo, hi int) {
+			par.ForChunked(n, ex, 256, func(w, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					if state[i] == misUndecided && t1[i] == int32(i) {
 						decide(w, int32(i))
@@ -251,7 +252,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 			// single-owner; a decided vertex with a stale t1 == v merely
 			// burns one claim.
 			epoch := s.nextEpoch()
-			par.ForChunked(len(frontier1), p, 256, func(w, lo, hi int) {
+			par.ForChunked(len(frontier1), ex, 256, func(w, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					u := frontier1[i]
 					if t1[u] == u && s.claimEpoch(u, epoch) && state[u] == misUndecided {
@@ -266,7 +267,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 				}
 			})
 		}
-		newlyIn := s.mergeBufs(&s.in, p)
+		newlyIn := s.mergeBufs(&s.in, ex)
 		s.roots = append(s.roots, newlyIn...)
 
 		// Phase 3: eliminate the distance-2 ball of the new MIS members.
@@ -277,7 +278,7 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 		// phase 4 once ownership is settled.
 		s.resetBufs(p)
 		epoch := s.nextEpoch()
-		par.ForChunked(len(newlyIn), p, 256, func(w, lo, hi int) {
+		par.ForChunked(len(newlyIn), ex, 256, func(w, lo, hi int) {
 			outClaim := func(v int32) {
 				if state[v] == misUndecided && s.claimEpoch(v, epoch) {
 					s.bufs[w] = append(s.bufs[w], v)
@@ -302,11 +303,11 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 				}
 			}
 		})
-		newlyOut := s.mergeBufs(&s.out, p)
+		newlyOut := s.mergeBufs(&s.out, ex)
 		frontier += int64(len(frontier1) + len(newlyIn) + len(newlyOut))
 
 		// Phase 4: eliminate (unique owners, plain stores).
-		par.ForChunked(len(newlyOut), p, 256, func(_, lo, hi int) {
+		par.ForChunked(len(newlyOut), ex, 256, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				state[newlyOut[i]] = misOut
 			}
@@ -331,8 +332,8 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 		// overwrite after phase 1 has consumed them.
 		prevIn, prevOut = newlyIn, newlyOut
 	}
-	obs.Add(obs.CtrMIS2FastRounds, rounds)
-	obs.Add(obs.CtrMIS2FastFrontier, frontier)
+	ex.Span.Add(obs.CtrMIS2FastRounds, rounds)
+	ex.Span.Add(obs.CtrMIS2FastFrontier, frontier)
 	return state
 }
 
@@ -343,13 +344,13 @@ func mis2FastStates(g *graph.Graph, s *mis2Scratch, p int) []int32 {
 // distance-2 remainder rescans its neighborhoods. Root preference follows
 // MIS2 exactly — the highest (key, id) root — so the resulting mapping is
 // identical to MIS2's two full rescan rounds.
-func mis2FastAggregate(g *graph.Graph, s *mis2Scratch, state []int32, p int) []int32 {
+func mis2FastAggregate(g *graph.Graph, s *mis2Scratch, state []int32, ex par.Exec) []int32 {
 	n := g.N()
 	key := s.key
 	m := make([]int32, n) // escapes into the Mapping: not arena-owned
-	par.Fill(m, unset, p)
+	par.Fill(m, unset, ex)
 	roots := s.roots
-	par.ForEachChunked(len(roots), p, 64, func(i int) {
+	par.ForEachChunked(len(roots), ex, 64, func(i int) {
 		r := roots[i]
 		m[r] = r
 		adj, _ := g.Neighbors(r)
@@ -358,12 +359,12 @@ func mis2FastAggregate(g *graph.Graph, s *mis2Scratch, state []int32, p int) []i
 		}
 	})
 	// Compact the distance-2 remainder (typically a small fraction of n).
-	rest := par.Pack(n, p, func(i int) bool { return m[i] == unset })
+	rest := par.Pack(n, ex, func(i int) bool { return m[i] == unset })
 	// Join the best already-assigned neighbor's root. Reads m (complete
 	// after the scatter above), writes the side buffer, then scatters back —
 	// the same read-old/write-new discipline as MIS2's copied rounds.
-	mRest := growI32(&s.f1, len(rest))
-	par.ForEachChunked(len(rest), p, 64, func(i int) {
+	mRest := growI32(&s.f1, len(rest), ex.Span)
+	par.ForEachChunked(len(rest), ex, 64, func(i int) {
 		v := rest[i]
 		adj, _ := g.Neighbors(v)
 		best := unset
@@ -382,7 +383,7 @@ func mis2FastAggregate(g *graph.Graph, s *mis2Scratch, state []int32, p int) []i
 		}
 		mRest[i] = best
 	})
-	par.ForEachChunked(len(rest), p, 256, func(i int) {
+	par.ForEachChunked(len(rest), ex, 256, func(i int) {
 		m[rest[i]] = mRest[i]
 	})
 	return m

@@ -16,12 +16,12 @@ import (
 func TestMIS2FastMatchesMIS2(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, seed := range []uint64{1, 42, 20210517} {
-			ref, err := MIS2{}.Map(g, seed, 1)
+			ref, err := MIS2{}.Map(g, seed, par.Exec{P: 1})
 			if err != nil {
 				t.Fatalf("%s: mis2: %v", name, err)
 			}
 			for _, p := range determinismWorkers {
-				m, err := MIS2Fast{}.Map(g, seed, p)
+				m, err := MIS2Fast{}.Map(g, seed, par.Exec{P: p})
 				if err != nil {
 					t.Fatalf("%s: mis2fast p=%d: %v", name, p, err)
 				}
@@ -54,11 +54,11 @@ func TestMIS2FastMatchesMIS2Quality(t *testing.T) {
 		suite = small
 	}
 	for _, inst := range suite {
-		ref, err := MIS2{}.Map(inst.Graph, 20210517, 0)
+		ref, err := MIS2{}.Map(inst.Graph, 20210517, par.Exec{P: 0})
 		if err != nil {
 			t.Fatalf("%s: mis2: %v", inst.Name, err)
 		}
-		m, err := MIS2Fast{}.Map(inst.Graph, 20210517, 0)
+		m, err := MIS2Fast{}.Map(inst.Graph, 20210517, par.Exec{P: 0})
 		if err != nil {
 			t.Fatalf("%s: mis2fast: %v", inst.Name, err)
 		}
@@ -91,7 +91,7 @@ func TestMIS2FastWorkspaceReuse(t *testing.T) {
 	}
 	// Re-map every level with fresh scratch and compare.
 	for i, lg := range h.Graphs[:len(h.Graphs)-1] {
-		m, err := MIS2Fast{}.Map(lg, 7+uint64(i), 4)
+		m, err := MIS2Fast{}.Map(lg, 7+uint64(i), par.Exec{P: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,12 +194,12 @@ func FuzzMIS2Fast(f *testing.F) {
 		const seed, p = 99, 3
 
 		ws := NewWorkspace()
-		s := ws.mis2Scratch(n, par.Workers(p, n))
+		s := ws.mis2Scratch(n, par.Workers(p, n), nil)
 		key := s.key
 		for i := 0; i < n; i++ {
 			key[i] = par.Mix64(seed ^ uint64(i)*0x9e3779b97f4a7c15)
 		}
-		state := mis2FastStates(g, s, p)
+		state := mis2FastStates(g, s, par.Exec{P: p})
 
 		// Every vertex decided; the IN set is a distance-2 independent set.
 		inD2 := func(v int32) bool { // v within distance 2 of an IN vertex ≠ v
@@ -234,18 +234,18 @@ func FuzzMIS2Fast(f *testing.F) {
 
 		// Kernel equivalence and mapping invariants vs MIS2, sequential and
 		// parallel.
-		refStates := mis2States(g, seed, 1)
+		refStates := mis2States(g, seed, par.Exec{P: 1})
 		for v := 0; v < n; v++ {
 			if refStates[v] != state[v] {
 				t.Fatalf("vertex %d: state %d, mis2 has %d", v, state[v], refStates[v])
 			}
 		}
-		ref, err := MIS2{}.Map(g, seed, 1)
+		ref, err := MIS2{}.Map(g, seed, par.Exec{P: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, p} {
-			m, err := MIS2Fast{}.Map(g, seed, workers)
+			m, err := MIS2Fast{}.Map(g, seed, par.Exec{P: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,8 +64,7 @@ type LevelStats struct {
 	Builder     string
 	BuildReason string
 
-	// Span is the level's obs span (nil unless a trace was active during
-	// Run). Its children are the map/build phase spans with per-kernel
+	// Span is the level's obs span (nil unless the run was traced). Its children are the map/build phase spans with per-kernel
 	// wall/busy times; kept here so callers can drill into a level without
 	// walking the whole trace tree.
 	Span *obs.Span
@@ -73,7 +72,7 @@ type LevelStats struct {
 
 // Counters returns the level's subtree-aggregated obs counter totals by
 // stable name (cas_retries, hash_probes, ...). Nil when the level was run
-// without an active trace.
+// untraced.
 func (s *LevelStats) Counters() map[string]int64 { return s.Span.Counters() }
 
 // Hierarchy is the output of multilevel coarsening: Graphs[0] is the input
@@ -153,11 +152,12 @@ func (h *Hierarchy) CoarseningRatio() float64 {
 // ProjectToFine carries a per-vertex assignment on the coarsest graph back
 // to level 0 through the mapping arrays.
 func (h *Hierarchy) ProjectToFine(coarsest []int32) []int32 {
+	ex := par.Exec{Span: obs.Ambient()}
 	cur := coarsest
 	for i := len(h.Maps) - 1; i >= 0; i-- {
 		m := h.Maps[i]
 		fine := make([]int32, len(m))
-		par.ForEach(len(m), 0, func(u int) {
+		par.ForEach(len(m), ex, func(u int) {
 			fine[u] = cur[m[u]]
 		})
 		cur = fine
@@ -169,7 +169,7 @@ func (h *Hierarchy) ProjectToFine(coarsest []int32) []int32 {
 // fine vertices directly onto the coarser of the two levels.
 func ComposeMaps(fineToMid, midToCoarse []int32) []int32 {
 	out := make([]int32, len(fineToMid))
-	par.ForEach(len(fineToMid), 0, func(u int) {
+	par.ForEach(len(fineToMid), par.Exec{Span: obs.Ambient()}, func(u int) {
 		out[u] = midToCoarse[fineToMid[u]]
 	})
 	return out
@@ -204,16 +204,17 @@ func (c *Coarsener) Run(g *graph.Graph) (*Hierarchy, error) {
 
 // RunCtx is Run with a context: the multilevel loop checks for
 // cancellation between levels (a deadline or a disconnected client stops
-// the run at the next level boundary), and a trace carried by the context
-// (obs.NewContext) is attached to the running goroutine for the duration,
-// so per-request spans thread through runs executed on pool goroutines.
+// the run at the next level boundary), and the run's level spans open
+// under the span the context carries (obs.NewContext, obs.ContextWithSpan)
+// or, without one, under obs.Ambient(), so per-request spans thread
+// through runs executed on pool goroutines.
 func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, error) {
 	if c.Mapper == nil || c.Builder == nil {
 		return nil, fmt.Errorf("coarsen: Coarsener needs both a Mapper and a Builder")
 	}
-	if t := obs.TraceFromContext(ctx); t != nil && !obs.Enabled() {
-		detach := t.Attach()
-		defer detach()
+	span := obs.SpanFromContext(ctx)
+	if span == nil {
+		span = obs.Ambient()
 	}
 	cutoff := c.Cutoff
 	if cutoff <= 0 {
@@ -251,32 +252,33 @@ func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, err
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("coarsen: canceled before level %d: %w", h.Levels()+1, err)
 		}
-		// Span names are only built when a trace is active, so the disabled
-		// path stays allocation-free (the Enabled check is one pointer load).
+		// Span names are only built when the run is traced, so the
+		// untraced path stays allocation-free.
 		var lvl, phase *obs.Span
-		if obs.Enabled() {
-			lvl = obs.StartKernel(fmt.Sprintf("level %d", h.Levels()))
-			phase = obs.StartKernel("map:" + c.Mapper.Name())
+		if span != nil {
+			lvl = span.Child(fmt.Sprintf("level %d", h.Levels()))
+			phase = lvl.Child("map:" + c.Mapper.Name())
 		}
+		ex := par.Exec{P: c.Workers, Span: phase}
 		t0 := time.Now()
 		var m *Mapping
 		var err error
 		if mapReuse {
-			m, err = wm.MapWith(ws, cur, c.Seed+uint64(h.Levels()), c.Workers)
+			m, err = wm.MapWith(ws, cur, c.Seed+uint64(h.Levels()), ex)
 		} else {
-			m, err = c.Mapper.Map(cur, c.Seed+uint64(h.Levels()), c.Workers)
+			m, err = c.Mapper.Map(cur, c.Seed+uint64(h.Levels()), ex)
 		}
 		t1 := time.Now()
-		phase.Done()
+		phase.End()
 		if err != nil {
-			lvl.Done()
+			lvl.End()
 			return nil, fmt.Errorf("coarsen: level %d mapping: %w", h.Levels()+1, err)
 		}
 		if m.NC >= cur.NumV {
 			// Stall: no reduction at all. Stop with what we have, but
 			// record the failed attempt so callers can tell "reached the
 			// cutoff" from "gave up".
-			lvl.Done()
+			lvl.End()
 			h.Stalled = true
 			h.Dropped = &LevelStats{
 				N: cur.NumV, NC: m.NC, M: cur.M(),
@@ -287,12 +289,12 @@ func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, err
 			break
 		}
 		if lvl != nil {
-			phase = obs.StartKernel("build:" + c.Builder.Name())
+			phase = lvl.Child("build:" + c.Builder.Name())
 		}
-		next, err := c.Builder.BuildWith(ws, cur, m, c.Workers)
+		next, err := c.Builder.BuildWith(ws, cur, m, par.Exec{P: c.Workers, Span: phase})
 		t2 := time.Now()
-		phase.Done()
-		lvl.Done()
+		phase.End()
+		lvl.End()
 		if err != nil {
 			return nil, fmt.Errorf("coarsen: level %d construction: %w", h.Levels()+1, err)
 		}

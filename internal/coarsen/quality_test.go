@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 func TestQualityReport(t *testing.T) {
@@ -63,7 +64,7 @@ func TestHECRetainsHeavyWeight(t *testing.T) {
 	// HEC contracts heavy edges, so its retained weight fraction should
 	// beat a random matching's on a weighted graph.
 	g := testGraphs()["rand999"]
-	m, err := HEC{}.Map(g, 3, 2)
+	m, err := HEC{}.Map(g, 3, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestHECRetainsHeavyWeight(t *testing.T) {
 
 func TestVerifyStrictAggregation(t *testing.T) {
 	g := testGraphs()["grid8x9"]
-	m, err := HEC{}.Map(g, 5, 2)
+	m, err := HEC{}.Map(g, 5, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

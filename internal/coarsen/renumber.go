@@ -39,7 +39,7 @@ import (
 //     the aggregate's canonical id (sequential read/write, one gather),
 //     so the final relabel m[u] = minPos[m[u]] is a single race-free
 //     gather per vertex instead of two dependent ones.
-func canonicalize(m []int32, pos []int32, p int) int32 {
+func canonicalize(m []int32, pos []int32, ex par.Exec) int32 {
 	n := len(m)
 	if n == 0 {
 		return 0
@@ -51,12 +51,13 @@ func canonicalize(m []int32, pos []int32, p int) int32 {
 	// minPos[a] holds minpos(a)-n in [-n, -1] with 0 meaning "no member
 	// seen": the zero value make() provides is then already the identity
 	// of min, which saves the explicit +inf fill pass.
-	span := obs.StartKernel("canonicalize")
-	defer span.Done()
+	ex = ex.Kernel("canonicalize")
+	span := ex.Span
+	defer span.End()
 	nn := int32(n)
 	minPos := make([]int32, n)
 	switch {
-	case par.Workers(p, n) == 1:
+	case par.Workers(ex.P, n) == 1:
 		// Single worker: a plain min computes the identical array without
 		// the atomic's load/CAS cost.
 		if pos == nil {
@@ -73,7 +74,7 @@ func canonicalize(m []int32, pos []int32, p int) int32 {
 			}
 		}
 	case pos == nil:
-		par.For(n, p, func(_, lo, hi int) {
+		par.For(n, ex, func(_, lo, hi int) {
 			var retries int64
 			for i := lo; i < hi; i++ {
 				retries += par.AtomicMinInt32Retries(&minPos[m[i]], int32(i)-nn)
@@ -81,7 +82,7 @@ func canonicalize(m []int32, pos []int32, p int) int32 {
 			span.Add(obs.CtrCASRetry, retries)
 		})
 	default:
-		par.For(n, p, func(_, lo, hi int) {
+		par.For(n, ex, func(_, lo, hi int) {
 			var retries int64
 			for i := lo; i < hi; i++ {
 				retries += par.AtomicMinInt32Retries(&minPos[m[i]], pos[i]-nn)
@@ -90,22 +91,22 @@ func canonicalize(m []int32, pos []int32, p int) int32 {
 		})
 	}
 	flag := make([]int32, n) // zeroed by make
-	par.For(n, p, func(_, lo, hi int) {
+	par.For(n, ex, func(_, lo, hi int) {
 		for a := lo; a < hi; a++ {
 			if v := minPos[a]; v < 0 {
 				flag[v+nn] = 1
 			}
 		}
 	})
-	nc := par.ExclusiveScanInt32(flag, flag, p)
-	par.For(n, p, func(_, lo, hi int) {
+	nc := par.ExclusiveScanInt32(flag, flag, ex)
+	par.For(n, ex, func(_, lo, hi int) {
 		for a := lo; a < hi; a++ {
 			if v := minPos[a]; v < 0 {
 				minPos[a] = flag[v+nn]
 			}
 		}
 	})
-	par.For(n, p, func(_, lo, hi int) {
+	par.For(n, ex, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m[i] = minPos[m[i]]
 		}

@@ -11,7 +11,7 @@ func TestCanonicalizeBasic(t *testing.T) {
 	// are numbered by minimum member index: {0,2} -> 0, {1,3,4} -> 1.
 	m := []int32{2, 4, 2, 4, 4}
 	pos := []int32{0, 1, 2, 3, 4}
-	nc := canonicalize(m, pos, 1)
+	nc := canonicalize(m, pos, par.Exec{P: 1})
 	want := []int32{0, 1, 0, 1, 1}
 	if nc != 2 {
 		t.Fatalf("nc = %d, want 2", nc)
@@ -28,7 +28,7 @@ func TestCanonicalizeOrdersByPosition(t *testing.T) {
 	// containing the minimum position (vertex 4 here) gets id 0.
 	m := []int32{2, 4, 2, 4, 4}
 	pos := []int32{4, 3, 2, 1, 0}
-	nc := canonicalize(m, pos, 1)
+	nc := canonicalize(m, pos, par.Exec{P: 1})
 	want := []int32{1, 0, 1, 0, 0}
 	if nc != 2 {
 		t.Fatalf("nc = %d, want 2", nc)
@@ -42,7 +42,7 @@ func TestCanonicalizeOrdersByPosition(t *testing.T) {
 
 func TestCanonicalizeNilPosIsIdentity(t *testing.T) {
 	m := []int32{3, 3, 0, 0, 3}
-	nc := canonicalize(m, nil, 2)
+	nc := canonicalize(m, nil, par.Exec{P: 2})
 	// Aggregate {0,1,4} has min member 0 -> id 0; {2,3} -> id 1.
 	want := []int32{0, 0, 1, 1, 0}
 	if nc != 2 {
@@ -56,11 +56,11 @@ func TestCanonicalizeNilPosIsIdentity(t *testing.T) {
 }
 
 func TestCanonicalizeEmptyAndSingleton(t *testing.T) {
-	if nc := canonicalize(nil, nil, 4); nc != 0 {
+	if nc := canonicalize(nil, nil, par.Exec{P: 4}); nc != 0 {
 		t.Errorf("empty: nc = %d", nc)
 	}
 	m := []int32{0}
-	if nc := canonicalize(m, nil, 4); nc != 1 || m[0] != 0 {
+	if nc := canonicalize(m, nil, par.Exec{P: 4}); nc != 1 || m[0] != 0 {
 		t.Errorf("singleton: nc = %d, m = %v", nc, m)
 	}
 }
@@ -76,10 +76,10 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 	}
 	// Make the labeling "rooted" enough to be a valid partition label set
 	// (any values work — canonicalize only partitions by equal labels).
-	pos := par.InversePerm(par.RandPerm(n, 99, 1), 1)
-	nc1 := canonicalize(m, pos, 4)
+	pos := par.InversePerm(par.RandPerm(n, 99, par.Exec{P: 1}), par.Exec{P: 1})
+	nc1 := canonicalize(m, pos, par.Exec{P: 4})
 	snap := append([]int32(nil), m...)
-	nc2 := canonicalize(m, pos, 4)
+	nc2 := canonicalize(m, pos, par.Exec{P: 4})
 	if nc1 != nc2 {
 		t.Fatalf("nc changed on second pass: %d vs %d", nc1, nc2)
 	}
@@ -97,16 +97,16 @@ func TestCanonicalizeWorkerCountInvariant(t *testing.T) {
 	for i := range base {
 		base[i] = int32(rng.Intn(n / 3))
 	}
-	pos := par.InversePerm(par.RandPerm(n, 7, 1), 1)
+	pos := par.InversePerm(par.RandPerm(n, 7, par.Exec{P: 1}), par.Exec{P: 1})
 
 	ref := append([]int32(nil), base...)
-	refNC := canonicalize(ref, pos, 1)
+	refNC := canonicalize(ref, pos, par.Exec{P: 1})
 	if refNC <= 0 || refNC > int32(n/3) {
 		t.Fatalf("implausible nc %d", refNC)
 	}
 	for _, p := range []int{2, 4, 8} {
 		m := append([]int32(nil), base...)
-		nc := canonicalize(m, pos, p)
+		nc := canonicalize(m, pos, par.Exec{P: p})
 		if nc != refNC {
 			t.Fatalf("p=%d: nc %d != %d", p, nc, refNC)
 		}
@@ -126,7 +126,7 @@ func TestCanonicalizeCompact(t *testing.T) {
 	for i := range m {
 		m[i] = int32((i / 7) * 7) // labels 0, 7, 14, ... each shared by 7
 	}
-	nc := canonicalize(m, nil, 3)
+	nc := canonicalize(m, nil, par.Exec{P: 3})
 	seen := make([]bool, nc)
 	for _, a := range m {
 		if a < 0 || a >= nc {

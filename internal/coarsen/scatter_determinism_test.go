@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 // rawEqual compares the CSR arrays verbatim — unlike graph.Equal it does
@@ -41,12 +42,12 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	builders := allBuilders(t)
 	for gname, g := range testGraphs() {
 		g.MaterializeVWgt()
-		m, err := HEC{}.Map(g, 42, 2)
+		m, err := HEC{}.Map(g, 42, par.Exec{P: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range builders {
-			ref, err := b.Build(g, m, 1)
+			ref, err := b.Build(g, m, par.Exec{P: 1})
 			if err != nil {
 				t.Fatalf("%s/%s p=1: %v", gname, b.Name(), err)
 			}
@@ -54,14 +55,14 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 			// the outer loops, across graphs): reuse must not leak state.
 			dirty := NewWorkspace()
 			for _, p := range []int{1, 2, 4, 8} {
-				fresh, err := b.Build(g, m, p)
+				fresh, err := b.Build(g, m, par.Exec{P: p})
 				if err != nil {
 					t.Fatalf("%s/%s p=%d: %v", gname, b.Name(), p, err)
 				}
 				if !rawEqual(ref, fresh) {
 					t.Fatalf("%s/%s: p=%d output differs from p=1 (fresh workspace)", gname, b.Name(), p)
 				}
-				reused, err := b.BuildWith(dirty, g, m, p)
+				reused, err := b.BuildWith(dirty, g, m, par.Exec{P: p})
 				if err != nil {
 					t.Fatalf("%s/%s p=%d reused ws: %v", gname, b.Name(), p, err)
 				}
@@ -78,17 +79,17 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 func TestBuildDeterministicAcrossWorkersBig(t *testing.T) {
 	g := bigTestGraph(3000, 17)
 	g.MaterializeVWgt()
-	m, err := HEC{}.Map(g, 9, 2)
+	m, err := HEC{}.Map(g, 9, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range allBuilders(t) {
-		ref, err := b.Build(g, m, 1)
+		ref, err := b.Build(g, m, par.Exec{P: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
 		for _, p := range []int{2, 4, 8} {
-			got, err := b.Build(g, m, p)
+			got, err := b.Build(g, m, par.Exec{P: p})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", b.Name(), p, err)
 			}
@@ -107,7 +108,7 @@ func TestBuildDeterministicAcrossWorkersBig(t *testing.T) {
 func TestBuildWithSteadyStateAllocs(t *testing.T) {
 	g := bigTestGraph(2000, 3)
 	g.MaterializeVWgt()
-	m, err := HEC{}.Map(g, 42, 1)
+	m, err := HEC{}.Map(g, 42, par.Exec{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,11 @@ func TestBuildWithSteadyStateAllocs(t *testing.T) {
 		}
 		ws := NewWorkspace()
 		// Warm up the arena.
-		if _, err := b.BuildWith(ws, g, m, 1); err != nil {
+		if _, err := b.BuildWith(ws, g, m, par.Exec{P: 1}); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := b.BuildWith(ws, g, m, 1); err != nil {
+			if _, err := b.BuildWith(ws, g, m, par.Exec{P: 1}); err != nil {
 				t.Error(err)
 			}
 		})

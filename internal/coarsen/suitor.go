@@ -24,10 +24,10 @@ type Suitor struct{}
 func (Suitor) Name() string { return "suitor" }
 
 // Map implements Mapper.
-func (Suitor) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (Suitor) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
-	perm := par.RandPerm(n, seed, p)
-	pos := par.InversePerm(perm, p)
+	perm := par.RandPerm(n, seed, ex)
+	pos := par.InversePerm(perm, ex)
 
 	// suitor[v] is the current proposer to v (unset = none); ws[v] is the
 	// weight of that proposal. beats reports whether a proposal (u, w)
@@ -35,7 +35,7 @@ func (Suitor) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	// the outcome deterministic for p == 1.
 	suitor := make([]int32, n)
 	ws := make([]int64, n)
-	par.Fill(suitor, unset, p)
+	par.Fill(suitor, unset, ex)
 
 	beats := func(w int64, u, v int32) bool {
 		if w != ws[v] {
@@ -45,7 +45,7 @@ func (Suitor) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 		return cur == unset || pos[u] < pos[cur]
 	}
 
-	if par.Workers(p, n) == 1 {
+	if par.Workers(ex.P, n) == 1 {
 		// Sequential suitor with an explicit work stack of dislodged
 		// proposers.
 		stack := make([]int32, 0, 64)
@@ -80,7 +80,7 @@ func (Suitor) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 			}
 		}
 	} else {
-		parallelSuitor(g, suitor, ws, pos, p)
+		parallelSuitor(g, suitor, ws, pos, ex)
 	}
 
 	// Mutual suitors are matched; everything else is a singleton. The
@@ -95,21 +95,22 @@ func (Suitor) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 			m[u] = u
 		}
 	}
-	nc := canonicalize(m, pos, p)
+	nc := canonicalize(m, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: 1, PassMapped: []int64{int64(n)}}, nil
 }
 
 // parallelSuitor runs the lock-based variant: each proposal
 // inspect-and-update of (suitor[v], ws[v]) happens under a per-vertex spin
 // lock, exactly as in the multithreaded algorithm of the original paper.
-func parallelSuitor(g *graph.Graph, suitor []int32, ws []int64, pos []int32, p int) {
-	span := obs.StartKernel("suitor:propose")
-	defer span.Done()
+func parallelSuitor(g *graph.Graph, suitor []int32, ws []int64, pos []int32, ex par.Exec) {
+	ex = ex.Kernel("suitor:propose")
+	span := ex.Span
+	defer span.End()
 	n := g.N()
 	locks := make([]int32, n)
 	// Spin iterations batch into a per-chunk counter (suitor_spins) flushed
 	// once per chunk; the common uncontended acquire adds one register add.
-	par.ForChunked(n, p, 256, func(_, lo, hi int) {
+	par.ForChunked(n, ex, 256, func(_, lo, hi int) {
 		var spins int64
 		lock := func(v int32) {
 			for !atomic.CompareAndSwapInt32(&locks[v], 0, 1) {

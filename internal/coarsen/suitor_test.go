@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/par"
 )
 
 func TestSuitorIsMatching(t *testing.T) {
 	for gname, g := range testGraphs() {
 		for _, p := range []int{1, 4} {
-			m, err := Suitor{}.Map(g, 7, p)
+			m, err := Suitor{}.Map(g, 7, par.Exec{P: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +48,7 @@ func TestSuitorHalfApproximation(t *testing.T) {
 	}
 	for name, g := range graphs {
 		opt := bruteForceMaxMatching(g)
-		m, err := Suitor{}.Map(g, 3, 1)
+		m, err := Suitor{}.Map(g, 3, par.Exec{P: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestSuitorPicksHeaviestOnStar(t *testing.T) {
 	g := graph.MustFromEdges(5, []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 9}, {U: 0, V: 3, W: 3}, {U: 0, V: 4, W: 2},
 	})
-	m, err := Suitor{}.Map(g, 1, 1)
+	m, err := Suitor{}.Map(g, 1, par.Exec{P: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +128,8 @@ func TestSuitorPicksHeaviestOnStar(t *testing.T) {
 
 func TestSuitorSequentialDeterministic(t *testing.T) {
 	g := testGraphs()["rand999"]
-	a, _ := Suitor{}.Map(g, 5, 1)
-	b, _ := Suitor{}.Map(g, 5, 1)
+	a, _ := Suitor{}.Map(g, 5, par.Exec{P: 1})
+	b, _ := Suitor{}.Map(g, 5, par.Exec{P: 1})
 	for i := range a.M {
 		if a.M[i] != b.M[i] {
 			t.Fatalf("sequential suitor nondeterministic at %d", i)

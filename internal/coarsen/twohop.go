@@ -31,7 +31,7 @@ type TwoHop struct {
 func (TwoHop) Name() string { return "twohop" }
 
 // Map implements Mapper.
-func (t TwoHop) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
+func (t TwoHop) Map(g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error) {
 	n := g.N()
 	threshold := t.UnmatchedThreshold
 	if threshold <= 0 {
@@ -41,37 +41,37 @@ func (t TwoHop) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 	if maxTwinDeg <= 0 {
 		maxTwinDeg = 64
 	}
-	match, pos, passes, passMapped := hemMatch(g, seed, p, t.MaxPasses, false)
+	match, pos, passes, passMapped := hemMatch(g, seed, ex, t.MaxPasses, false)
 
 	unmatchedRatio := func() float64 {
 		if n == 0 {
 			return 0
 		}
-		c := par.CountInt64(n, p, func(i int) bool { return match[i] == unset })
+		c := par.CountInt64(n, ex, func(i int) bool { return match[i] == unset })
 		return float64(c) / float64(n)
 	}
 	if unmatchedRatio() > threshold {
-		span := obs.StartKernel("twohop:leaf")
-		leafMatch(g, match, p)
-		span.Done()
+		kx := ex.Kernel("twohop:leaf")
+		leafMatch(g, match, kx)
+		kx.Span.End()
 	}
 	if unmatchedRatio() > threshold {
-		span := obs.StartKernel("twohop:twin")
-		twinMatch(g, match, p, maxTwinDeg, seed)
-		span.Done()
+		kx := ex.Kernel("twohop:twin")
+		twinMatch(g, match, kx, maxTwinDeg, seed)
+		kx.Span.End()
 	}
 	if unmatchedRatio() > threshold {
-		span := obs.StartKernel("twohop:relative")
-		relativeMatch(g, match, pos, p)
-		span.Done()
+		kx := ex.Kernel("twohop:relative")
+		relativeMatch(g, match, pos, kx)
+		kx.Span.End()
 	}
 	// Whatever is still unmatched becomes a singleton.
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		if match[i] == unset {
 			match[i] = int32(i)
 		}
 	})
-	m, nc := matchToMapping(match, pos, p)
+	m, nc := matchToMapping(match, pos, ex)
 	return &Mapping{M: m, NC: nc, Passes: passes, PassMapped: passMapped}, nil
 }
 
@@ -80,8 +80,8 @@ func (t TwoHop) Map(g *graph.Graph, seed uint64, p int) (*Mapping, error) {
 // through its unique neighbor, so iterating over potential centers gives
 // each leaf exactly one owner and the phase needs no synchronization
 // beyond the parallel loop.
-func leafMatch(g *graph.Graph, match []int32, p int) {
-	par.ForEachChunked(g.N(), p, 256, func(i int) {
+func leafMatch(g *graph.Graph, match []int32, ex par.Exec) {
+	par.ForEachChunked(g.N(), ex, 256, func(i int) {
 		v := int32(i)
 		adj, _ := g.Neighbors(v)
 		if len(adj) < 2 {
@@ -109,9 +109,9 @@ func leafMatch(g *graph.Graph, match []int32, p int) {
 // collisions are resolved by comparing the actual lists. Twins are never
 // adjacent (a vertex cannot appear in its own adjacency list), so pairing
 // them is always a valid two-hop contraction.
-func twinMatch(g *graph.Graph, match []int32, p, maxDeg int, seed uint64) {
+func twinMatch(g *graph.Graph, match []int32, ex par.Exec, maxDeg int, seed uint64) {
 	n := g.N()
-	cand := par.Pack(n, p, func(i int) bool {
+	cand := par.Pack(n, ex, func(i int) bool {
 		d := g.Degree(int32(i))
 		return match[i] == unset && d >= 1 && d <= int64(maxDeg)
 	})
@@ -120,15 +120,15 @@ func twinMatch(g *graph.Graph, match []int32, p, maxDeg int, seed uint64) {
 	}
 	keys := make([]uint64, len(cand))
 	vals := make([]uint64, len(cand))
-	scratch := make([]twinScratch, par.Workers(p, len(cand)))
-	par.For(len(cand), p, func(w, lo, hi int) {
+	scratch := make([]twinScratch, par.Workers(ex.P, len(cand)))
+	par.For(len(cand), ex, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := cand[i]
 			keys[i] = adjacencyHash(g, u, &scratch[w], seed)
 			vals[i] = uint64(u)
 		}
 	})
-	par.RadixSortPairs(keys, vals, p)
+	par.RadixSortPairs(keys, vals, ex)
 	// Walk hash groups; within a group, greedily pair verified twins.
 	// Groups are disjoint vertex sets, so this loop could be parallelized
 	// over group boundaries; group sizes are tiny in practice and the scan
@@ -160,12 +160,12 @@ func twinMatch(g *graph.Graph, match []int32, p, maxDeg int, seed uint64) {
 		}
 		lo = hi
 	}
-	// The per-vertex sorts' radix passes reach obs once per call.
+	// The per-vertex sorts' radix passes reach the span once per call.
 	passes := s1.sort.TakePasses() + s2.sort.TakePasses()
 	for w := range scratch {
 		passes += scratch[w].sort.TakePasses()
 	}
-	obs.Add(obs.CtrRadixPass, passes)
+	ex.Span.Add(obs.CtrRadixPass, passes)
 }
 
 // twinScratch holds one goroutine's buffers for sorted adjacency copies.
@@ -223,12 +223,12 @@ func sameAdjacency(g *graph.Graph, u, v int32, s1, s2 *twinScratch) bool {
 // function of the frozen match state, so the pairing is identical for
 // every worker count; writes are exclusive because owners partition the
 // candidates.
-func relativeMatch(g *graph.Graph, match, pos []int32, p int) {
+func relativeMatch(g *graph.Graph, match, pos []int32, ex par.Exec) {
 	n := g.N()
 	// unmatchedDeg[v]: how many unmatched neighbors v has, against the
 	// frozen pre-phase match state.
 	unmatchedDeg := make([]int32, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.ForEachChunked(n, ex, 256, func(i int) {
 		v := int32(i)
 		adj, _ := g.Neighbors(v)
 		var c int32
@@ -241,7 +241,7 @@ func relativeMatch(g *graph.Graph, match, pos []int32, p int) {
 	})
 	// owner[u]: the elected center for unmatched u, or unset.
 	owner := make([]int32, n)
-	par.ForEachChunked(n, p, 256, func(i int) {
+	par.ForEachChunked(n, ex, 256, func(i int) {
 		u := int32(i)
 		owner[u] = unset
 		if match[u] != unset {
@@ -260,7 +260,7 @@ func relativeMatch(g *graph.Graph, match, pos []int32, p int) {
 	// itself be a candidate owned elsewhere; it only ever writes its owned
 	// cells (never its own), so the writes stay exclusive, and a pair of
 	// owned candidates always shares the center as a common neighbor.
-	par.ForEachChunked(n, p, 128, func(i int) {
+	par.ForEachChunked(n, ex, 128, func(i int) {
 		v := int32(i)
 		if unmatchedDeg[v] < 2 {
 			return

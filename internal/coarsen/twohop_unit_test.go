@@ -21,7 +21,7 @@ func TestLeafMatchPairsLeavesOfSameCenter(t *testing.T) {
 		match[i] = unset
 	}
 	match[0], match[6] = 6, 0
-	leafMatch(g, match, 1)
+	leafMatch(g, match, par.Exec{P: 1})
 	paired := 0
 	for u := int32(1); u <= 5; u++ {
 		v := match[u]
@@ -53,7 +53,7 @@ func TestLeafMatchIgnoresMatchedLeaves(t *testing.T) {
 		match[i] = unset
 	}
 	match[1] = 1 // already a singleton: must not be re-paired
-	leafMatch(g, match, 1)
+	leafMatch(g, match, par.Exec{P: 1})
 	if match[1] != 1 {
 		t.Errorf("matched leaf re-paired: %d", match[1])
 	}
@@ -79,7 +79,7 @@ func TestTwinMatchIdentifiesExactTwins(t *testing.T) {
 	// Mark the base vertices matched so only 3,4,5 are candidates.
 	match[0], match[1] = 1, 0
 	match[2] = 2
-	twinMatch(g, match, 1, 64, 7)
+	twinMatch(g, match, par.Exec{P: 1}, 64, 7)
 	if match[3] != 4 || match[4] != 3 {
 		t.Errorf("twins 3,4 not matched: %v", match)
 	}
@@ -103,7 +103,7 @@ func TestTwinMatchHonorsDegreeCap(t *testing.T) {
 		match[i] = unset
 	}
 	match[0], match[1], match[2] = 1, 0, 2
-	twinMatch(g, match, 1, 2, 7)
+	twinMatch(g, match, par.Exec{P: 1}, 2, 7)
 	if match[3] != unset || match[4] != unset {
 		t.Errorf("over-cap twins matched: %v", match)
 	}
@@ -113,7 +113,7 @@ func TestRelativeMatchPairsThroughSharedNeighbor(t *testing.T) {
 	// 1 and 2 share neighbor 0 but are not adjacent; both unmatched.
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}})
 	match := []int32{0, unset, unset}
-	relativeMatch(g, match, []int32{0, 1, 2}, 1)
+	relativeMatch(g, match, []int32{0, 1, 2}, par.Exec{P: 1})
 	if match[1] != 2 || match[2] != 1 {
 		t.Errorf("relatives not matched: %v", match)
 	}
@@ -137,7 +137,7 @@ func TestRelativeMatchNoDoubleClaim(t *testing.T) {
 	for i := range pos {
 		pos[i] = int32(i)
 	}
-	relativeMatch(g, match, pos, 4)
+	relativeMatch(g, match, pos, par.Exec{P: 4})
 	for u := int32(2); u < 12; u++ {
 		if v := match[u]; v != unset && match[v] != u {
 			t.Fatalf("asymmetric match %d -> %d -> %d", u, v, match[v])
@@ -150,7 +150,7 @@ func TestHeavyUnmatchedNeighbors(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 5}, {U: 0, V: 2, W: 9}})
 	match := []int32{unset, unset, 2}
 	pos := []int32{0, 1, 2}
-	h := heavyUnmatchedNeighbors(g, match, pos, 1)
+	h := heavyUnmatchedNeighbors(g, match, pos, par.Exec{P: 1})
 	if h[0] != 1 {
 		t.Errorf("H[0] = %d, want 1 (heaviest unmatched)", h[0])
 	}
@@ -159,7 +159,7 @@ func TestHeavyUnmatchedNeighbors(t *testing.T) {
 	}
 	// All neighbors matched -> self-point.
 	match2 := []int32{unset, 1, 2}
-	h2 := heavyUnmatchedNeighbors(g, match2, pos, 1)
+	h2 := heavyUnmatchedNeighbors(g, match2, pos, par.Exec{P: 1})
 	if h2[0] != 0 {
 		t.Errorf("H[0] = %d, want self", h2[0])
 	}
@@ -204,7 +204,7 @@ func TestPackTranslationInHEC(t *testing.T) {
 	// Regression guard for the queue-translation logic in HEC.Map: all
 	// vertices map even when many passes are needed on a chain.
 	g := increasingChain(300)
-	m, err := HEC{MaxPasses: 64}.Map(g, 3, 2)
+	m, err := HEC{MaxPasses: 64}.Map(g, 3, par.Exec{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

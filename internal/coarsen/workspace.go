@@ -110,54 +110,55 @@ func (p *WorkspacePool) Put(ws *Workspace) {
 	p.pool.Put(ws)
 }
 
-// The grow helpers report arena effectiveness to the obs layer: bytes
+// The grow helpers report arena effectiveness to the caller's span: bytes
 // served from retained buffers (workspace_bytes_reused) vs. freshly
 // allocated (workspace_bytes_alloc). A reuse ratio near 1 in steady state
 // is the arena working as designed; allocations recurring past the first
 // level mean a buffer is being resized every level.
 
-func growI32(buf *[]int32, n int) []int32 {
+func growI32(buf *[]int32, n int, span *obs.Span) []int32 {
 	if cap(*buf) < n {
 		*buf = make([]int32, n)
-		obs.Add(obs.CtrWSBytesAlloc, int64(n)*4)
+		span.Add(obs.CtrWSBytesAlloc, int64(n)*4)
 	} else {
-		obs.Add(obs.CtrWSBytesReused, int64(n)*4)
+		span.Add(obs.CtrWSBytesReused, int64(n)*4)
 	}
 	*buf = (*buf)[:n]
 	return *buf
 }
 
-func growI64(buf *[]int64, n int) []int64 {
+func growI64(buf *[]int64, n int, span *obs.Span) []int64 {
 	if cap(*buf) < n {
 		*buf = make([]int64, n)
-		obs.Add(obs.CtrWSBytesAlloc, int64(n)*8)
+		span.Add(obs.CtrWSBytesAlloc, int64(n)*8)
 	} else {
-		obs.Add(obs.CtrWSBytesReused, int64(n)*8)
+		span.Add(obs.CtrWSBytesReused, int64(n)*8)
 	}
 	*buf = (*buf)[:n]
 	return *buf
 }
 
-func growU64(buf *[]uint64, n int) []uint64 {
+func growU64(buf *[]uint64, n int, span *obs.Span) []uint64 {
 	if cap(*buf) < n {
 		*buf = make([]uint64, n)
-		obs.Add(obs.CtrWSBytesAlloc, int64(n)*8)
+		span.Add(obs.CtrWSBytesAlloc, int64(n)*8)
 	} else {
-		obs.Add(obs.CtrWSBytesReused, int64(n)*8)
+		span.Add(obs.CtrWSBytesReused, int64(n)*8)
 	}
 	*buf = (*buf)[:n]
 	return *buf
 }
 
-// histograms returns p zero-filled histograms of nc bins each.
-// Callers own histogram w exclusively while worker w runs.
-func (ws *Workspace) histograms(p, nc int) [][]int32 {
+// histograms returns p zero-filled histograms of nc bins each, counting
+// arena bytes on span. Callers own histogram w exclusively while worker w
+// runs.
+func (ws *Workspace) histograms(p, nc int, span *obs.Span) [][]int32 {
 	for len(ws.hists) < p {
 		ws.hists = append(ws.hists, nil)
 	}
 	hs := ws.hists[:p]
 	for w := 0; w < p; w++ {
-		h := growI32(&ws.hists[w], nc)
+		h := growI32(&ws.hists[w], nc, span)
 		for i := range h {
 			h[i] = 0
 		}
@@ -165,14 +166,15 @@ func (ws *Workspace) histograms(p, nc int) [][]int32 {
 	return hs
 }
 
-// weightPartials returns p zero-filled int64 accumulators of nc bins each.
-func (ws *Workspace) weightPartials(p, nc int) [][]int64 {
+// weightPartials returns p zero-filled int64 accumulators of nc bins
+// each, counting arena bytes on span.
+func (ws *Workspace) weightPartials(p, nc int, span *obs.Span) [][]int64 {
 	for len(ws.vwgtParts) < p {
 		ws.vwgtParts = append(ws.vwgtParts, nil)
 	}
 	hs := ws.vwgtParts[:p]
 	for w := 0; w < p; w++ {
-		h := growI64(&ws.vwgtParts[w], nc)
+		h := growI64(&ws.vwgtParts[w], nc, span)
 		for i := range h {
 			h[i] = 0
 		}
@@ -205,7 +207,7 @@ func (ws *Workspace) sortScratchFor(p int) []*par.SortScratch {
 type WorkspaceMapper interface {
 	Mapper
 	// MapWith is Map with explicit scratch; ws must be non-nil.
-	MapWith(ws *Workspace, g *graph.Graph, seed uint64, p int) (*Mapping, error)
+	MapWith(ws *Workspace, g *graph.Graph, seed uint64, ex par.Exec) (*Mapping, error)
 }
 
 // mis2Scratch is the retained scratch of the mis2fast worklist kernel: the
@@ -238,16 +240,16 @@ type mis2Scratch struct {
 }
 
 // mis2Scratch returns the arena's worklist-mapper scratch sized for an
-// n-vertex graph and p workers.
-func (ws *Workspace) mis2Scratch(n, p int) *mis2Scratch {
+// n-vertex graph and p workers, counting arena bytes on span.
+func (ws *Workspace) mis2Scratch(n, p int, span *obs.Span) *mis2Scratch {
 	if ws.mis == nil {
 		ws.mis = &mis2Scratch{}
 	}
 	s := ws.mis
-	s.key = growU64(&s.key, n)
-	s.state = growI32(&s.state, n)
-	s.t1 = growI32(&s.t1, n)
-	s.near = growI32(&s.near, n)
+	s.key = growU64(&s.key, n, span)
+	s.state = growI32(&s.state, n, span)
+	s.t1 = growI32(&s.t1, n, span)
+	s.near = growI32(&s.near, n, span)
 	// The claim marks must be strictly below any future epoch. Reused
 	// buffers only ever hold previously issued epochs, so they are fine
 	// as-is; a freshly grown buffer is zero-filled and fine too. Guard the
@@ -256,11 +258,11 @@ func (ws *Workspace) mis2Scratch(n, p int) *mis2Scratch {
 		s.epoch = 0
 		s.mark = nil
 	}
-	s.mark = growI32(&s.mark, n)
+	s.mark = growI32(&s.mark, n, span)
 	for len(s.bufs) < p {
 		s.bufs = append(s.bufs, nil)
 	}
-	s.cnt = growI32(&s.cnt, p)
+	s.cnt = growI32(&s.cnt, p, span)
 	return s
 }
 
@@ -291,17 +293,18 @@ func (s *mis2Scratch) claimEpoch(v, epoch int32) bool {
 	}
 }
 
-// mergeBufs concatenates the first p per-worker buffers into dst (grown in
-// the arena) in worker order, using an exclusive scan over the per-worker
-// counts — the same histogram-merge discipline as the builders, no atomics.
-// The returned slice aliases dst's backing array.
-func (s *mis2Scratch) mergeBufs(dst *[]int32, p int) []int32 {
+// mergeBufs concatenates the first ex.P per-worker buffers into dst (grown
+// in the arena) in worker order, using an exclusive scan over the
+// per-worker counts — the same histogram-merge discipline as the
+// builders, no atomics. The returned slice aliases dst's backing array.
+func (s *mis2Scratch) mergeBufs(dst *[]int32, ex par.Exec) []int32 {
+	p := ex.P
 	cnt := s.cnt[:p]
 	for w := 0; w < p; w++ {
 		cnt[w] = int32(len(s.bufs[w]))
 	}
-	total := par.ExclusiveScanInt32(cnt, cnt, 1)
-	out := growI32(dst, int(total))
+	total := par.ExclusiveScanInt32(cnt, cnt, par.Exec{P: 1})
+	out := growI32(dst, int(total), ex.Span)
 	if total < 1<<13 {
 		// Small merges (the common worklist tail) are cheaper on one core
 		// than p goroutine spawns.
@@ -310,7 +313,7 @@ func (s *mis2Scratch) mergeBufs(dst *[]int32, p int) []int32 {
 		}
 		return out
 	}
-	par.For(p, p, func(_, lo, hi int) {
+	par.For(p, ex, func(_, lo, hi int) {
 		for w := lo; w < hi; w++ {
 			copy(out[cnt[w]:], s.bufs[w])
 		}

@@ -16,10 +16,10 @@ import (
 func TestEmbedWorkspaceReuse(t *testing.T) {
 	g := gen.RGG(1200, 0, 41)
 	opt := Options{Dim: 16, Negatives: 3, Seed: 9, Workers: 1}.withDefaults()
-	emb := randomInit(g.NumV, int32(opt.Dim), opt.Seed, 1)
+	emb := randomInit(g.NumV, int32(opt.Dim), opt.Seed, par.Exec{P: 1})
 	ws := newWorkspace()
 	levelKey := par.Mix64(opt.Seed ^ 0x9e3779b97f4a7c15)
-	tr := newTrainer(g, emb, ws, levelKey, opt)
+	tr := newTrainer(g, emb, ws, levelKey, opt, nil)
 	tr.lr = 0.05
 	tr.epochKey = par.Mix64(levelKey ^ 0xbf58476d1ce4e5b9)
 
@@ -44,14 +44,14 @@ func TestEmbedWorkspaceGrowsAcrossLevels(t *testing.T) {
 	opt := Options{Dim: 8, Negatives: 2, Seed: 3, Workers: 1}.withDefaults()
 	ws := newWorkspace()
 
-	embS := randomInit(small.NumV, int32(opt.Dim), opt.Seed, 1)
-	if _, err := trainLevel(small, embS, ws, 0, 2, 0.05, opt); err != nil {
+	embS := randomInit(small.NumV, int32(opt.Dim), opt.Seed, par.Exec{P: 1})
+	if _, err := trainLevel(small, embS, ws, 0, 2, 0.05, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	capAfterSmall := cap(ws.delta)
 
-	embL := randomInit(large.NumV, int32(opt.Dim), opt.Seed, 1)
-	if _, err := trainLevel(large, embL, ws, 1, 2, 0.05, opt); err != nil {
+	embL := randomInit(large.NumV, int32(opt.Dim), opt.Seed, par.Exec{P: 1})
+	if _, err := trainLevel(large, embL, ws, 1, 2, 0.05, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cap(ws.delta) < capAfterSmall {
@@ -59,9 +59,9 @@ func TestEmbedWorkspaceGrowsAcrossLevels(t *testing.T) {
 	}
 
 	// Back to the small level: nothing should need to grow again.
-	embS2 := randomInit(small.NumV, int32(opt.Dim), opt.Seed, 1)
+	embS2 := randomInit(small.NumV, int32(opt.Dim), opt.Seed, par.Exec{P: 1})
 	capBefore := cap(ws.delta)
-	if _, err := trainLevel(small, embS2, ws, 0, 2, 0.05, opt); err != nil {
+	if _, err := trainLevel(small, embS2, ws, 0, 2, 0.05, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cap(ws.delta) != capBefore {

@@ -204,17 +204,18 @@ func TrainHierarchy(h *coarsen.Hierarchy, opt Options) (*Result, error) {
 	t0 := time.Now()
 
 	ws := newWorkspace()
+	span := obs.Ambient()
 	last := len(h.Graphs) - 1
-	emb := randomInit(h.Graphs[last].NumV, int32(opt.Dim), opt.Seed, opt.Workers)
+	emb := randomInit(h.Graphs[last].NumV, int32(opt.Dim), opt.Seed, par.Exec{P: opt.Workers, Span: span})
 	for i := last; i >= 0; i-- {
 		g := h.Graphs[i]
 		var lvl *obs.Span
-		if obs.Enabled() {
-			lvl = obs.StartKernel(fmt.Sprintf("embed:level %d", i))
+		if span != nil {
+			lvl = span.Child(fmt.Sprintf("embed:level %d", i))
 		}
-		st, err := trainLevel(g, emb, ws, uint64(i), epochs[i], lrs[i], opt)
+		st, err := trainLevel(g, emb, ws, uint64(i), epochs[i], lrs[i], opt, lvl)
 		if err != nil {
-			lvl.Done()
+			lvl.End()
 			return nil, fmt.Errorf("embed: level %d: %w", i, err)
 		}
 		res.Steps += st.steps
@@ -222,14 +223,11 @@ func TrainHierarchy(h *coarsen.Hierarchy, opt Options) (*Result, error) {
 		if i > 0 {
 			// Project onto the next finer level: every fine vertex starts
 			// from its aggregate's vector.
-			var proj *obs.Span
-			if lvl != nil {
-				proj = obs.StartKernel("embed:project")
-			}
-			emb = projectRows(emb, h.Maps[i-1], opt.Workers)
-			proj.Done()
+			proj := lvl.Child("embed:project")
+			emb = projectRows(emb, h.Maps[i-1], par.Exec{P: opt.Workers, Span: proj})
+			proj.End()
 		}
-		lvl.Done()
+		lvl.End()
 	}
 	res.Emb = emb
 	res.TrainTime = time.Since(t0)
@@ -250,13 +248,11 @@ func TrainFlat(g *graph.Graph, totalEpochs int, opt Options) (*Result, error) {
 	res := &Result{EpochsPerLevel: []int{totalEpochs}}
 	t0 := time.Now()
 	ws := newWorkspace()
-	emb := randomInit(g.NumV, int32(opt.Dim), opt.Seed, opt.Workers)
-	var lvl *obs.Span
-	if obs.Enabled() {
-		lvl = obs.StartKernel("embed:level 0")
-	}
-	st, err := trainLevel(g, emb, ws, 0, totalEpochs, opt.LR, opt)
-	lvl.Done()
+	span := obs.Ambient()
+	emb := randomInit(g.NumV, int32(opt.Dim), opt.Seed, par.Exec{P: opt.Workers, Span: span})
+	lvl := span.Child("embed:level 0")
+	st, err := trainLevel(g, emb, ws, 0, totalEpochs, opt.LR, opt, lvl)
+	lvl.End()
 	if err != nil {
 		return nil, fmt.Errorf("embed: flat: %w", err)
 	}
@@ -270,8 +266,8 @@ func TrainFlat(g *graph.Graph, totalEpochs int, opt Options) (*Result, error) {
 // values in [-0.5, 0.5)/dim, the word2vec-style init. Keyed by (seed,
 // element index) so the result is independent of the worker count; the
 // init stream is Mix64-separated from the SGD task streams.
-func randomInit(n, dim int32, seed uint64, p int) *Embedding {
+func randomInit(n, dim int32, seed uint64, ex par.Exec) *Embedding {
 	e := &Embedding{N: n, Dim: dim, Vecs: make([]float32, int64(n)*int64(dim))}
-	fillRandomRows(e.Vecs, 0, par.Mix64(seed^0x696e6974), int(dim), p)
+	fillRandomRows(e.Vecs, 0, par.Mix64(seed^0x696e6974), int(dim), ex)
 	return e
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -54,7 +55,7 @@ func SplitForEval(g *graph.Graph, frac float64, seed uint64) (*EvalSplit, error)
 	}
 
 	// Greedy hold-out in seeded random order under the residual-degree rule.
-	order := par.RandPerm(m, par.Mix64(seed^0x73706c69), 0)
+	order := par.RandPerm(m, par.Mix64(seed^0x73706c69), par.Exec{Span: obs.Ambient()})
 	deg := make([]int64, n)
 	for u := 0; u < n; u++ {
 		deg[u] = g.Degree(int32(u))

@@ -106,7 +106,7 @@ func growI64(buf []int64, n int) []int64 {
 // The order is drawn once per level (epochs vary their negatives, not
 // their edge order), keyed by levelKey so it is identical at every worker
 // count.
-func (ws *workspace) prepareLevel(g *graph.Graph, levelKey uint64, p int) {
+func (ws *workspace) prepareLevel(g *graph.Graph, levelKey uint64, ex par.Exec) {
 	n, m := g.N(), int(g.M())
 	ws.srcs = growI32(ws.srcs, m)
 	ws.dsts = growI32(ws.dsts, m)
@@ -130,7 +130,7 @@ func (ws *workspace) prepareLevel(g *graph.Graph, levelKey uint64, p int) {
 	ws.total = running
 	ws.buildGuide()
 	if m > 0 {
-		ws.perm = par.RandPerm(m, par.Mix64(levelKey^0x7065726d), p)
+		ws.perm = par.RandPerm(m, par.Mix64(levelKey^0x7065726d), ex)
 	} else {
 		ws.perm = ws.perm[:0]
 	}
@@ -195,6 +195,7 @@ type trainer struct {
 	negs     int
 	stride   int // delta floats per task: du, the eu snapshot, 1+negs gradients
 	p        int
+	span     *obs.Span // the embed:train span the rounds charge
 	lr       float32
 	epochKey uint64
 	chunk    int // tasks per two-phase round (chunkFor)
@@ -205,11 +206,12 @@ type trainer struct {
 }
 
 // newTrainer prepares the level: edge extraction, negative table, edge
-// order, scratch sizing, and the hoisted phase closures.
-func newTrainer(g *graph.Graph, emb *Embedding, ws *workspace, levelKey uint64, opt Options) *trainer {
+// order, scratch sizing, and the hoisted phase closures. The edge order's
+// loops charge span.
+func newTrainer(g *graph.Graph, emb *Embedding, ws *workspace, levelKey uint64, opt Options, span *obs.Span) *trainer {
 	m := int(g.M())
 	p := par.Workers(opt.Workers, m)
-	ws.prepareLevel(g, levelKey, p)
+	ws.prepareLevel(g, levelKey, par.Exec{P: p, Span: span})
 	dim := int(emb.Dim)
 	tr := &trainer{emb: emb, ws: ws, m: m, dim: dim, negs: opt.Negatives, stride: 2*dim + 1 + opt.Negatives, p: p}
 	rpt := tr.rowsPerTask()
@@ -245,8 +247,9 @@ func (t *trainer) runEpoch() int64 {
 		if cnt < inlineTasks {
 			p, fb = 1, t.fb1
 		}
-		par.For(cnt, p, t.fa)
-		par.For(p, p, fb)
+		ex := par.Exec{P: p, Span: t.span}
+		par.For(cnt, ex, t.fa)
+		par.For(p, ex, fb)
 	}
 	var drawn int64
 	for w := 0; w < t.p; w++ {
@@ -419,8 +422,8 @@ type levelTrainStats struct {
 // trainLevel runs the level's epochs. The learning rate decays linearly
 // from lr0 to 0.1*lr0 across the level's epochs (a single epoch trains at
 // lr0). Byte-identical output at every worker count; see the package
-// comment for the two mechanisms.
-func trainLevel(g *graph.Graph, emb *Embedding, ws *workspace, level uint64, epochs int, lr0 float64, opt Options) (levelTrainStats, error) {
+// comment for the two mechanisms. The level's spans open under span.
+func trainLevel(g *graph.Graph, emb *Embedding, ws *workspace, level uint64, epochs int, lr0 float64, opt Options, span *obs.Span) (levelTrainStats, error) {
 	var st levelTrainStats
 	if g.NumV != emb.N {
 		return st, fmt.Errorf("embedding has %d rows, graph has %d vertices", emb.N, g.NumV)
@@ -430,13 +433,9 @@ func trainLevel(g *graph.Graph, emb *Embedding, ws *workspace, level uint64, epo
 		return st, nil
 	}
 	levelKey := par.Mix64(opt.Seed ^ (level+1)*0x9e3779b97f4a7c15)
-	tr := newTrainer(g, emb, ws, levelKey, opt)
-
-	var span *obs.Span
-	if obs.Enabled() {
-		span = obs.StartKernel("embed:train")
-		defer span.Done()
-	}
+	tr := newTrainer(g, emb, ws, levelKey, opt, span)
+	tr.span = span.Child("embed:train")
+	defer tr.span.End()
 	for e := 0; e < epochs; e++ {
 		lr := lr0
 		if epochs > 1 {
@@ -447,8 +446,8 @@ func trainLevel(g *graph.Graph, emb *Embedding, ws *workspace, level uint64, epo
 		drawn := tr.runEpoch()
 		st.steps += int64(m)
 		st.negatives += drawn
-		span.Add(obs.CtrEmbedSGDSteps, int64(m))
-		span.Add(obs.CtrEmbedNegatives, drawn)
+		tr.span.Add(obs.CtrEmbedSGDSteps, int64(m))
+		tr.span.Add(obs.CtrEmbedNegatives, drawn)
 	}
 	return st, nil
 }
@@ -457,22 +456,22 @@ func trainLevel(g *graph.Graph, emb *Embedding, ws *workspace, level uint64, epo
 // vertex starts from its aggregate's vector. The level maps are the same
 // arrays coarsen.Hierarchy.ProjectToFine walks; here whole rows are copied
 // instead of labels.
-func projectRows(coarse *Embedding, m []int32, p int) *Embedding {
+func projectRows(coarse *Embedding, m []int32, ex par.Exec) *Embedding {
 	dim := int(coarse.Dim)
 	fine := &Embedding{N: int32(len(m)), Dim: coarse.Dim, Vecs: make([]float32, len(m)*dim)}
-	par.ForEach(len(m), p, func(u int) {
+	par.ForEach(len(m), ex, func(u int) {
 		copy(fine.Vecs[u*dim:(u+1)*dim], coarse.Row(m[u]))
 	})
-	obs.Add(obs.CtrEmbedProjRows, int64(len(m)))
+	ex.Span.Add(obs.CtrEmbedProjRows, int64(len(m)))
 	return fine
 }
 
 // fillRandomRows writes small deterministic pseudo-random values in
 // [-0.5/dim, 0.5/dim) keyed by (seed, element index) — independent of the
 // worker count, like every other stream in the package.
-func fillRandomRows(vecs []float32, start int, seed uint64, dim, p int) {
+func fillRandomRows(vecs []float32, start int, seed uint64, dim int, ex par.Exec) {
 	inv := 1.0 / float64(dim)
-	par.ForEach(len(vecs)-start, p, func(i int) {
+	par.ForEach(len(vecs)-start, ex, func(i int) {
 		idx := start + i
 		r := float64(par.Mix64(seed+uint64(idx))>>11) / (1 << 53) // [0,1)
 		vecs[idx] = float32((r - 0.5) * inv)

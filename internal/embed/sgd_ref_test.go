@@ -53,7 +53,7 @@ func (ws *refWorkspace) prepareLevel(g *graph.Graph, levelKey uint64, p int) {
 	}
 	ws.total = running
 	if m > 0 {
-		ws.perm = par.RandPerm(m, par.Mix64(levelKey^0x7065726d), p)
+		ws.perm = par.RandPerm(m, par.Mix64(levelKey^0x7065726d), par.Exec{P: p})
 	} else {
 		ws.perm = ws.perm[:0]
 	}
@@ -101,8 +101,8 @@ func (t *refTrainer) runEpoch() int64 {
 			cnt = t.m - base
 		}
 		t.base, t.cnt = base, cnt
-		par.For(cnt, t.p, t.phaseA)
-		par.For(t.p, t.p, t.phaseB)
+		par.For(cnt, par.Exec{P: t.p}, t.phaseA)
+		par.For(t.p, par.Exec{P: t.p}, t.phaseB)
 	}
 	var drawn int64
 	for w := 0; w < t.p; w++ {
@@ -227,7 +227,7 @@ func refTrainHierarchy(h *coarsen.Hierarchy, opt Options) (*Result, error) {
 	res := &Result{EpochsPerLevel: epochs}
 	ws := &refWorkspace{}
 	last := len(h.Graphs) - 1
-	emb := randomInit(h.Graphs[last].NumV, int32(opt.Dim), opt.Seed, opt.Workers)
+	emb := randomInit(h.Graphs[last].NumV, int32(opt.Dim), opt.Seed, par.Exec{P: opt.Workers})
 	for i := last; i >= 0; i-- {
 		st, err := refTrainLevel(h.Graphs[i], emb, ws, uint64(i), epochs[i], lrs[i], opt)
 		if err != nil {
@@ -236,7 +236,7 @@ func refTrainHierarchy(h *coarsen.Hierarchy, opt Options) (*Result, error) {
 		res.Steps += st.steps
 		res.Negatives += st.negatives
 		if i > 0 {
-			emb = projectRows(emb, h.Maps[i-1], opt.Workers)
+			emb = projectRows(emb, h.Maps[i-1], par.Exec{P: opt.Workers})
 		}
 	}
 	res.Emb = emb
@@ -249,7 +249,7 @@ func refTrainFlat(g *graph.Graph, totalEpochs int, opt Options) (*Result, error)
 	if totalEpochs < 1 {
 		totalEpochs = 1
 	}
-	emb := randomInit(g.NumV, int32(opt.Dim), opt.Seed, opt.Workers)
+	emb := randomInit(g.NumV, int32(opt.Dim), opt.Seed, par.Exec{P: opt.Workers})
 	st, err := refTrainLevel(g, emb, &refWorkspace{}, 0, totalEpochs, opt.LR, opt)
 	if err != nil {
 		return nil, err

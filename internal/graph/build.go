@@ -21,7 +21,7 @@ type Edge struct {
 // paper's preprocessing path: raw inputs are symmetrized and deduplicated
 // before any coarsening runs.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	return buildCSR(n, [][]Edge{edges}, 1)
+	return buildCSR(n, [][]Edge{edges}, par.Exec{P: 1, Span: obs.Ambient()})
 }
 
 // MustFromEdges is FromEdges that panics on error, for tests and examples
@@ -51,7 +51,8 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 // Rows come out sorted and exact-size. With p > 1 the scatters of phases
 // 2 and 3 use per-worker histograms over contiguous ranges, so bucket and
 // row contents keep input order and the graph is identical at every p.
-func buildCSR(n int, runs [][]Edge, p int) (*Graph, error) {
+// The sorts' radix passes are counted on ex.Span.
+func buildCSR(n int, runs [][]Edge, ex par.Exec) (*Graph, error) {
 	if n < 0 || n > 1<<31-1 {
 		return nil, fmt.Errorf("graph: vertex count %d out of range", n)
 	}
@@ -61,15 +62,15 @@ func buildCSR(n int, runs [][]Edge, p int) (*Graph, error) {
 	}
 	// A worker's histograms cost n counters, so use only as many workers
 	// as there are edges per vertex; int32 counters bound the edge count.
+	p := 1
 	if n > 0 && m <= math.MaxInt32 {
-		p = min(par.Workers(p, m), m/n)
-	} else {
-		p = 1
+		p = min(par.Workers(ex.P, m), m/n)
 	}
 	if p <= 1 {
-		return buildSeq(n, runs), nil
+		return buildSeq(n, runs, ex.Span), nil
 	}
-	return buildPar(n, runs, m, p), nil
+	ex.P = p
+	return buildPar(n, runs, m, ex), nil
 }
 
 // validateEdges checks the edge runs in order, with FromEdges's messages,
@@ -112,7 +113,7 @@ func validateEdges(n int, runs [][]Edge) (int, error) {
 // an inclusive prefix sum leaves the start of x at c[x+1], and each write
 // advances c[x+1] to the end of x, which is the start of x+1. When the
 // scatter is done c[0..n] are the offsets, with no separate cursor array.
-func buildSeq(n int, runs [][]Edge) *Graph {
+func buildSeq(n int, runs [][]Edge, span *obs.Span) *Graph {
 	off := make([]int64, n+2)
 	for _, run := range runs {
 		for _, e := range run {
@@ -146,7 +147,7 @@ func buildSeq(n int, runs [][]Edge) *Graph {
 	mlen := make([]int32, n)
 	var s par.SortScratch
 	mergeBuckets(off, bk, bw, mlen, 0, n, &s)
-	obs.Add(obs.CtrRadixPass, s.TakePasses())
+	span.Add(obs.CtrRadixPass, s.TakePasses())
 
 	xadj := make([]int64, n+2)
 	for u := 0; u < n; u++ {
@@ -176,13 +177,14 @@ func buildSeq(n int, runs [][]Edge) *Graph {
 	return &Graph{NumV: int32(n), Xadj: xadj[:n+1], Adj: adj, Wgt: wgt}
 }
 
-// buildPar is buildSeq on p workers: workers own contiguous ranges of the
+// buildPar is buildSeq on ex.P workers: workers own contiguous ranges of the
 // edge sequence in phase 2 and of the buckets in phase 3, count into
 // private histograms, and par.MergeHistograms turns the counts into
 // per-worker write offsets — the contention-free scatter of coarse-graph
 // construction. Ranges are ordered, so every bucket and row is filled in
 // the order buildSeq fills it.
-func buildPar(n int, runs [][]Edge, m, p int) *Graph {
+func buildPar(n int, runs [][]Edge, m int, ex par.Exec) *Graph {
+	p := ex.P
 	hists := make([][]int32, p)
 	for w := range hists {
 		hists[w] = make([]int32, n)
@@ -191,7 +193,7 @@ func buildPar(n int, runs [][]Edge, m, p int) *Graph {
 	for w := range eb {
 		eb[w] = w * m / p
 	}
-	par.ForRanges(eb, func(w, lo, hi int) {
+	par.ForRanges(eb, ex.Span, func(w, lo, hi int) {
 		h := hists[w]
 		eachRun(runs, lo, hi, func(run []Edge) {
 			for _, e := range run {
@@ -204,12 +206,12 @@ func buildPar(n int, runs [][]Edge, m, p int) *Graph {
 		})
 	})
 	mlen := make([]int32, n)
-	par.MergeHistograms(hists, mlen, p)
+	par.MergeHistograms(hists, mlen, ex)
 	off := make([]int64, n+1)
-	nb := par.PrefixSumInt32(off, mlen, p)
+	nb := par.PrefixSumInt32(off, mlen, ex)
 	bk := make([]int32, nb)
 	bw := make([]int64, nb)
-	par.ForRanges(eb, func(w, lo, hi int) {
+	par.ForRanges(eb, ex.Span, func(w, lo, hi int) {
 		h := hists[w]
 		eachRun(runs, lo, hi, func(run []Edge) {
 			for _, e := range run {
@@ -227,20 +229,20 @@ func buildPar(n int, runs [][]Edge, m, p int) *Graph {
 		})
 	})
 	scratch := make([]par.SortScratch, p)
-	par.ForChunked(n, p, 1024, func(w, lo, hi int) {
+	par.ForChunked(n, ex, 1024, func(w, lo, hi int) {
 		mergeBuckets(off, bk, bw, mlen, lo, hi, &scratch[w])
 	})
 	var passes int64
 	for w := range scratch {
 		passes += scratch[w].TakePasses()
 	}
-	obs.Add(obs.CtrRadixPass, passes)
+	ex.Span.Add(obs.CtrRadixPass, passes)
 
 	for _, h := range hists {
 		clear(h)
 	}
 	vb := par.BalancedRanges(nil, off, p)
-	par.ForRanges(vb, func(w, lo, hi int) {
+	par.ForRanges(vb, ex.Span, func(w, lo, hi int) {
 		h := hists[w]
 		for u := lo; u < hi; u++ {
 			for _, v := range bk[off[u] : off[u]+int64(mlen[u])] {
@@ -249,17 +251,17 @@ func buildPar(n int, runs [][]Edge, m, p int) *Graph {
 		}
 	})
 	deg := make([]int32, n)
-	par.MergeHistograms(hists, deg, p)
-	par.For(n, p, func(_, lo, hi int) {
+	par.MergeHistograms(hists, deg, ex)
+	par.For(n, ex, func(_, lo, hi int) {
 		for x := lo; x < hi; x++ {
 			deg[x] += mlen[x]
 		}
 	})
 	xadj := make([]int64, n+1)
-	nnz := par.PrefixSumInt32(xadj, deg, p)
+	nnz := par.PrefixSumInt32(xadj, deg, ex)
 	adj := make([]int32, nnz)
 	wgt := make([]int64, nnz)
-	par.ForRanges(vb, func(w, lo, hi int) {
+	par.ForRanges(vb, ex.Span, func(w, lo, hi int) {
 		h := hists[w]
 		for u := lo; u < hi; u++ {
 			b, e := off[u], off[u]+int64(mlen[u])
@@ -336,10 +338,11 @@ func FromCSR(n int, xadj []int64, adj []int32, wgt []int64, vwgt []int64) (*Grap
 // weights aligned. Construction algorithms may emit unsorted adjacencies
 // (hash-based dedup); canonical form makes graphs comparable.
 func (g *Graph) SortAdjacency(p int) {
-	par.ForEachChunked(g.N(), p, 256, func(i int) {
+	ex := par.Exec{P: p, Span: obs.Ambient()}
+	par.ForEachChunked(g.N(), ex, 256, func(i int) {
 		u := int32(i)
 		adj, wgt := g.Neighbors(u)
-		par.SortPairsInt32(adj, wgt)
+		par.SortPairsInt32(adj, wgt, ex)
 	})
 }
 
@@ -350,6 +353,7 @@ func Equal(g, h *Graph) bool {
 	if g.NumV != h.NumV {
 		return false
 	}
+	ex := par.Exec{Span: obs.Ambient()}
 	for i := range g.Xadj {
 		if g.Xadj[i] != h.Xadj[i] {
 			return false
@@ -364,8 +368,8 @@ func Equal(g, h *Graph) bool {
 		if len(ga) != len(ha) {
 			return false
 		}
-		gi := sortedView(ga, gw)
-		hi := sortedView(ha, hw)
+		gi := sortedView(ga, gw, ex)
+		hi := sortedView(ha, hw, ex)
 		for k := range gi.adj {
 			if gi.adj[k] != hi.adj[k] || gi.wgt[k] != hi.wgt[k] {
 				return false
@@ -382,7 +386,7 @@ type adjView struct {
 
 // sortedView returns a sorted copy of one adjacency list (copying only when
 // it is not already sorted).
-func sortedView(adj []int32, wgt []int64) adjView {
+func sortedView(adj []int32, wgt []int64, ex par.Exec) adjView {
 	sorted := true
 	for i := 1; i < len(adj); i++ {
 		if adj[i-1] > adj[i] {
@@ -395,14 +399,15 @@ func sortedView(adj []int32, wgt []int64) adjView {
 	}
 	a := append([]int32(nil), adj...)
 	w := append([]int64(nil), wgt...)
-	par.SortPairsInt32(a, w)
+	par.SortPairsInt32(a, w, ex)
 	return adjView{a, w}
 }
 
 // InducedSubgraph returns the subgraph induced by keep (vertices with
 // keep[v] true), relabeled to 0..k-1 in ascending original-id order, plus
-// the old-id array indexed by new id.
-func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32) {
+// the old-id array indexed by new id. The build is sequential; ex.Span
+// receives its counters.
+func (g *Graph) InducedSubgraph(keep []bool, ex par.Exec) (*Graph, []int32) {
 	newID := make([]int32, g.NumV)
 	var oldID []int32
 	for v := int32(0); v < g.NumV; v++ {
@@ -422,7 +427,7 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32) {
 			}
 		}
 	}
-	sub, err := buildCSR(len(oldID), [][]Edge{edges}, 1)
+	sub, err := buildCSR(len(oldID), [][]Edge{edges}, par.Exec{P: 1, Span: ex.Span})
 	if err != nil {
 		panic(err) // unreachable: the edges of a valid graph are valid
 	}

@@ -69,7 +69,7 @@ func fromCanonicalEdges(n int, edges []Edge) *Graph {
 		deg[e.V]++
 	}
 	xadj := make([]int64, n+1)
-	par.PrefixSumInt32(xadj, deg, 1)
+	par.PrefixSumInt32(xadj, deg, par.Exec{P: 1})
 	adj := make([]int32, xadj[n])
 	wgt := make([]int64, xadj[n])
 	pos := make([]int64, n)
@@ -143,7 +143,7 @@ func TestInducedSubgraphMatchesReference(t *testing.T) {
 				want.VWgt[i] = g.VWgt[u]
 			}
 		}
-		got, ids := g.InducedSubgraph(keep)
+		got, ids := g.InducedSubgraph(keep, par.Exec{})
 		if !sameCSR(got, want) || !slices.Equal(ids, oldID) {
 			t.Fatalf("iter %d: InducedSubgraph differs from the reference", iter)
 		}

@@ -3,6 +3,7 @@ package graph
 import (
 	"sync/atomic"
 
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -13,9 +14,10 @@ import (
 // typical graphs and matches ConnectedComponents' labeling up to
 // renumbering. p is the worker count (0 = GOMAXPROCS).
 func (g *Graph) ConnectedComponentsPar(p int) ([]int32, int32) {
+	ex := par.Exec{P: p, Span: obs.Ambient()}
 	n := g.N()
 	parent := make([]int32, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		parent[i] = int32(i)
 	})
 	if n == 0 {
@@ -24,7 +26,7 @@ func (g *Graph) ConnectedComponentsPar(p int) ([]int32, int32) {
 	for {
 		var changed int32
 		// Hook: point each vertex's root at the smallest neighboring root.
-		par.ForEachChunked(n, p, 256, func(i int) {
+		par.ForEachChunked(n, ex, 256, func(i int) {
 			u := int32(i)
 			pu := atomic.LoadInt32(&parent[u])
 			best := pu
@@ -42,7 +44,7 @@ func (g *Graph) ConnectedComponentsPar(p int) ([]int32, int32) {
 			}
 		})
 		// Compress: full pointer jumping to the current roots.
-		par.ForEachChunked(n, p, 512, func(i int) {
+		par.ForEachChunked(n, ex, 512, func(i int) {
 			u := int32(i)
 			r := atomic.LoadInt32(&parent[u])
 			for {
@@ -68,7 +70,7 @@ func (g *Graph) ConnectedComponentsPar(p int) ([]int32, int32) {
 		}
 	}
 	comp := make([]int32, n)
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, ex, func(i int) {
 		comp[i] = newID[parent[i]]
 	})
 	return comp, k

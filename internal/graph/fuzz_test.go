@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mlcg/internal/par"
 )
 
 // headerTooBigForFuzz skips inputs whose (legitimate) header asks for more
@@ -167,7 +169,7 @@ func FuzzCSRFromEdges(f *testing.F) {
 			t.Fatalf("FromEdges differs from the reference\nn=%d edges=%v", n, edges)
 		}
 		a, b := len(edges)/3, len(edges)*2/3
-		if gp := buildPar(n, [][]Edge{edges[:a], edges[a:b], edges[b:]}, len(edges), 3); !sameCSR(gp, want) {
+		if gp := buildPar(n, [][]Edge{edges[:a], edges[a:b], edges[b:]}, len(edges), par.Exec{P: 3}); !sameCSR(gp, want) {
 			t.Fatalf("parallel kernel at p=3 differs from the reference\nn=%d edges=%v", n, edges)
 		}
 		if err := g.Validate(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -86,7 +87,7 @@ func (g *Graph) TotalEdgeWeight() int64 {
 
 // MaxDegree returns the maximum vertex degree, 0 for an empty graph.
 func (g *Graph) MaxDegree() int64 {
-	return par.MaxInt64(g.N(), 0, 0, func(i int) int64 {
+	return par.MaxInt64(g.N(), par.Exec{Span: obs.Ambient()}, 0, func(i int) int64 {
 		return g.Xadj[i+1] - g.Xadj[i]
 	})
 }

@@ -305,7 +305,7 @@ func TestInducedSubgraphVertexWeights(t *testing.T) {
 	g.MaterializeVWgt()
 	g.VWgt[2] = 7
 	keep := []bool{false, true, true, true}
-	sub, oldID := g.InducedSubgraph(keep)
+	sub, oldID := g.InducedSubgraph(keep, par.Exec{})
 	if sub.N() != 3 || sub.M() != 2 {
 		t.Fatalf("sub n=%d m=%d", sub.N(), sub.M())
 	}

@@ -7,6 +7,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -37,6 +38,15 @@ var minPiece = 16 << 10
 // are those of a sequential parse: the first bad line in input order is
 // reported.
 func StreamEdges(r io.Reader, p int) (*Graph, error) {
+	return StreamEdgesMax(r, p, MaxParseVertices)
+}
+
+// StreamEdgesMax is StreamEdges refusing a header that claims more than
+// maxVertices vertices before anything is allocated for them. An edge
+// list may leave vertices isolated, so its header alone sizes the graph;
+// a service taking untrusted bodies bounds it here.
+func StreamEdgesMax(r io.Reader, p, maxVertices int) (*Graph, error) {
+	ex := par.Exec{P: p, Span: obs.Ambient()}
 	block := make([]byte, streamChunk)
 	var (
 		n      int
@@ -71,9 +81,12 @@ func StreamEdges(r io.Reader, p int) (*Graph, error) {
 			if body, n, m, header, herr = parseHeader(body); herr != nil {
 				return nil, herr
 			}
+			if n > maxVertices {
+				return nil, fmt.Errorf("graph: header claims %d vertices, above the limit of %d", n, maxVertices)
+			}
 		}
 		if header && len(body) > 0 {
-			pieces, err := parsePieces(body, p)
+			pieces, err := parsePieces(body, ex)
 			if err != nil {
 				return nil, err
 			}
@@ -87,7 +100,7 @@ func StreamEdges(r io.Reader, p int) (*Graph, error) {
 	if !header {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	g, err := buildCSR(n, runs, p)
+	g, err := buildCSR(n, runs, ex)
 	if err != nil {
 		return nil, err
 	}
@@ -130,11 +143,11 @@ func parseHeader(data []byte) (rest []byte, n int, m int64, ok bool, err error) 
 	return nil, 0, 0, false, nil
 }
 
-// parsePieces splits a newline-aligned block into up to p newline-aligned
-// pieces, parses them in parallel, and returns their edge slices in input
-// order, or the first piece's error.
-func parsePieces(body []byte, p int) ([][]Edge, error) {
-	k := min(par.Workers(p, len(body)/minPiece), len(body)/minPiece)
+// parsePieces splits a newline-aligned block into up to ex.P
+// newline-aligned pieces, parses them in parallel, and returns their edge
+// slices in input order, or the first piece's error.
+func parsePieces(body []byte, ex par.Exec) ([][]Edge, error) {
+	k := min(par.Workers(ex.P, len(body)/minPiece), len(body)/minPiece)
 	k = max(k, 1)
 	bounds := make([]int, k+1)
 	for i := 1; i < k; i++ {
@@ -149,7 +162,7 @@ func parsePieces(body []byte, p int) ([][]Edge, error) {
 	bounds[k] = len(body)
 	runs := make([][]Edge, k)
 	errs := make([]error, k)
-	par.For(k, k, func(_, lo, hi int) {
+	par.For(k, par.Exec{P: k, Span: ex.Span}, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			runs[i], errs[i] = parseEdgePiece(body[bounds[i]:bounds[i+1]])
 		}

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mlcg/internal/par"
 )
 
 // edgeListText renders a messy-but-valid edge list: comments, blank lines,
@@ -223,7 +225,7 @@ func TestStreamEdgesDeterminism(t *testing.T) {
 			if !sameCSR(got, want) {
 				t.Fatalf("n=%d p=%d: StreamEdges differs from the reference", n, p)
 			}
-			if p > 1 && !sameCSR(buildPar(nn, [][]Edge{edges}, len(edges), p), want) {
+			if p > 1 && !sameCSR(buildPar(nn, [][]Edge{edges}, len(edges), par.Exec{P: p}), want) {
 				t.Fatalf("n=%d p=%d: parallel kernel differs from the reference", n, p)
 			}
 		}

@@ -1,6 +1,11 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"mlcg/internal/obs"
+	"mlcg/internal/par"
+)
 
 // BFS runs a breadth-first search from src and returns the distance array
 // (-1 for unreached vertices) and the visit order.
@@ -159,5 +164,5 @@ func (g *Graph) LargestComponent() (*Graph, []int32) {
 	for v, c := range comp {
 		keep[v] = c == best
 	}
-	return g.InducedSubgraph(keep)
+	return g.InducedSubgraph(keep, par.Exec{Span: obs.Ambient()})
 }

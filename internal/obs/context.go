@@ -2,14 +2,14 @@ package obs
 
 import "context"
 
-// Context carriage for traces. A server (or any orchestrator that hops
-// goroutines between accepting a request and executing it) creates a trace
-// with NewTrace, stores it in the request context with NewContext, and the
-// goroutine that ends up doing the work attaches it for the duration —
-// either explicitly (TraceFromContext + Attach) or implicitly through
-// coarsen.(*Coarsener).RunCtx, which attaches a context-carried trace
-// around the multilevel loop. Because traces are goroutine-scoped, any
-// number of requests can be traced concurrently without sharing state.
+// Context carriage for spans. A server (or any orchestrator that hops
+// goroutines between accepting a request and executing it) creates a
+// trace with NewTrace and hands a span of it to the work: through an
+// options field, or through the request context with NewContext or
+// ContextWithSpan, which is how coarsen.(*Coarsener).RunCtx receives it.
+// The work passes the span down to every kernel it runs; nothing is bound
+// to a goroutine, so any number of requests are traced concurrently
+// without sharing state.
 
 type ctxKey struct{}
 
@@ -37,20 +37,29 @@ func RequestIDFromContext(ctx context.Context) string {
 	return id
 }
 
-// NewContext returns a copy of ctx carrying the trace. A nil trace returns
-// ctx unchanged.
+// NewContext returns a copy of ctx carrying the trace's root span. A nil
+// trace returns ctx unchanged.
 func NewContext(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, t)
+	return ContextWithSpan(ctx, t.Root)
 }
 
-// TraceFromContext returns the trace carried by ctx, or nil.
-func TraceFromContext(ctx context.Context) *Trace {
+// ContextWithSpan returns a copy of ctx carrying s. A nil span returns ctx
+// unchanged.
+func ContextWithSpan(ctx context.Context, s *Span) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, s)
+}
+
+// SpanFromContext returns the span carried by ctx, or nil.
+func SpanFromContext(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil
 	}
-	t, _ := ctx.Value(ctxKey{}).(*Trace)
-	return t
+	s, _ := ctx.Value(ctxKey{}).(*Span)
+	return s
 }

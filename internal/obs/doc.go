@@ -8,16 +8,16 @@
 //
 //   - Hierarchical spans (run → level → phase → kernel) carrying wall time
 //     plus per-worker busy time, so load imbalance is computable per kernel.
-//     The orchestrating goroutine opens spans with StartKernel/Done; the
-//     parallel runtime (internal/par) reports each worker's busy time into
-//     the ambient span automatically.
+//     Kernels open spans with Span.Child/End under the span their caller
+//     handed them; the parallel runtime (internal/par) charges each
+//     worker's busy time to the span in the loop's par.Exec handle.
 //   - Named atomic counters (Counter) for the hot-path events that exist in
 //     the algorithms but were previously uncounted: CAS retries in the
 //     reservation rounds, suitor spin iterations, epoch-hash probes and
 //     collisions, radix-sort passes, workspace bytes reused vs. allocated.
 //   - Exporters: a Chrome trace_event-compatible JSON trace (export.go), a
 //     flat text metrics dump, and pprof labels on worker goroutines (applied
-//     by internal/par when a trace is active).
+//     by internal/par when a loop carries a span).
 //
 // # Span hierarchy
 //
@@ -45,60 +45,52 @@
 //
 // # Zero overhead when disabled
 //
-// Tracing is off unless a Trace is bound to the calling goroutine. Every
-// entry point a hot path can reach begins with a single atomic load of the
-// process-wide bound-trace count and a nil check: no allocation, no atomic
-// read-modify-write, no lock. Only when at least one trace is live
-// anywhere does a call resolve the calling goroutine's id and consult the
-// sharded goroutine→trace registry. TestObsDisabledZeroAlloc proves the
-// allocation claim with testing.AllocsPerRun; BenchmarkObsOverhead (in
-// internal/coarsen) bounds the throughput delta of the instrumented
-// disabled path.
+// Tracing is off when the span a kernel is handed is nil. Every method a
+// hot path can reach (Child, End, Add, BusyAdd) begins with a nil check
+// and returns: no allocation, no atomic read-modify-write, no lock.
+// Public entry points read Ambient once, which is one atomic load of the
+// tool-trace pointer. TestObsDisabledZeroAlloc proves the allocation
+// claim with testing.AllocsPerRun; BenchmarkObsOverhead (in
+// internal/coarsen) measures the disabled and enabled paths.
 //
 // # The flush rule
 //
-// Resolving a goroutine is the expensive step of the enabled path: the id
-// comes from runtime.Stack, which formats the goroutine's frames under
-// the runtime's print lock (about 13 µs of CPU per call in a profile of
-// traced two-worker builds of serve-mixed's base graph). So lookups happen
-// only at span boundaries — a StartKernel, one Ambient per parallel call
-// in internal/par, one Attach per spawned worker — and never per chunk
-// or per segment:
+// Nothing is looked up on the enabled path either: a span travels as a
+// pointer, from wherever a trace starts down to every par loop. What
+// costs is what a kernel creates — a span per open, an atomic add per
+// counter flush — so those happen at kernel boundaries and once per
+// parallel chunk, never per element or per segment:
 //
-//   - A kernel keeps the span StartKernel returned on the orchestrating
-//     goroutine, and its worker bodies flush their per-chunk counts with
+//   - A kernel opens its span with Child on the span it was handed, gives
+//     its loops par.Exec{P: ex.P, Span: child} (par.Exec.Kernel does
+//     both), and its worker bodies flush their per-chunk counts with
 //     Span.Add on that span.
 //   - Counts gathered below a chunk, such as the radix passes of
 //     per-segment sorts (par.SortScratch.TakePasses), accumulate in the
 //     caller's scratch and are flushed once per chunk or per call.
-//   - The package-level Add is for an orchestrator's once-per-call flush;
-//     it returns on a zero delta before resolving anything.
 //
-// A package-level call inside a par worker still lands on the ambient
-// span, because par attaches each worker to the trace; the rule is about
-// cost, not correctness. TestTracedRunLookups caps the lookups of a
-// traced serve-shaped build, and TestLookupsIndependentOfSortedSegments
-// fails if they grow with the number of radix-sorted segments.
+// TestTracedBuildAllocsIndependentOfSortedSegments fails if a traced sort
+// build allocates more for more radix-sorted segments.
 //
 // # Concurrency model
 //
-// Traces are goroutine-scoped, not process-global: the package-level
-// helpers (StartKernel, Add, Ambient, Enabled) resolve to the trace bound
-// to the *calling goroutine*, so any number of traced runs — e.g.
-// concurrent requests inside mlcg-serve — proceed independently, each
-// building its own laminar span tree. StartTrace creates a trace and
-// binds the calling goroutine (returning nil only if that goroutine is
-// already tracing); NewTrace creates an unbound trace that a different
-// goroutine attaches with Attach, typically carried there inside a
-// context.Context via NewContext/TraceFromContext.
+// A trace is reached only through the spans handed to the work. NewTrace
+// creates one; the caller passes its Root (or a span below it) down
+// explicitly — an options field such as partition.KWayOptions.Span, or a
+// context built with NewContext/ContextWithSpan for Coarsener.RunCtx — so
+// any number of traced runs, such as concurrent requests inside
+// mlcg-serve, proceed independently, each building its own laminar span
+// tree. Nothing is bound to a goroutine.
 //
-// Within one trace, the ambient span stack (StartKernel/Done) is
-// manipulated only by the orchestrating goroutine — the one that calls
-// the par primitives, never from inside a parallel region. Worker
-// goroutines concurrently *report into* the current span (BusyAdd, Add,
-// Child), which is safe: busy slots and counters are atomic adds, and
-// child-span creation takes the span's mutex. internal/par binds each
-// worker goroutine to the spawning run's trace for the duration of a
-// parallel loop, so a package-level call inside a worker closure reaches
-// the correct trace even with many traced runs in flight.
+// One trace per process may be the tool trace: StartTrace creates it (and
+// returns nil while another is running), and the package-level
+// StartKernel, Done and Ambient act on its span stack. It serves
+// single-goroutine tools — the CLIs' -trace/-metrics flags and the
+// benchmark recorder — whose public library calls read Ambient once and
+// pass the result down; library code never pushes onto the stack.
+//
+// Within one trace, worker goroutines concurrently *report into* the span
+// their loop was handed (BusyAdd, Add, Child), which is safe: busy slots
+// and counters are atomic adds, and child-span creation takes the span's
+// mutex.
 package obs

@@ -13,7 +13,7 @@ import (
 // per-worker shards, designed for the serving hot path: Observe is
 // lock-free and allocation-free (one atomic add per field, shard picked
 // via the runtime's per-thread RNG so concurrent recorders scatter across
-// cache lines without coordination — goroutine-id lookup would allocate),
+// cache lines without coordination),
 // and the disabled form follows the package's counter discipline — a nil
 // *Histogram is the "off" histogram, and Observe on nil is a single nil
 // check, so instrumented paths cost nothing when telemetry is not wanted.
@@ -86,7 +86,7 @@ func histBucketIndex(ns int64) int {
 }
 
 // Observe records one duration. Nil-safe, lock-free, allocation-free:
-// shard selection by goroutine id plus two atomic adds. Negative
+// shard selection by the runtime RNG plus two atomic adds. Negative
 // durations (clock steps) are clamped to zero rather than dropped, so
 // Count always equals the number of Observe calls.
 func (h *Histogram) Observe(d time.Duration) {

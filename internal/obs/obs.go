@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,7 +162,7 @@ type Span struct {
 	children []*Span
 
 	// busy[w] accumulates worker w's busy nanoseconds across every
-	// parallel kernel invocation that ran while this span was ambient.
+	// parallel loop whose Exec carried this span.
 	busy [maxBusySlots]int64
 	// workers is the high-water worker count observed (atomic max).
 	workers int32
@@ -171,141 +170,40 @@ type Span struct {
 	ctr [numCounters]int64
 }
 
-// Trace owns one trace tree. Obtain with StartTrace (create + bind the
-// calling goroutine) or NewTrace (create unbound, for handing to another
-// goroutine), finish with Stop, then export with WriteTrace/WriteMetrics.
-//
-// A trace is *goroutine-scoped*, not process-global: the package-level
-// helpers (StartKernel, Add, Ambient) resolve to the trace bound to the
-// calling goroutine, so any number of traced runs can proceed concurrently
-// — each run's span tree is built only from its own goroutine (plus the
-// worker goroutines internal/par binds for the duration of each parallel
-// loop) and never sees a sibling run's spans or counters.
+// Trace owns one trace tree. NewTrace creates one for explicit use: the
+// caller hands Trace.Root (or a span below it) to the work it traces, and
+// any number of such traces run concurrently without sharing state.
+// StartTrace creates the process's single tool trace, the one the
+// package-level StartKernel, Done and Ambient act on. Finish either kind
+// with Stop, then export with WriteTrace/WriteMetrics.
 type Trace struct {
 	Root  *Span
 	epoch time.Time
 
-	// cur is the innermost open span — the top of the ambient stack. Only
-	// the bound orchestrating goroutine pushes/pops it; worker goroutines
-	// read it through Ambient while the orchestrator is parked in the
-	// parallel runtime, hence the atomic.
-	cur atomic.Pointer[Span]
-
-	// owner is the goroutine StartTrace bound (0 for NewTrace traces);
-	// Stop uses it to undo the binding from any goroutine.
-	owner   uint64
+	// cur is the innermost open span of the tool trace's span stack
+	// (StartKernel/Done). Only the goroutine that started the tool trace
+	// pushes and pops it; an explicit trace's cur stays at Root.
+	cur     atomic.Pointer[Span]
 	stopped atomic.Bool
 }
 
-// Goroutine-to-trace registry. The disabled fast path is one atomic load
-// of activeBinds: when no goroutine anywhere is bound to a trace, every
-// hot-path entry point returns after that single load. Only when at least
-// one trace is live does a call resolve the calling goroutine's id and
-// consult its registry shard.
-const regShards = 64
+// tool is the running tool trace, or nil. Ambient is one load of it.
+var tool atomic.Pointer[Trace]
 
-type traceShard struct {
-	mu sync.RWMutex
-	m  map[uint64]*Trace
-}
-
-var (
-	registry    [regShards]traceShard
-	activeBinds atomic.Int64
-	// lookups counts goid calls, for tests that bound how often a traced
-	// run resolves its goroutine.
-	lookups atomic.Int64
-)
-
-// goid returns the current goroutine's id, parsed from the first line of
-// runtime.Stack ("goroutine N [running]:"); goroutine ids are never
-// reused. The call is not cheap: runtime.Stack walks and formats every
-// frame of the goroutine's stack (output past the 64-byte buffer is
-// dropped, not skipped), taking the runtime's global print lock for each
-// piece, so one call costs microseconds and concurrent calls serialize.
-// The buffer also escapes, one 64-byte allocation per call. Callers
-// resolve a goroutine only at span boundaries (see the flush rule in
-// doc.go), never per chunk or per segment.
-func goid() uint64 {
-	lookups.Add(1)
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for i := prefix; i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// bindG points goroutine id at t, returning the previous binding (nil if
-// none) so callers can restore it.
-func bindG(id uint64, t *Trace) *Trace {
-	sh := &registry[id%regShards]
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[uint64]*Trace)
-	}
-	prev := sh.m[id]
-	sh.m[id] = t
-	sh.mu.Unlock()
-	if prev == nil {
-		activeBinds.Add(1)
-	}
-	return prev
-}
-
-// unbindG restores goroutine id's binding to prev (nil removes it).
-func unbindG(id uint64, prev *Trace) {
-	sh := &registry[id%regShards]
-	sh.mu.Lock()
-	if prev == nil {
-		delete(sh.m, id)
-	} else {
-		sh.m[id] = prev
-	}
-	sh.mu.Unlock()
-	if prev == nil {
-		activeBinds.Add(-1)
-	}
-}
-
-// curTrace returns the trace bound to the calling goroutine, or nil. The
-// activeBinds check is the entire cost when tracing is disabled anywhere
-// in the process.
-func curTrace() *Trace {
-	if activeBinds.Load() == 0 {
-		return nil
-	}
-	id := goid()
-	sh := &registry[id%regShards]
-	sh.mu.RLock()
-	t := sh.m[id]
-	sh.mu.RUnlock()
-	return t
-}
-
-// Enabled reports whether a trace is bound to the calling goroutine.
-func Enabled() bool { return curTrace() != nil }
-
-// Ambient returns the innermost open span of the calling goroutine's
-// trace, or nil when the goroutine is not tracing.
+// Ambient returns the innermost open span of the tool trace, or nil when
+// no tool trace is running. Public entry points read it once and pass the
+// result down; library code below them never looks it up again.
 func Ambient() *Span {
-	t := curTrace()
+	t := tool.Load()
 	if t == nil {
 		return nil
 	}
 	return t.cur.Load()
 }
 
-// NewTrace creates a trace with an open root span without binding it to
-// any goroutine. Use Attach (directly or via a context handed to
-// Coarsener.RunCtx) to make the package-level helpers resolve to it on the
-// goroutine that performs the traced work.
+// NewTrace creates a trace with an open root span. It is not the tool
+// trace: nothing reaches it unless its spans are passed down explicitly
+// (directly, or through a context with NewContext).
 func NewTrace(name string) *Trace {
 	t := &Trace{epoch: time.Now()}
 	t.Root = &Span{name: name, trace: t}
@@ -313,43 +211,20 @@ func NewTrace(name string) *Trace {
 	return t
 }
 
-// StartTrace creates a new trace whose root span has the given name, binds
-// it to the calling goroutine, and returns it. Returns nil — this
-// goroutine's tracing stays disabled — if the goroutine is already bound
-// to a trace. Traces on *other* goroutines are independent: concurrent
-// runs may each hold their own.
+// StartTrace creates the process's tool trace, whose root span has the
+// given name, and returns it. It returns nil while another tool trace is
+// running. A tool trace is for a single-goroutine tool (a CLI run, a
+// benchmark recording); concurrent traced work uses NewTrace.
 func StartTrace(name string) *Trace {
-	id := goid()
-	sh := &registry[id%regShards]
-	sh.mu.RLock()
-	bound := sh.m[id]
-	sh.mu.RUnlock()
-	if bound != nil {
+	t := NewTrace(name)
+	if !tool.CompareAndSwap(nil, t) {
 		return nil
 	}
-	t := NewTrace(name)
-	t.owner = id
-	bindG(id, t)
 	return t
 }
 
-// Attach binds the calling goroutine to the trace so StartKernel/Add/
-// Ambient resolve to it, and returns the function that undoes the binding
-// (restoring whatever trace, if any, was bound before). detach must be
-// called on the same goroutine. Safe on nil (no-op).
-func (t *Trace) Attach() (detach func()) {
-	if t == nil {
-		return func() {}
-	}
-	id := goid()
-	prev := bindG(id, t)
-	return func() { unbindG(id, prev) }
-}
-
-// Stop ends every still-open span (innermost first) and, when the trace
-// was bound by StartTrace, unbinds its owner goroutine. Safe on a nil
-// receiver and idempotent; bindings made with Attach are released by their
-// own detach functions, not by Stop.
+// Stop ends every still-open span (innermost first) and, for the tool
+// trace, lets a new one start. Safe on a nil receiver and idempotent.
 func (t *Trace) Stop() {
 	if t == nil || !t.stopped.CompareAndSwap(false, true) {
 		return
@@ -358,20 +233,18 @@ func (t *Trace) Stop() {
 		s.End()
 	}
 	t.cur.Store(nil)
-	if t.owner != 0 {
-		unbindG(t.owner, nil)
-	}
+	tool.CompareAndSwap(t, nil)
 }
 
 // now returns the offset from the trace epoch.
 func (t *Trace) now() time.Duration { return time.Since(t.epoch) }
 
-// StartKernel opens a child of the ambient span, makes it the new ambient
-// span, and returns it. Returns nil instantly when the calling goroutine
-// is not tracing. Must be called from the orchestrating goroutine; the
-// matching Done restores the parent as ambient.
+// StartKernel opens a child of the tool trace's innermost span, makes it
+// the new innermost span, and returns it. Returns nil at the cost of one
+// atomic load when no tool trace is running. Only the tool's own goroutine
+// calls it; the matching Done pops it.
 func StartKernel(name string) *Span {
-	t := curTrace()
+	t := tool.Load()
 	if t == nil {
 		return nil
 	}
@@ -384,8 +257,8 @@ func StartKernel(name string) *Span {
 	return s
 }
 
-// Done ends the span and restores its parent as the ambient span. The
-// inverse of StartKernel; safe on nil.
+// Done ends the span and restores its parent as the innermost span of its
+// trace's stack. The inverse of StartKernel; safe on nil.
 func (s *Span) Done() {
 	if s == nil {
 		return
@@ -404,9 +277,9 @@ func (s *Span) Trace() *Trace {
 	return s.trace
 }
 
-// Child creates and opens a child span without touching the ambient
-// stack. Safe to call concurrently from worker goroutines (used by tests
-// and by parallel phases that want per-worker sub-spans); safe on nil.
+// Child creates and opens a child span without touching the tool trace's
+// span stack: the way kernels open their spans. Safe to call concurrently
+// from worker goroutines and on nil (returns nil without allocating).
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
@@ -445,18 +318,6 @@ func (s *Span) Add(c Counter, n int64) {
 		return
 	}
 	atomic.AddInt64(&s.ctr[c], n)
-}
-
-// Add increments counter c on the calling goroutine's ambient span. A
-// zero delta returns before anything is resolved; otherwise the cost is
-// one atomic load when no trace is live and a goroutine lookup when one
-// is, so kernels flush per-chunk counts to the span they captured
-// (Span.Add) and keep Add for at most one flush per parallel call.
-func Add(c Counter, n int64) {
-	if n == 0 {
-		return
-	}
-	Ambient().Add(c, n)
 }
 
 // BusyAdd accumulates d of busy time for worker w on this span. Safe on

@@ -27,8 +27,8 @@ func startTrace(t *testing.T, name string) *obs.Trace {
 
 func TestSpanTreeShape(t *testing.T) {
 	tr := startTrace(t, "run")
-	if !obs.Enabled() {
-		t.Fatal("Enabled() = false with active trace")
+	if obs.Ambient() == nil {
+		t.Fatal("Ambient() = nil with active trace")
 	}
 	lvl := obs.StartKernel("level 0")
 	mapS := obs.StartKernel("map:hec")
@@ -43,8 +43,8 @@ func TestSpanTreeShape(t *testing.T) {
 	mapS.Done()
 	lvl.Done()
 	tr.Stop()
-	if obs.Enabled() {
-		t.Fatal("Enabled() = true after Stop")
+	if obs.Ambient() != nil {
+		t.Fatal("Ambient() != nil after Stop")
 	}
 
 	root := tr.Root
@@ -71,7 +71,7 @@ func TestStopClosesOpenSpans(t *testing.T) {
 	obs.StartKernel("level 0")
 	obs.StartKernel("map:hem")
 	tr.Stop() // both still open
-	if obs.Enabled() {
+	if obs.Ambient() != nil {
 		t.Fatal("trace still enabled after Stop with open spans")
 	}
 	var walk func(s *obs.Span)
@@ -102,10 +102,11 @@ func TestSingleActiveTracePerGoroutine(t *testing.T) {
 }
 
 // TestConcurrentTraces is the regression test for the process-global
-// ambient/activeTrace bug: two goroutines each run their own traced span
-// stack concurrently, and neither clobbers the other — every span lands in
-// its own trace, counters stay separate, and both trees remain laminar.
-// Run under -race this also exercises the registry for data races.
+// ambient/activeTrace bug: two goroutines each build their own traced span
+// tree concurrently through explicit spans, and neither clobbers the other
+// — every span lands in its own trace, counters stay separate, and both
+// trees remain laminar. Run under -race this also exercises concurrent
+// span creation for data races.
 func TestConcurrentTraces(t *testing.T) {
 	const rounds = 50
 	var wg sync.WaitGroup
@@ -115,21 +116,17 @@ func TestConcurrentTraces(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			name := []string{"alpha", "beta"}[g]
-			tr := obs.StartTrace(name)
-			if tr == nil {
-				errs <- fmt.Errorf("goroutine %d: StartTrace returned nil", g)
-				return
-			}
+			tr := obs.NewTrace(name)
 			for i := 0; i < rounds; i++ {
-				lvl := obs.StartKernel("level")
-				k := obs.StartKernel("kernel")
-				obs.Add(obs.CtrCASRetry, int64(g+1))
-				if got := obs.Ambient(); got != k {
-					errs <- fmt.Errorf("goroutine %d: ambient = %q, want own kernel", g, got.Name())
+				lvl := tr.Root.Child("level")
+				k := lvl.Child("kernel")
+				k.Add(obs.CtrCASRetry, int64(g+1))
+				if k.Trace() != tr {
+					errs <- fmt.Errorf("goroutine %d: kernel span in another trace", g)
 					return
 				}
-				k.Done()
-				lvl.Done()
+				k.End()
+				lvl.End()
 			}
 			tr.Stop()
 			if tr.Root.Name() != name {
@@ -161,81 +158,62 @@ func TestConcurrentTraces(t *testing.T) {
 	}
 }
 
-// TestAttachContext covers the server-shaped lifecycle: a trace created on
-// one goroutine, carried through a context, and attached by the goroutine
+// TestContextCarriesSpan covers the server-shaped hand-off: a span created
+// on one goroutine, carried through a context, and used by the goroutine
 // that does the work.
-func TestAttachContext(t *testing.T) {
+func TestContextCarriesSpan(t *testing.T) {
 	tr := obs.NewTrace("request")
 	ctx := obs.NewContext(context.Background(), tr)
-	if got := obs.TraceFromContext(ctx); got != tr {
-		t.Fatal("TraceFromContext lost the trace")
+	if got := obs.SpanFromContext(ctx); got != tr.Root {
+		t.Fatal("NewContext does not carry the trace's root span")
 	}
-	if obs.TraceFromContext(context.Background()) != nil {
-		t.Fatal("TraceFromContext invented a trace")
+	if obs.SpanFromContext(context.Background()) != nil {
+		t.Fatal("SpanFromContext invented a span")
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		detach := obs.TraceFromContext(ctx).Attach()
-		k := obs.StartKernel("work")
-		obs.Add(obs.CtrCommit, 3)
-		k.Done()
-		detach()
-		if obs.Enabled() {
-			t.Error("goroutine still traced after detach")
-		}
+		k := obs.SpanFromContext(ctx).Child("work")
+		k.Add(obs.CtrCommit, 3)
+		k.End()
 	}()
 	<-done
 	tr.Stop()
 	if got := tr.Root.Counters()["commits"]; got != 3 {
 		t.Fatalf("commits = %d, want 3", got)
 	}
-	// Attach restores a previous binding rather than dropping it.
-	outer := obs.StartTrace("outer")
-	detach := tr.Attach()
-	if obs.Ambient() != nil {
-		t.Fatal("stopped trace should expose no ambient span")
-	}
-	detach()
-	if !obs.Enabled() {
-		t.Fatal("detach did not restore the outer trace binding")
-	}
-	outer.Stop()
-	// Nil-safety of the handle API.
-	var nilTr *obs.Trace
-	nilTr.Attach()()
 	if obs.NewContext(context.Background(), nil) != context.Background() {
 		t.Fatal("NewContext(nil) should return ctx unchanged")
+	}
+	if obs.ContextWithSpan(context.Background(), nil) != context.Background() {
+		t.Fatal("ContextWithSpan(nil) should return ctx unchanged")
 	}
 }
 
 // TestConcurrentWorkers exercises the reporting surface the way
 // internal/par uses it: many workers concurrently creating child spans,
-// adding busy time, and bumping counters on a shared ambient span. Run
-// under -race this is the span-nesting race test of the issue.
+// adding busy time, and bumping counters on the span their loop was handed.
+// Run under -race this is the span-nesting race test.
 func TestConcurrentWorkers(t *testing.T) {
-	tr := startTrace(t, "run")
-	kern := obs.StartKernel("scatter")
+	tr := obs.NewTrace("run")
+	kern := tr.Root.Child("scatter")
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Workers bind themselves to the span's trace, exactly as
-			// par's obsWorker does, so package-level Add resolves here.
-			defer kern.Trace().Attach()()
 			for i := 0; i < 100; i++ {
 				kern.BusyAdd(w, time.Microsecond)
 				kern.Add(obs.CtrCASRetry, 1)
-				obs.Add(obs.CtrHashProbe, 2)
+				kern.Add(obs.CtrHashProbe, 2)
 			}
 			c := kern.Child("worker-sub")
 			c.End()
 		}(w)
 	}
 	wg.Wait()
-	kern.Done()
+	kern.End()
 	tr.Stop()
 
 	busy := kern.Busy()
@@ -263,12 +241,12 @@ func TestConcurrentWorkers(t *testing.T) {
 }
 
 // TestForRangesSpanNesting drives real par workers — ForRanges over a
-// balanced partition, plus a static For — inside nested kernels and checks
-// that each worker's busy time lands on the span that was ambient when the
-// loop ran, with no cross-talk between sibling kernels. Run under -race
-// this covers concurrent BusyAdd/Add against the ambient stack.
+// balanced partition, plus a static For — inside sibling kernels and
+// checks that each worker's busy time lands on the span its loop was
+// handed, with no cross-talk between sibling kernels. Run under -race this
+// covers concurrent BusyAdd/Add on the kernel spans.
 func TestForRangesSpanNesting(t *testing.T) {
-	tr := startTrace(t, "run")
+	tr := obs.NewTrace("run")
 	const n, p = 1 << 14, 4
 	prefix := make([]int64, n+1)
 	for i := 0; i <= n; i++ {
@@ -277,24 +255,24 @@ func TestForRangesSpanNesting(t *testing.T) {
 	bounds := par.BalancedRanges(nil, prefix, p)
 
 	sink := make([]int64, n)
-	scatter := obs.StartKernel("scatter")
-	par.ForRanges(bounds, func(w, lo, hi int) {
+	scatter := tr.Root.Child("scatter")
+	par.ForRanges(bounds, scatter, func(w, lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
 			sink[i] = int64(i)
 			local++
 		}
-		obs.Add(obs.CtrCommit, local)
+		scatter.Add(obs.CtrCommit, local)
 	})
-	scatter.Done()
+	scatter.End()
 
-	count := obs.StartKernel("count")
-	par.For(n, p, func(w, lo, hi int) {
+	count := tr.Root.Child("count")
+	par.For(n, par.Exec{P: p, Span: count}, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sink[i]++
 		}
 	})
-	count.Done()
+	count.End()
 	tr.Stop()
 
 	for _, s := range []*obs.Span{scatter, count} {
@@ -323,18 +301,18 @@ func TestForRangesSpanNesting(t *testing.T) {
 // run-span totals equal the sum over level spans, and sibling levels do not
 // bleed into each other.
 func TestCounterAggregation(t *testing.T) {
-	tr := startTrace(t, "run")
+	tr := obs.NewTrace("run")
 	perLevel := []int64{10, 20, 30}
 	for i, n := range perLevel {
-		lvl := obs.StartKernel("level")
-		mapS := obs.StartKernel("map:hec")
-		obs.Add(obs.CtrCASRetry, n)
-		obs.Add(obs.CtrRadixPass, 1)
-		mapS.Done()
+		lvl := tr.Root.Child("level")
+		mapS := lvl.Child("map:hec")
+		mapS.Add(obs.CtrCASRetry, n)
+		mapS.Add(obs.CtrRadixPass, 1)
+		mapS.End()
 		if got := lvl.Counters()["cas_retries"]; got != n {
 			t.Fatalf("level %d cas_retries = %d, want %d", i, got, n)
 		}
-		lvl.Done()
+		lvl.End()
 	}
 	tr.Stop()
 	totals := tr.Root.Counters()
@@ -362,20 +340,15 @@ func TestCounterAggregation(t *testing.T) {
 // no active trace, every hot-path entry point must be a pointer load plus a
 // nil check.
 func TestObsDisabledZeroAlloc(t *testing.T) {
-	if obs.Enabled() {
-		t.Fatal("precondition: tracing must be disabled")
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s := obs.StartKernel("kernel")
 		s.BusyAdd(3, time.Microsecond)
 		s.Add(obs.CtrCASRetry, 7)
-		obs.Add(obs.CtrHashProbe, 9)
 		c := s.Child("sub")
 		c.End()
 		c.Done()
 		s.Done()
 		_ = obs.Ambient()
-		_ = obs.Enabled()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates: %v allocs/run, want 0", allocs)
@@ -406,11 +379,11 @@ func TestExportersAndChecker(t *testing.T) {
 		k := obs.StartKernel("classify")
 		k.BusyAdd(0, time.Millisecond)
 		k.BusyAdd(1, 2*time.Millisecond)
-		obs.Add(obs.CtrCASRetry, 5)
+		k.Add(obs.CtrCASRetry, 5)
 		k.Done()
 		mapS.Done()
 		b := obs.StartKernel("build:hash")
-		obs.Add(obs.CtrHashProbe, 11)
+		b.Add(obs.CtrHashProbe, 11)
 		b.Done()
 		lvl.Done()
 	}

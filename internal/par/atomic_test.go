@@ -27,7 +27,7 @@ func TestAtomicMinInt32Concurrent(t *testing.T) {
 	for i := range cells {
 		cells[i] = int32(k + 1)
 	}
-	ForEach(k, 8, func(i int) {
+	ForEach(k, Exec{P: 8}, func(i int) {
 		AtomicMinInt32(&cells[i%n], int32(i))
 	})
 	for c := 0; c < n; c++ {

@@ -12,7 +12,7 @@ func TestReduceStructAccumulator(t *testing.T) {
 		count    int64
 	}
 	n := 5000
-	got := Reduce(n, 4, stats{max: -1},
+	got := Reduce(n, Exec{P: 4}, stats{max: -1},
 		func(acc stats, i int) stats {
 			v := int64((i * 7) % 113)
 			acc.sum += v
@@ -49,7 +49,7 @@ func TestForChunkedWorkerIDsInRange(t *testing.T) {
 	n := 10000
 	p := 4
 	var bad int32
-	ForChunked(n, p, 128, func(w, lo, hi int) {
+	ForChunked(n, Exec{P: p}, 128, func(w, lo, hi int) {
 		if w < 0 || w >= p {
 			atomic.StoreInt32(&bad, int32(w)+1)
 		}
@@ -61,9 +61,9 @@ func TestForChunkedWorkerIDsInRange(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	For(0, 4, func(_, _, _ int) { called = true })
-	For(-5, 4, func(_, _, _ int) { called = true })
-	ForChunked(0, 4, 16, func(_, _, _ int) { called = true })
+	For(0, Exec{P: 4}, func(_, _, _ int) { called = true })
+	For(-5, Exec{P: 4}, func(_, _, _ int) { called = true })
+	ForChunked(0, Exec{P: 4}, 16, func(_, _, _ int) { called = true })
 	if called {
 		t.Error("callback invoked for empty range")
 	}
@@ -76,7 +76,7 @@ func TestPrefixSumQuickAgainstSequential(t *testing.T) {
 			src[i] = int64(v)
 		}
 		dst := make([]int64, len(src)+1)
-		total := PrefixSumInt64(dst, src, 4)
+		total := PrefixSumInt64(dst, src, Exec{P: 4})
 		var sum int64
 		for i, v := range src {
 			if dst[i] != sum {
@@ -99,7 +99,7 @@ func TestRadixSortAllEqualKeys(t *testing.T) {
 		keys[i] = 42
 		vals[i] = uint64(i)
 	}
-	RadixSortPairs(keys, vals, 4)
+	RadixSortPairs(keys, vals, Exec{P: 4})
 	// Equal keys + stability: values must remain in input order.
 	for i := range vals {
 		if vals[i] != uint64(i) {
@@ -111,7 +111,7 @@ func TestRadixSortAllEqualKeys(t *testing.T) {
 func TestRadixSortExtremes(t *testing.T) {
 	keys := []uint64{^uint64(0), 0, 1, ^uint64(0) - 1, 1 << 63}
 	vals := []uint64{0, 1, 2, 3, 4}
-	RadixSortPairs(keys, vals, 1)
+	RadixSortPairs(keys, vals, Exec{P: 1})
 	for i := 1; i < len(keys); i++ {
 		if keys[i-1] > keys[i] {
 			t.Fatalf("not sorted: %v", keys)
@@ -130,7 +130,7 @@ func TestSortPairsInt32NegativeKeys(t *testing.T) {
 			keys[i] = int32(SplitMix64(&st)) % 1000 // mixed signs
 			wgts[i] = int64(keys[i]) * 10
 		}
-		SortPairsInt32(keys, wgts)
+		SortPairsInt32(keys, wgts, Exec{})
 		for i := 1; i < n; i++ {
 			if keys[i-1] > keys[i] {
 				t.Fatalf("n=%d: not sorted at %d: %d > %d", n, i, keys[i-1], keys[i])
@@ -145,7 +145,7 @@ func TestSortPairsInt32NegativeKeys(t *testing.T) {
 }
 
 func TestPackAll(t *testing.T) {
-	got := Pack(100000, 8, func(int) bool { return true })
+	got := Pack(100000, Exec{P: 8}, func(int) bool { return true })
 	if len(got) != 100000 {
 		t.Fatalf("len %d", len(got))
 	}
@@ -154,7 +154,7 @@ func TestPackAll(t *testing.T) {
 			t.Fatalf("order broken at %d", i)
 		}
 	}
-	if got := Pack(100000, 8, func(int) bool { return false }); len(got) != 0 {
+	if got := Pack(100000, Exec{P: 8}, func(int) bool { return false }); len(got) != 0 {
 		t.Errorf("kept %d", len(got))
 	}
 }

@@ -1,11 +1,11 @@
 package par
 
-// Hooks into the internal/obs tracing layer. Every parallel primitive
-// reports each worker's busy wall time into the ambient span and labels
-// worker goroutines for pprof, but only when a trace is active: the loops
-// in par.go capture the ambient span once per call, and a nil span routes
-// straight to the uninstrumented body. The disabled cost is therefore one
-// atomic pointer load per *loop*, not per iteration.
+// Hooks into the internal/obs tracing layer. A traced loop is one whose
+// Exec carries a span: each worker's busy wall time is charged to that
+// span and the worker goroutine carries a pprof label naming it. A nil
+// span routes straight to the uninstrumented body, so the untraced cost is
+// one nil check per loop, not per iteration. Workers never look anything
+// up: the span they report to is the one their caller handed down.
 
 import (
 	"context"
@@ -15,15 +15,9 @@ import (
 	"mlcg/internal/obs"
 )
 
-// obsWorker runs one statically-assigned worker body under a pprof label
-// naming the ambient kernel and charges its wall time to the span's busy
-// slot for worker w. It also binds the worker goroutine to the span's
-// trace for the duration, so package-level obs.Add flushes issued inside
-// the body land on the trace of the run that spawned the worker — not on
-// some other run's trace — when several traced runs proceed concurrently.
+// obsWorker runs one worker body under a pprof label naming span s and
+// charges its wall time to s's busy slot for worker w.
 func obsWorker(s *obs.Span, w int, body func()) {
-	detach := s.Trace().Attach()
-	defer detach()
 	pprof.Do(context.Background(), pprof.Labels("obs_kernel", s.Name()), func(context.Context) {
 		t0 := time.Now()
 		body()

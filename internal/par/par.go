@@ -4,9 +4,12 @@
 // sums, reductions, a parallel LSD radix sort, and a sort-based parallel
 // random permutation (Algorithm 4, line 1 of the paper).
 //
-// All entry points accept an explicit worker count p; p <= 0 means
-// runtime.GOMAXPROCS(0). With p == 1 every routine degenerates to the plain
-// sequential loop, which the benchmark harness uses as the "host" baseline.
+// Every entry point that runs a parallel loop takes an Exec, the analogue
+// of the execution policy a Kokkos parallel_for receives: the worker count
+// P (P <= 0 means runtime.GOMAXPROCS(0)) and the obs span the loop's
+// workers charge their busy time to (nil when untraced). With P == 1 every
+// routine degenerates to the plain sequential loop, which the benchmark
+// harness uses as the "host" baseline.
 package par
 
 import (
@@ -17,6 +20,24 @@ import (
 
 	"mlcg/internal/obs"
 )
+
+// Exec is the execution handle of a parallel call: how many workers run
+// it and which span they report to. The zero value is an untraced loop on
+// GOMAXPROCS workers. Kernels open a sub-span with Kernel and hand the
+// returned handle to their loops, so every loop charges the span its
+// caller was in without any lookup.
+type Exec struct {
+	P    int
+	Span *obs.Span
+}
+
+// Kernel opens a child span of ex.Span named name and returns the handle
+// for the kernel's loops; the caller closes it with Span.End. On an
+// untraced handle it returns ex unchanged and allocates nothing.
+func (ex Exec) Kernel(name string) Exec {
+	ex.Span = ex.Span.Child(name)
+	return ex
+}
 
 // Workers normalizes a requested worker count: values <= 0 become
 // runtime.GOMAXPROCS(0), and the result is never larger than n (no point
@@ -41,12 +62,12 @@ func Workers(p, n int) int {
 // blocks. fn receives the worker index and its half-open range. Static
 // scheduling is the analogue of Kokkos RangePolicy and is right for loops
 // with uniform per-iteration cost.
-func For(n, p int, fn func(worker, lo, hi int)) {
+func For(n int, ex Exec, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p = Workers(p, n)
-	span := obs.Ambient()
+	p := Workers(ex.P, n)
+	span := ex.Span
 	if p == 1 {
 		if span != nil {
 			t0 := time.Now()
@@ -82,11 +103,11 @@ func For(n, p int, fn func(worker, lo, hi int)) {
 // analogue of Kokkos dynamic scheduling and is the right policy for loops
 // with skewed per-iteration cost (adjacency scans over skewed-degree
 // graphs). chunk <= 0 picks a heuristic chunk size.
-func ForChunked(n, p, chunk int, fn func(worker, lo, hi int)) {
+func ForChunked(n int, ex Exec, chunk int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p = Workers(p, n)
+	p := Workers(ex.P, n)
 	if chunk <= 0 {
 		chunk = n / (8 * p)
 		if chunk < 64 {
@@ -99,7 +120,7 @@ func ForChunked(n, p, chunk int, fn func(worker, lo, hi int)) {
 	if nchunks := (n + chunk - 1) / chunk; p > nchunks {
 		p = nchunks
 	}
-	span := obs.Ambient()
+	span := ex.Span
 	if p == 1 {
 		if span != nil {
 			t0 := time.Now()
@@ -144,8 +165,8 @@ func ForChunked(n, p, chunk int, fn func(worker, lo, hi int)) {
 }
 
 // ForEach runs fn(i) for every i in [0, n) with static scheduling.
-func ForEach(n, p int, fn func(i int)) {
-	For(n, p, func(_, lo, hi int) {
+func ForEach(n int, ex Exec, fn func(i int)) {
+	For(n, ex, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -153,8 +174,8 @@ func ForEach(n, p int, fn func(i int)) {
 }
 
 // ForEachChunked runs fn(i) for every i in [0, n) with dynamic scheduling.
-func ForEachChunked(n, p, chunk int, fn func(i int)) {
-	ForChunked(n, p, chunk, func(_, lo, hi int) {
+func ForEachChunked(n int, ex Exec, chunk int, fn func(i int)) {
+	ForChunked(n, ex, chunk, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -163,9 +184,9 @@ func ForEachChunked(n, p, chunk int, fn func(i int)) {
 
 // ForEachChunkedWorker is ForEachChunked with the worker index exposed, for
 // element-wise loops that append to per-worker buffers (frontier and
-// worklist construction). The worker index is always < Workers(p, n).
-func ForEachChunkedWorker(n, p, chunk int, fn func(worker, i int)) {
-	ForChunked(n, p, chunk, func(w, lo, hi int) {
+// worklist construction). The worker index is always < Workers(ex.P, n).
+func ForEachChunkedWorker(n int, ex Exec, chunk int, fn func(worker, i int)) {
+	ForChunked(n, ex, chunk, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(w, i)
 		}

@@ -26,7 +26,7 @@ func TestForCoversRangeOnce(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{0, 1, 5, 1000} {
 			hits := make([]int32, n)
-			For(n, p, func(_, lo, hi int) {
+			For(n, Exec{P: p}, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -45,7 +45,7 @@ func TestForChunkedCoversRangeOnce(t *testing.T) {
 		for _, chunk := range []int{0, 1, 7, 1024} {
 			n := 5000
 			hits := make([]int32, n)
-			ForChunked(n, p, chunk, func(_, lo, hi int) {
+			ForChunked(n, Exec{P: p}, chunk, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -62,7 +62,7 @@ func TestForChunkedCoversRangeOnce(t *testing.T) {
 func TestForEachSum(t *testing.T) {
 	n := 10000
 	var sum int64
-	ForEach(n, 8, func(i int) { atomic.AddInt64(&sum, int64(i)) })
+	ForEach(n, Exec{P: 8}, func(i int) { atomic.AddInt64(&sum, int64(i)) })
 	want := int64(n) * int64(n-1) / 2
 	if sum != want {
 		t.Errorf("sum = %d, want %d", sum, want)
@@ -85,7 +85,7 @@ func TestPrefixSumInt64MatchesSequential(t *testing.T) {
 		want[n] = sum
 		for _, p := range []int{1, 4, 16} {
 			dst := make([]int64, n+1)
-			total := PrefixSumInt64(dst, src, p)
+			total := PrefixSumInt64(dst, src, Exec{P: p})
 			if total != sum {
 				t.Fatalf("n=%d p=%d total=%d want %d", n, p, total, sum)
 			}
@@ -107,8 +107,8 @@ func TestPrefixSumInt32MatchesSequential(t *testing.T) {
 	}
 	dst1 := make([]int64, n+1)
 	dst8 := make([]int64, n+1)
-	t1 := PrefixSumInt32(dst1, src, 1)
-	t8 := PrefixSumInt32(dst8, src, 8)
+	t1 := PrefixSumInt32(dst1, src, Exec{P: 1})
+	t8 := PrefixSumInt32(dst8, src, Exec{P: 8})
 	if t1 != t8 {
 		t.Fatalf("totals differ: %d vs %d", t1, t8)
 	}
@@ -125,12 +125,12 @@ func TestPrefixSumPanicsOnBadDst(t *testing.T) {
 			t.Fatal("expected panic for wrong dst length")
 		}
 	}()
-	PrefixSumInt64(make([]int64, 3), make([]int64, 3), 1)
+	PrefixSumInt64(make([]int64, 3), make([]int64, 3), Exec{P: 1})
 }
 
 func TestPack(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		got := Pack(10, p, func(i int) bool { return i%3 == 0 })
+		got := Pack(10, Exec{P: p}, func(i int) bool { return i%3 == 0 })
 		want := []int32{0, 3, 6, 9}
 		if len(got) != len(want) {
 			t.Fatalf("p=%d: got %v want %v", p, got, want)
@@ -141,11 +141,11 @@ func TestPack(t *testing.T) {
 			}
 		}
 	}
-	if got := Pack(0, 4, func(int) bool { return true }); len(got) != 0 {
+	if got := Pack(0, Exec{P: 4}, func(int) bool { return true }); len(got) != 0 {
 		t.Errorf("Pack(0) = %v, want empty", got)
 	}
 	// Large input exercises the parallel path.
-	got := Pack(100000, 8, func(i int) bool { return i%2 == 1 })
+	got := Pack(100000, Exec{P: 8}, func(i int) bool { return i%2 == 1 })
 	if len(got) != 50000 {
 		t.Fatalf("len = %d, want 50000", len(got))
 	}
@@ -158,18 +158,18 @@ func TestPack(t *testing.T) {
 
 func TestReduceAndHelpers(t *testing.T) {
 	n := 12345
-	sum := SumInt64(n, 8, func(i int) int64 { return int64(i) })
+	sum := SumInt64(n, Exec{P: 8}, func(i int) int64 { return int64(i) })
 	if want := int64(n) * int64(n-1) / 2; sum != want {
 		t.Errorf("SumInt64 = %d, want %d", sum, want)
 	}
-	max := MaxInt64(n, 8, -1, func(i int) int64 { return int64(i % 997) })
+	max := MaxInt64(n, Exec{P: 8}, -1, func(i int) int64 { return int64(i % 997) })
 	if max != 996 {
 		t.Errorf("MaxInt64 = %d, want 996", max)
 	}
-	if got := MaxInt64(0, 8, -5, func(i int) int64 { return 0 }); got != -5 {
+	if got := MaxInt64(0, Exec{P: 8}, -5, func(i int) int64 { return 0 }); got != -5 {
 		t.Errorf("MaxInt64 empty = %d, want identity -5", got)
 	}
-	cnt := CountInt64(n, 8, func(i int) bool { return i%5 == 0 })
+	cnt := CountInt64(n, Exec{P: 8}, func(i int) bool { return i%5 == 0 })
 	if want := int64((n + 4) / 5); cnt != want {
 		t.Errorf("CountInt64 = %d, want %d", cnt, want)
 	}
@@ -177,14 +177,14 @@ func TestReduceAndHelpers(t *testing.T) {
 
 func TestFillAndCopy(t *testing.T) {
 	a := make([]int32, 5000)
-	Fill(a, 7, 8)
+	Fill(a, 7, Exec{P: 8})
 	for i, v := range a {
 		if v != 7 {
 			t.Fatalf("a[%d] = %d", i, v)
 		}
 	}
 	b := make([]int32, 5000)
-	Copy(b, a, 8)
+	Copy(b, a, Exec{P: 8})
 	for i, v := range b {
 		if v != 7 {
 			t.Fatalf("b[%d] = %d", i, v)
@@ -198,7 +198,7 @@ func TestCopyPanicsOnShortDst(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Copy(make([]int, 1), make([]int, 2), 1)
+	Copy(make([]int, 1), make([]int, 2), Exec{P: 1})
 }
 
 func TestSplitMix64Known(t *testing.T) {
@@ -277,7 +277,7 @@ func TestRadixSortPairsSorted(t *testing.T) {
 				keys[i] = SplitMix64(&st)
 				vals[i] = keys[i] ^ 0xabcdef // value tied to key for checking
 			}
-			RadixSortPairs(keys, vals, p)
+			RadixSortPairs(keys, vals, Exec{P: p})
 			for i := 1; i < n; i++ {
 				if keys[i-1] > keys[i] {
 					t.Fatalf("n=%d p=%d not sorted at %d", n, p, i)
@@ -302,7 +302,7 @@ func TestRadixSortPairsStable(t *testing.T) {
 		keys[i] = SplitMix64(&st) % 16
 		vals[i] = uint64(i)
 	}
-	RadixSortPairs(keys, vals, 8)
+	RadixSortPairs(keys, vals, Exec{P: 8})
 	for i := 1; i < n; i++ {
 		if keys[i-1] == keys[i] && vals[i-1] > vals[i] {
 			t.Fatalf("instability at %d: key %d order %d > %d", i, keys[i], vals[i-1], vals[i])
@@ -317,7 +317,7 @@ func TestRadixSortPairsQuick(t *testing.T) {
 		for i := range vals {
 			vals[i] = keys[i]
 		}
-		RadixSortPairs(keys, vals, 4)
+		RadixSortPairs(keys, vals, Exec{P: 4})
 		for i := 1; i < len(keys); i++ {
 			if keys[i-1] > keys[i] {
 				return false
@@ -344,7 +344,7 @@ func TestSortPairsInt32(t *testing.T) {
 			keys[i] = int32(SplitMix64(&st) % 64)
 			wgts[i] = int64(keys[i]) * 10
 		}
-		SortPairsInt32(keys, wgts)
+		SortPairsInt32(keys, wgts, Exec{})
 		for i := 1; i < n; i++ {
 			if keys[i-1] > keys[i] {
 				t.Fatalf("n=%d: not sorted at %d", n, i)
@@ -361,7 +361,7 @@ func TestSortPairsInt32(t *testing.T) {
 func TestRandPermIsPermutation(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 1000, 1 << 15} {
 		for _, p := range []int{1, 8} {
-			perm := RandPerm(n, 12345, p)
+			perm := RandPerm(n, 12345, Exec{P: p})
 			if len(perm) != n {
 				t.Fatalf("len = %d, want %d", len(perm), n)
 			}
@@ -377,8 +377,8 @@ func TestRandPermIsPermutation(t *testing.T) {
 }
 
 func TestRandPermSeedSensitivity(t *testing.T) {
-	a := RandPerm(1000, 1, 1)
-	b := RandPerm(1000, 2, 1)
+	a := RandPerm(1000, 1, Exec{P: 1})
+	b := RandPerm(1000, 2, Exec{P: 1})
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -390,7 +390,7 @@ func TestRandPermSeedSensitivity(t *testing.T) {
 	}
 	// Same seed must reproduce regardless of parallelism: the sort is by
 	// unique random keys, so the order is seed-determined.
-	c := RandPerm(1000, 1, 8)
+	c := RandPerm(1000, 1, Exec{P: 8})
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatalf("seeded permutation differs between p=1 and p=8 at %d", i)
@@ -399,8 +399,8 @@ func TestRandPermSeedSensitivity(t *testing.T) {
 }
 
 func TestInversePerm(t *testing.T) {
-	perm := RandPerm(500, 3, 4)
-	inv := InversePerm(perm, 4)
+	perm := RandPerm(500, 3, Exec{P: 4})
+	inv := InversePerm(perm, Exec{P: 4})
 	for i, v := range perm {
 		if inv[v] != int32(i) {
 			t.Fatalf("inv[perm[%d]] = %d, want %d", i, inv[v], i)

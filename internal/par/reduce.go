@@ -3,8 +3,8 @@ package par
 // Reduce folds fn over [0, n) in parallel: each worker folds its block with
 // fold starting from identity, then the per-worker partials are combined
 // sequentially with combine. This mirrors Kokkos parallel_reduce.
-func Reduce[T any](n, p int, identity T, fold func(acc T, i int) T, combine func(a, b T) T) T {
-	p = Workers(p, n)
+func Reduce[T any](n int, ex Exec, identity T, fold func(acc T, i int) T, combine func(a, b T) T) T {
+	p := Workers(ex.P, n)
 	if n == 0 {
 		return identity
 	}
@@ -16,7 +16,7 @@ func Reduce[T any](n, p int, identity T, fold func(acc T, i int) T, combine func
 		return acc
 	}
 	partials := make([]T, p)
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		acc := identity
 		for i := lo; i < hi; i++ {
 			acc = fold(acc, i)
@@ -31,14 +31,14 @@ func Reduce[T any](n, p int, identity T, fold func(acc T, i int) T, combine func
 }
 
 // SumInt64 returns the sum of fn(i) over [0, n).
-func SumInt64(n, p int, fn func(i int) int64) int64 {
-	return Reduce(n, p, 0, func(acc int64, i int) int64 { return acc + fn(i) },
+func SumInt64(n int, ex Exec, fn func(i int) int64) int64 {
+	return Reduce(n, ex, 0, func(acc int64, i int) int64 { return acc + fn(i) },
 		func(a, b int64) int64 { return a + b })
 }
 
 // MaxInt64 returns the maximum of fn(i) over [0, n), or identity when n==0.
-func MaxInt64(n, p int, identity int64, fn func(i int) int64) int64 {
-	return Reduce(n, p, identity,
+func MaxInt64(n int, ex Exec, identity int64, fn func(i int) int64) int64 {
+	return Reduce(n, ex, identity,
 		func(acc int64, i int) int64 {
 			if v := fn(i); v > acc {
 				return v
@@ -54,8 +54,8 @@ func MaxInt64(n, p int, identity int64, fn func(i int) int64) int64 {
 }
 
 // CountInt64 returns the number of i in [0, n) for which pred(i) holds.
-func CountInt64(n, p int, pred func(i int) bool) int64 {
-	return SumInt64(n, p, func(i int) int64 {
+func CountInt64(n int, ex Exec, pred func(i int) bool) int64 {
+	return SumInt64(n, ex, func(i int) int64 {
 		if pred(i) {
 			return 1
 		}
@@ -64,8 +64,8 @@ func CountInt64(n, p int, pred func(i int) bool) int64 {
 }
 
 // Fill sets dst[i] = v for all i, in parallel.
-func Fill[T any](dst []T, v T, p int) {
-	For(len(dst), p, func(_, lo, hi int) {
+func Fill[T any](dst []T, v T, ex Exec) {
+	For(len(dst), ex, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = v
 		}
@@ -73,11 +73,11 @@ func Fill[T any](dst []T, v T, p int) {
 }
 
 // Copy copies src into dst (which must be at least as long), in parallel.
-func Copy[T any](dst, src []T, p int) {
+func Copy[T any](dst, src []T, ex Exec) {
 	if len(dst) < len(src) {
 		panic("par: Copy dst shorter than src")
 	}
-	For(len(src), p, func(_, lo, hi int) {
+	For(len(src), ex, func(_, lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
 	})
 }

@@ -5,12 +5,12 @@ package par
 // The parallel version is a classic three-phase blocked scan: per-block
 // sums, a sequential scan over the (small) block totals, then a per-block
 // fill. Returns the total.
-func PrefixSumInt64(dst, src []int64, p int) int64 {
+func PrefixSumInt64(dst, src []int64, ex Exec) int64 {
 	n := len(src)
 	if len(dst) != n+1 {
 		panic("par: PrefixSumInt64 dst must have len(src)+1 entries")
 	}
-	p = Workers(p, n)
+	p := Workers(ex.P, n)
 	if n == 0 {
 		dst[0] = 0
 		return 0
@@ -25,7 +25,7 @@ func PrefixSumInt64(dst, src []int64, p int) int64 {
 		return sum
 	}
 	blockSums := make([]int64, p)
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		var sum int64
 		for i := lo; i < hi; i++ {
 			sum += src[i]
@@ -38,7 +38,7 @@ func PrefixSumInt64(dst, src []int64, p int) int64 {
 		blockSums[w] = total
 		total += s
 	}
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		sum := blockSums[w]
 		for i := lo; i < hi; i++ {
 			dst[i] = sum
@@ -51,12 +51,12 @@ func PrefixSumInt64(dst, src []int64, p int) int64 {
 
 // PrefixSumInt32 is PrefixSumInt64 for int32 counters with int64 offsets.
 // dst must have len(src)+1 entries.
-func PrefixSumInt32(dst []int64, src []int32, p int) int64 {
+func PrefixSumInt32(dst []int64, src []int32, ex Exec) int64 {
 	n := len(src)
 	if len(dst) != n+1 {
 		panic("par: PrefixSumInt32 dst must have len(src)+1 entries")
 	}
-	p = Workers(p, n)
+	p := Workers(ex.P, n)
 	if n == 0 {
 		dst[0] = 0
 		return 0
@@ -71,7 +71,7 @@ func PrefixSumInt32(dst []int64, src []int32, p int) int64 {
 		return sum
 	}
 	blockSums := make([]int64, p)
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		var sum int64
 		for i := lo; i < hi; i++ {
 			sum += int64(src[i])
@@ -84,7 +84,7 @@ func PrefixSumInt32(dst []int64, src []int32, p int) int64 {
 		blockSums[w] = total
 		total += s
 	}
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		sum := blockSums[w]
 		for i := lo; i < hi; i++ {
 			dst[i] = sum
@@ -101,12 +101,12 @@ func PrefixSumInt32(dst []int64, src []int32, p int) int64 {
 // saves the second buffer when the input counters are no longer needed.
 // The caller guarantees the total fits in int32 (true for any 0/1 flag
 // array of addressable length).
-func ExclusiveScanInt32(dst, src []int32, p int) int32 {
+func ExclusiveScanInt32(dst, src []int32, ex Exec) int32 {
 	n := len(src)
 	if len(dst) != n {
 		panic("par: ExclusiveScanInt32 needs len(dst) == len(src)")
 	}
-	p = Workers(p, n)
+	p := Workers(ex.P, n)
 	if n == 0 {
 		return 0
 	}
@@ -120,7 +120,7 @@ func ExclusiveScanInt32(dst, src []int32, p int) int32 {
 		return sum
 	}
 	blockSums := make([]int32, p)
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		var sum int32
 		for i := lo; i < hi; i++ {
 			sum += src[i]
@@ -133,7 +133,7 @@ func ExclusiveScanInt32(dst, src []int32, p int) int32 {
 		blockSums[w] = total
 		total += s
 	}
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		sum := blockSums[w]
 		for i := lo; i < hi; i++ {
 			v := src[i]
@@ -158,9 +158,9 @@ func ExclusiveScanInt32(dst, src []int32, p int) int32 {
 // and can scatter into it without atomics. Because workers own contiguous,
 // ordered input ranges, the resulting bin contents are in global input
 // order — independent of the worker count.
-func MergeHistograms(hists [][]int32, cnt []int32, p int) {
+func MergeHistograms(hists [][]int32, cnt []int32, ex Exec) {
 	nc := len(cnt)
-	ForChunked(nc, p, 2048, func(_, lo, hi int) {
+	ForChunked(nc, ex, 2048, func(_, lo, hi int) {
 		for a := lo; a < hi; a++ {
 			var run int32
 			for w := range hists {
@@ -177,8 +177,8 @@ func MergeHistograms(hists [][]int32, cnt []int32, p int) {
 // freshly allocated slice, preserving index order. This is the parallel
 // stream-compaction used to gather unmapped vertices between passes of the
 // lock-free HEC/HEM algorithms (Algorithm 4, lines 22-28).
-func Pack(n, p int, keep func(i int) bool) []int32 {
-	p = Workers(p, n)
+func Pack(n int, ex Exec, keep func(i int) bool) []int32 {
+	p := Workers(ex.P, n)
 	if n == 0 {
 		return nil
 	}
@@ -192,7 +192,7 @@ func Pack(n, p int, keep func(i int) bool) []int32 {
 		return out
 	}
 	counts := make([]int64, p)
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		var c int64
 		for i := lo; i < hi; i++ {
 			if keep(i) {
@@ -202,9 +202,9 @@ func Pack(n, p int, keep func(i int) bool) []int32 {
 		counts[w] = c
 	})
 	offsets := make([]int64, p+1)
-	total := PrefixSumInt64(offsets, counts, 1)
+	total := PrefixSumInt64(offsets, counts, Exec{P: 1})
 	out := make([]int32, total)
-	For(n, p, func(w, lo, hi int) {
+	For(n, ex, func(w, lo, hi int) {
 		pos := offsets[w]
 		for i := lo; i < hi; i++ {
 			if keep(i) {

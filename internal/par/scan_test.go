@@ -22,7 +22,7 @@ func TestExclusiveScanInt32MatchesSequential(t *testing.T) {
 		want, wantTotal := exclusiveScanRef(src)
 		for _, p := range []int{1, 2, 4, 8} {
 			dst := make([]int32, n)
-			total := ExclusiveScanInt32(dst, src, p)
+			total := ExclusiveScanInt32(dst, src, Exec{P: p})
 			if total != wantTotal {
 				t.Fatalf("n=%d p=%d total=%d want %d", n, p, total, wantTotal)
 			}
@@ -48,7 +48,7 @@ func TestExclusiveScanInt32InPlace(t *testing.T) {
 		for _, p := range []int{1, 8} {
 			buf := make([]int32, n)
 			copy(buf, src)
-			total := ExclusiveScanInt32(buf, buf, p)
+			total := ExclusiveScanInt32(buf, buf, Exec{P: p})
 			if total != wantTotal {
 				t.Fatalf("n=%d p=%d total=%d want %d", n, p, total, wantTotal)
 			}
@@ -67,5 +67,5 @@ func TestExclusiveScanInt32PanicsOnBadDst(t *testing.T) {
 			t.Fatal("expected panic for mismatched dst length")
 		}
 	}()
-	ExclusiveScanInt32(make([]int32, 2), make([]int32, 3), 1)
+	ExclusiveScanInt32(make([]int32, 2), make([]int32, 3), Exec{P: 1})
 }

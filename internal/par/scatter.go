@@ -54,13 +54,13 @@ func BalancedRanges(bounds []int, prefix []int64, p int) []int {
 // BalancedRanges, one worker per range. Unlike ForChunked the assignment
 // of indices to workers is fixed by the boundaries, which scatter passes
 // rely on: the counting pass and the writing pass must see identical
-// (worker, range) pairs.
-func ForRanges(bounds []int, fn func(w, lo, hi int)) {
+// (worker, range) pairs. Workers charge their busy time to span (nil when
+// untraced).
+func ForRanges(bounds []int, span *obs.Span, fn func(w, lo, hi int)) {
 	p := len(bounds) - 1
 	if p <= 0 {
 		return
 	}
-	span := obs.Ambient()
 	if p == 1 {
 		if bounds[0] < bounds[1] {
 			if span != nil {

@@ -48,7 +48,7 @@ func TestForRangesCoversExactlyOnce(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 16, 40} {
 		bounds := BalancedRanges(nil, prefix, p)
 		hits := make([]int32, n)
-		ForRanges(bounds, func(w, lo, hi int) {
+		ForRanges(bounds, nil, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hits[i]++
 			}
@@ -79,7 +79,7 @@ func TestMergeHistograms(t *testing.T) {
 		orig[w] = append([]int32(nil), hists[w]...)
 	}
 	cnt := make([]int32, nc)
-	MergeHistograms(hists, cnt, p)
+	MergeHistograms(hists, cnt, Exec{P: p})
 	for a := 0; a < nc; a++ {
 		if cnt[a] != want[a] {
 			t.Fatalf("cnt[%d] = %d, want %d", a, cnt[a], want[a])
@@ -115,17 +115,17 @@ func TestTwoPhaseScatterOrder(t *testing.T) {
 		for w := range hists {
 			hists[w] = make([]int32, nc)
 		}
-		ForRanges(bounds, func(w, lo, hi int) {
+		ForRanges(bounds, nil, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hists[w][bin[i]]++
 			}
 		})
 		cnt := make([]int32, nc)
-		MergeHistograms(hists, cnt, p)
+		MergeHistograms(hists, cnt, Exec{P: p})
 		r := make([]int64, nc+1)
-		PrefixSumInt32(r, cnt, p)
+		PrefixSumInt32(r, cnt, Exec{P: p})
 		out := make([]int32, n)
-		ForRanges(bounds, func(w, lo, hi int) {
+		ForRanges(bounds, nil, func(w, lo, hi int) {
 			h := hists[w]
 			for i := lo; i < hi; i++ {
 				a := bin[i]

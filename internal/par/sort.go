@@ -13,7 +13,7 @@ const radixBuckets = 1 << radixBits
 // RadixSortPairs sorts keys ascending, permuting vals alongside. Both
 // slices must have the same length. The sort is stable per digit pass
 // (standard LSD), so overall it is a stable sort by key.
-func RadixSortPairs(keys, vals []uint64, p int) {
+func RadixSortPairs(keys, vals []uint64, ex Exec) {
 	n := len(keys)
 	if len(vals) != n {
 		panic("par: RadixSortPairs slice length mismatch")
@@ -21,16 +21,16 @@ func RadixSortPairs(keys, vals []uint64, p int) {
 	if n < 2 {
 		return
 	}
-	p = Workers(p, n)
+	p := Workers(ex.P, n)
 	if n < 1<<14 || p == 1 {
-		radixSortPairsSeq(keys, vals)
+		ex.Span.Add(obs.CtrRadixPass, radixSortPairsSeqScratch(keys, vals, make([]uint64, n), make([]uint64, n)))
 		return
 	}
 
 	// Bits that actually differ across keys let us skip constant digits.
 	var orAll, andAll uint64 = 0, ^uint64(0)
 	type mm struct{ or, and uint64 }
-	m := Reduce(n, p, mm{0, ^uint64(0)},
+	m := Reduce(n, ex, mm{0, ^uint64(0)},
 		func(acc mm, i int) mm { return mm{acc.or | keys[i], acc.and & keys[i]} },
 		func(a, b mm) mm { return mm{a.or | b.or, a.and & b.and} })
 	orAll, andAll = m.or, m.and
@@ -52,7 +52,7 @@ func RadixSortPairs(keys, vals []uint64, p int) {
 		for i := range hist {
 			hist[i] = 0
 		}
-		For(n, p, func(w, lo, hi int) {
+		For(n, ex, func(w, lo, hi int) {
 			h := hist[w*radixBuckets : (w+1)*radixBuckets]
 			for i := lo; i < hi; i++ {
 				h[(srcK[i]>>shift)&(radixBuckets-1)]++
@@ -66,7 +66,7 @@ func RadixSortPairs(keys, vals []uint64, p int) {
 				running += hist[w*radixBuckets+b]
 			}
 		}
-		For(n, p, func(w, lo, hi int) {
+		For(n, ex, func(w, lo, hi int) {
 			o := offs[w*radixBuckets : (w+1)*radixBuckets]
 			for i := lo; i < hi; i++ {
 				b := (srcK[i] >> shift) & (radixBuckets - 1)
@@ -79,23 +79,17 @@ func RadixSortPairs(keys, vals []uint64, p int) {
 		srcK, dstK = dstK, srcK
 		srcV, dstV = dstV, srcV
 	}
-	obs.Add(obs.CtrRadixPass, passes)
+	ex.Span.Add(obs.CtrRadixPass, passes)
 	if &srcK[0] != &keys[0] {
-		Copy(keys, srcK, p)
-		Copy(vals, srcV, p)
+		Copy(keys, srcK, ex)
+		Copy(vals, srcV, ex)
 	}
 }
 
-// radixSortPairsSeq is the sequential LSD radix sort used for small inputs
-// and as the p==1 path.
-func radixSortPairsSeq(keys, vals []uint64) {
-	n := len(keys)
-	obs.Add(obs.CtrRadixPass, radixSortPairsSeqScratch(keys, vals, make([]uint64, n), make([]uint64, n)))
-}
-
-// radixSortPairsSeqScratch is radixSortPairsSeq with caller-provided
-// ping-pong buffers (each at least len(keys) long). It returns the digit
-// passes it ran and leaves reporting them to the caller.
+// radixSortPairsSeqScratch is the sequential LSD radix sort used for small
+// inputs and as the p==1 path, on caller-provided ping-pong buffers (each
+// at least len(keys) long). It returns the digit passes it ran and leaves
+// reporting them to the caller.
 func radixSortPairsSeqScratch(keys, vals, tmpK, tmpV []uint64) int64 {
 	n := len(keys)
 	var orAll uint64
@@ -149,27 +143,30 @@ func radixSortPairsSeqScratch(keys, vals, tmpK, tmpV []uint64) int64 {
 // key in place using insertion sort below a threshold and radix sort above.
 // This is the per-vertex sorter used by sort-based deduplication
 // (DEDUPWITHWTS in Algorithm 6); adjacency lists are mostly short, so the
-// insertion-sort fast path matters.
-func SortPairsInt32(keys []int32, wgts []int64) {
+// insertion-sort fast path matters. The sort is sequential; ex.Span is
+// where the radix path counts its digit passes.
+func SortPairsInt32(keys []int32, wgts []int64, ex Exec) {
 	n := len(keys)
-	if n < 2 {
-		return
-	}
 	if n <= 48 {
-		for i := 1; i < n; i++ {
-			k, w := keys[i], wgts[i]
-			j := i - 1
-			for j >= 0 && keys[j] > k {
-				keys[j+1], wgts[j+1] = keys[j], wgts[j]
-				j--
-			}
-			keys[j+1], wgts[j+1] = k, w
-		}
+		insertionSortPairs(keys, wgts)
 		return
 	}
 	var s SortScratch
 	sortPairsInt32Radix(keys, wgts, &s)
-	obs.Add(obs.CtrRadixPass, s.TakePasses())
+	ex.Span.Add(obs.CtrRadixPass, s.TakePasses())
+}
+
+// insertionSortPairs is the short-list path of SortPairsInt32.
+func insertionSortPairs(keys []int32, wgts []int64) {
+	for i := 1; i < len(keys); i++ {
+		k, w := keys[i], wgts[i]
+		j := i - 1
+		for j >= 0 && keys[j] > k {
+			keys[j+1], wgts[j+1] = keys[j], wgts[j]
+			j--
+		}
+		keys[j+1], wgts[j+1] = k, w
+	}
 }
 
 // SortScratch holds the reusable buffers of SortPairsInt32Scratch and
@@ -201,16 +198,12 @@ func (s *SortScratch) ensure(n int) {
 
 // SortPairsInt32Scratch is SortPairsInt32 with caller-provided scratch,
 // for callers that sort many segments in a loop and want zero steady-state
-// allocations. The radix passes add to the scratch's count instead of
-// reaching obs; the caller flushes TakePasses. The scratch must not be
-// shared between concurrent callers.
+// allocations. The radix passes add to the scratch's count instead of a
+// span, so it needs no Exec; the caller flushes TakePasses. The scratch
+// must not be shared between concurrent callers.
 func SortPairsInt32Scratch(keys []int32, wgts []int64, s *SortScratch) {
-	n := len(keys)
-	if n < 2 {
-		return
-	}
-	if n <= 48 {
-		SortPairsInt32(keys, wgts)
+	if len(keys) <= 48 {
+		insertionSortPairs(keys, wgts)
 		return
 	}
 	sortPairsInt32Radix(keys, wgts, s)
@@ -238,19 +231,19 @@ func sortPairsInt32Radix(keys []int32, wgts []int64, s *SortScratch) {
 // the way the paper's PARGENPERM does it: assign each index a random 64-bit
 // key and sort indices by key in parallel. Ties are broken by index via the
 // composite (key<<~, idx) ordering, so the result is always a permutation.
-func RandPerm(n int, seed uint64, p int) []int32 {
+func RandPerm(n int, seed uint64, ex Exec) []int32 {
 	perm := make([]int32, n)
 	if n == 0 {
 		return perm
 	}
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
-	ForEach(n, p, func(i int) {
+	ForEach(n, ex, func(i int) {
 		keys[i] = Mix64(seed ^ uint64(i)*0x9e3779b97f4a7c15)
 		vals[i] = uint64(i)
 	})
-	RadixSortPairs(keys, vals, p)
-	ForEach(n, p, func(i int) {
+	RadixSortPairs(keys, vals, ex)
+	ForEach(n, ex, func(i int) {
 		perm[i] = int32(vals[i])
 	})
 	return perm
@@ -258,9 +251,9 @@ func RandPerm(n int, seed uint64, p int) []int32 {
 
 // InversePerm computes the inverse permutation: out[perm[i]] = i
 // (Algorithm 5, lines 3-4).
-func InversePerm(perm []int32, p int) []int32 {
+func InversePerm(perm []int32, ex Exec) []int32 {
 	out := make([]int32, len(perm))
-	ForEach(len(perm), p, func(i int) {
+	ForEach(len(perm), ex, func(i int) {
 		out[perm[i]] = int32(i)
 	})
 	return out

@@ -21,9 +21,9 @@ func FiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOpt
 	if n == 0 || k <= 0 {
 		return nil, 0
 	}
-	sp := obs.StartKernel("fiedler")
-	defer sp.Done()
-	op := newLaplacianOp(g, opt.Workers)
+	sp := obs.Ambient().Child("fiedler")
+	defer sp.End()
+	op := newLaplacianOp(g, par.Exec{P: opt.Workers, Span: sp})
 
 	xs := make([][]float64, k)
 	for j := range xs {

@@ -48,6 +48,11 @@ func (o FiedlerOptions) maxIter() int {
 // with the stopping rule. The reductions run in index order on one
 // goroutine, so the result is bit-identical at every worker count.
 func Fiedler(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) ([]float64, int) {
+	return fiedler(g, x0, seed, opt, obs.Ambient())
+}
+
+// fiedler is Fiedler with its "fiedler" span opened under span.
+func fiedler(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions, span *obs.Span) ([]float64, int) {
 	n := g.N()
 	if n == 0 {
 		return nil, 0
@@ -55,15 +60,16 @@ func Fiedler(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) ([]f
 	if n == 1 {
 		return []float64{0}, 0
 	}
-	sp := obs.StartKernel("fiedler")
-	defer sp.Done()
-	op := newLaplacianOp(g, opt.Workers)
+	sp := span.Child("fiedler")
+	defer sp.End()
+	ex := par.Exec{P: opt.Workers, Span: sp}
+	op := newLaplacianOp(g, ex)
 
 	x := make([]float64, n)
 	if x0 != nil {
 		copy(x, x0)
 	} else {
-		par.ForEach(n, opt.Workers, func(i int) {
+		par.ForEach(n, ex, func(i int) {
 			x[i] = float64(par.Mix64(seed^uint64(i))%2000)/1000 - 1
 		})
 	}
@@ -149,7 +155,7 @@ type laplacianOp struct {
 	wgt   []int64
 	deg   []float64 // weighted degrees; nil when every edge weight is 1
 	sigma float64
-	p     int
+	ex    par.Exec
 
 	// x and y are the operands of the apply in progress. kernel is bound
 	// once to applyRange, so an apply allocates nothing.
@@ -157,9 +163,9 @@ type laplacianOp struct {
 	kernel func(w, lo, hi int)
 }
 
-func newLaplacianOp(g *graph.Graph, p int) *laplacianOp {
+func newLaplacianOp(g *graph.Graph, ex par.Exec) *laplacianOp {
 	n := g.N()
-	op := &laplacianOp{xadj: g.Xadj, adj: g.Adj, wgt: g.Wgt, p: p}
+	op := &laplacianOp{xadj: g.Xadj, adj: g.Adj, wgt: g.Wgt, ex: ex}
 	op.kernel = op.applyRange
 	unit := true
 	for _, w := range g.Wgt {
@@ -177,7 +183,7 @@ func newLaplacianOp(g *graph.Graph, p int) *laplacianOp {
 		}
 	} else {
 		op.deg = make([]float64, n)
-		par.ForChunked(n, p, 512, func(_, lo, hi int) {
+		par.ForChunked(n, ex, 512, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				var d float64
 				for _, w := range g.Wgt[g.Xadj[i]:g.Xadj[i+1]] {
@@ -201,7 +207,7 @@ func newLaplacianOp(g *graph.Graph, p int) *laplacianOp {
 // apply sets y = (σI − L)x in one parallel pass over the rows.
 func (op *laplacianOp) apply(y, x []float64) {
 	op.x, op.y = x, y
-	par.ForChunked(len(x), op.p, 512, op.kernel)
+	par.ForChunked(len(x), op.ex, 512, op.kernel)
 }
 
 func (op *laplacianOp) applyRange(_, lo, hi int) {

@@ -50,7 +50,7 @@ func fiedlerRef(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) (
 	if x0 != nil {
 		copy(x, x0)
 	} else {
-		par.ForEach(n, p, func(i int) {
+		par.ForEach(n, par.Exec{P: p}, func(i int) {
 			x[i] = float64(par.Mix64(seed^uint64(i))%2000)/1000 - 1
 		})
 	}
@@ -64,7 +64,7 @@ func fiedlerRef(g *graph.Graph, x0 []float64, seed uint64, opt FiedlerOptions) (
 		copy(prev, x)
 		// y = (σI - L)x
 		l.MulVec(y, x, p)
-		par.ForEach(n, p, func(i int) {
+		par.ForEach(n, par.Exec{P: p}, func(i int) {
 			y[i] = sigma*x[i] - y[i]
 		})
 		x, y = y, x
@@ -111,7 +111,7 @@ func deflateNormalize(x []float64, p int) {
 		norm = math.Sqrt(norm2)
 	}
 	inv := 1 / norm
-	par.ForEach(n, p, func(i int) {
+	par.ForEach(n, par.Exec{P: p}, func(i int) {
 		x[i] *= inv
 	})
 }

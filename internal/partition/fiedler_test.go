@@ -221,13 +221,13 @@ func TestLaplacianOpMatchesSpMV(t *testing.T) {
 		for i := range want {
 			want[i] = sigma*x[i] - want[i]
 		}
-		if newLaplacianOp(oc.g, 1).deg == nil {
+		if newLaplacianOp(oc.g, par.Exec{P: 1}).deg == nil {
 			unit++
 		} else {
 			weighted++
 		}
 		for _, p := range oracleWorkers {
-			op := newLaplacianOp(oc.g, p)
+			op := newLaplacianOp(oc.g, par.Exec{P: p})
 			if op.sigma != sigma {
 				t.Fatalf("%s: σ = %v, want %v", oc.name, op.sigma, sigma)
 			}

@@ -57,10 +57,15 @@ func fmTol(g *graph.Graph, tol int64) int64 {
 // bucket list, and therefore the pop order, is the one a from-scratch
 // recomputation builds.
 func RefineFM(g *graph.Graph, part []int32, opt FMOptions) int64 {
+	return refineFM(g, part, opt, obs.Ambient())
+}
+
+// refineFM is RefineFM with its "fm" span opened under span.
+func refineFM(g *graph.Graph, part []int32, opt FMOptions, span *obs.Span) int64 {
 	if g.N() == 0 {
 		return 0
 	}
-	sp := obs.StartKernel("fm")
+	sp := span.Child("fm")
 	s := newFMState(g, part)
 	tol := opt.Tol
 	if tol <= 0 {
@@ -78,7 +83,7 @@ func RefineFM(g *graph.Graph, part []int32, opt FMOptions) int64 {
 	sp.Add(obs.CtrFMPasses, s.passes)
 	sp.Add(obs.CtrFMMoves, s.moved)
 	sp.Add(obs.CtrFMRollbacks, s.undone)
-	sp.Done()
+	sp.End()
 	return s.cut
 }
 

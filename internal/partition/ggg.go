@@ -4,6 +4,7 @@ import (
 	"container/heap"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -21,6 +22,12 @@ func GreedyGrow(g *graph.Graph, seed uint64, trials int) []int32 {
 // (0 means half the total), for the proportional splits of recursive
 // k-way partitioning.
 func GreedyGrowTarget(g *graph.Graph, seed uint64, trials int, target0 int64) []int32 {
+	return greedyGrowTarget(g, seed, trials, target0, obs.Ambient())
+}
+
+// greedyGrowTarget is GreedyGrowTarget with its cut evaluations charged to
+// span.
+func greedyGrowTarget(g *graph.Graph, seed uint64, trials int, target0 int64, span *obs.Span) []int32 {
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -36,7 +43,7 @@ func GreedyGrowTarget(g *graph.Graph, seed uint64, trials int, target0 int64) []
 	var bestCut int64 = -1
 	for t := 0; t < trials; t++ {
 		part := growOnce(g, rng.Intn(n), target0)
-		cut := EdgeCut(g, part)
+		cut := edgeCut(g, part, span)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			best = part

@@ -6,6 +6,8 @@ import (
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
+	"mlcg/internal/par"
 )
 
 // KWayOptions configures recursive k-way partitioning.
@@ -20,6 +22,9 @@ type KWayOptions struct {
 	// PairwiseRounds runs KL-style pairwise FM refinement between
 	// adjacent parts after the recursive bisection (0 disables).
 	PairwiseRounds int
+	// Span is the span every kernel of the partition opens its span
+	// under; nil means obs.Ambient().
+	Span *obs.Span
 }
 
 // KWayResult is the outcome of a k-way partition.
@@ -30,8 +35,9 @@ type KWayResult struct {
 	Elapsed time.Duration
 }
 
-// bisectFunc bisects sub with the given side-0 weight target.
-type bisectFunc func(sub *graph.Graph, target0 int64, seed uint64) (*Result, error)
+// bisectFunc bisects sub with the given side-0 weight target, its kernels'
+// spans under span.
+type bisectFunc func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error)
 
 // KWayFM partitions g into k parts by recursive multilevel FM bisection —
 // the standard Metis-style construction on top of the paper's bisection
@@ -45,7 +51,7 @@ func KWayFM(g *graph.Graph, k int, opt KWayOptions) (*KWayResult, error) {
 	if opt.Builder == nil {
 		opt.Builder = coarsen.BuildSort{}
 	}
-	return kway(g, k, opt, func(sub *graph.Graph, target0 int64, seed uint64) (*Result, error) {
+	return kway(g, k, opt, func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error) {
 		b := &FMBisector{
 			Coarsener: coarsen.Coarsener{
 				Mapper: opt.Mapper, Builder: opt.Builder,
@@ -55,7 +61,7 @@ func KWayFM(g *graph.Graph, k int, opt KWayOptions) (*KWayResult, error) {
 			Seed:     seed,
 			TargetW0: target0,
 		}
-		return b.Bisect(sub)
+		return b.bisect(sub, span)
 	})
 }
 
@@ -68,7 +74,7 @@ func KWaySpectral(g *graph.Graph, k int, opt KWayOptions, fopt FiedlerOptions) (
 	if opt.Builder == nil {
 		opt.Builder = coarsen.BuildSort{}
 	}
-	return kway(g, k, opt, func(sub *graph.Graph, target0 int64, seed uint64) (*Result, error) {
+	return kway(g, k, opt, func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error) {
 		b := &SpectralBisector{
 			Coarsener: coarsen.Coarsener{
 				Mapper: opt.Mapper, Builder: opt.Builder,
@@ -78,7 +84,7 @@ func KWaySpectral(g *graph.Graph, k int, opt KWayOptions, fopt FiedlerOptions) (
 			Seed:     seed,
 			TargetW0: target0,
 		}
-		return b.Bisect(sub)
+		return b.bisect(sub, span)
 	})
 }
 
@@ -86,13 +92,17 @@ func kway(g *graph.Graph, k int, opt KWayOptions, bisect bisectFunc) (*KWayResul
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k = %d", k)
 	}
+	span := opt.Span
+	if span == nil {
+		span = obs.Ambient()
+	}
 	t0 := time.Now()
 	part := make([]int32, g.N())
-	if err := kwayRecurse(g, k, 0, part, nil, bisect, opt.Seed); err != nil {
+	if err := kwayRecurse(g, k, 0, part, nil, bisect, opt.Seed, span); err != nil {
 		return nil, err
 	}
 	if opt.PairwiseRounds > 0 && k > 2 {
-		RefineKWayPairwise(g, part, k, opt.FM, opt.PairwiseRounds)
+		refineKWayPairwise(g, part, k, opt.FM, opt.PairwiseRounds, span)
 	}
 	res := &KWayResult{
 		Part:    part,
@@ -109,7 +119,7 @@ func kway(g *graph.Graph, k int, opt KWayOptions, bisect bisectFunc) (*KWayResul
 // kwayRecurse assigns parts [base, base+k) to the vertices of sub (whose
 // vertex u corresponds to original vertex ids[u]; ids == nil means
 // identity).
-func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32, bisect bisectFunc, seed uint64) error {
+func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32, bisect bisectFunc, seed uint64, span *obs.Span) error {
 	assign := func(u int32, p int32) {
 		if ids == nil {
 			part[u] = p
@@ -125,7 +135,7 @@ func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32,
 	}
 	k0 := (k + 1) / 2
 	target0 := sub.TotalVertexWeight() * int64(k0) / int64(k)
-	r, err := bisect(sub, target0, seed)
+	r, err := bisect(sub, target0, seed, span)
 	if err != nil {
 		return fmt.Errorf("partition: k-way bisection (k=%d): %w", k, err)
 	}
@@ -136,7 +146,7 @@ func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32,
 		for u := int32(0); u < sub.NumV; u++ {
 			keep[u] = r.Part[u] == side
 		}
-		piece, old := sub.InducedSubgraph(keep)
+		piece, old := sub.InducedSubgraph(keep, par.Exec{Span: span})
 		// Compose original ids: old indexes into sub; map through ids.
 		orig := make([]int32, len(old))
 		for i, u := range old {
@@ -154,7 +164,7 @@ func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32,
 		}
 		// Tiny pieces can drop below the coarsening cutoff; the recursion
 		// handles them the same way (the bisector copes with any size).
-		if err := kwayRecurse(piece, kk, bb, part, orig, bisect, seed+uint64(k)*31+uint64(side)); err != nil {
+		if err := kwayRecurse(piece, kk, bb, part, orig, bisect, seed+uint64(k)*31+uint64(side), span); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"slices"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
+	"mlcg/internal/par"
 )
 
 // RefineKWayPairwise improves a k-way partition with pairwise FM: for
@@ -15,6 +17,12 @@ import (
 // of recursive bisection. A round visits the pairs in (a, b) order, so the
 // result is deterministic.
 func RefineKWayPairwise(g *graph.Graph, part []int32, k int, opt FMOptions, maxRounds int) int64 {
+	return refineKWayPairwise(g, part, k, opt, maxRounds, obs.Ambient())
+}
+
+// refineKWayPairwise is RefineKWayPairwise with its kernels' spans under
+// span.
+func refineKWayPairwise(g *graph.Graph, part []int32, k int, opt FMOptions, maxRounds int, span *obs.Span) int64 {
 	if maxRounds <= 0 {
 		maxRounds = 2
 	}
@@ -46,7 +54,7 @@ func RefineKWayPairwise(g *graph.Graph, part []int32, k int, opt FMOptions, maxR
 		})
 		improved := false
 		for _, pair := range pairs {
-			if refinePair(g, part, pair[0], pair[1], opt) {
+			if refinePair(g, part, pair[0], pair[1], opt, span) {
 				improved = true
 			}
 		}
@@ -63,7 +71,7 @@ func RefineKWayPairwise(g *graph.Graph, part []int32, k int, opt FMOptions, maxR
 // refinePair runs bisection FM on the subgraph induced by parts a and b,
 // keeping each side's weight at its pre-refinement value (so the global
 // k-way balance is preserved). Reports whether the pair's cut improved.
-func refinePair(g *graph.Graph, part []int32, a, b int32, opt FMOptions) bool {
+func refinePair(g *graph.Graph, part []int32, a, b int32, opt FMOptions, span *obs.Span) bool {
 	keep := make([]bool, g.N())
 	count := 0
 	for u := int32(0); u < g.NumV; u++ {
@@ -75,7 +83,7 @@ func refinePair(g *graph.Graph, part []int32, a, b int32, opt FMOptions) bool {
 	if count < 2 {
 		return false
 	}
-	sub, ids := g.InducedSubgraph(keep)
+	sub, ids := g.InducedSubgraph(keep, par.Exec{Span: span})
 	local := make([]int32, sub.N())
 	var wa int64
 	for i, old := range ids {
@@ -86,10 +94,10 @@ func refinePair(g *graph.Graph, part []int32, a, b int32, opt FMOptions) bool {
 			local[i] = 1
 		}
 	}
-	before := EdgeCut(sub, local)
+	before := edgeCut(sub, local, span)
 	lopt := opt
 	lopt.TargetW0 = wa
-	after := RefineFM(sub, local, lopt)
+	after := refineFM(sub, local, lopt, span)
 	if after >= before {
 		return false
 	}

@@ -9,14 +9,20 @@ import (
 	"fmt"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
 // EdgeCut returns the total weight of edges crossing the bisection
 // (each undirected edge counted once).
 func EdgeCut(g *graph.Graph, part []int32) int64 {
+	return edgeCut(g, part, obs.Ambient())
+}
+
+// edgeCut is EdgeCut with its workers charged to span.
+func edgeCut(g *graph.Graph, part []int32, span *obs.Span) int64 {
 	n := g.N()
-	return par.SumInt64(n, 0, func(i int) int64 {
+	return par.SumInt64(n, par.Exec{Span: span}, func(i int) int64 {
 		u := int32(i)
 		adj, wgt := g.Neighbors(u)
 		var c int64

@@ -3,6 +3,8 @@ package partition
 import (
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
+	"mlcg/internal/par"
 )
 
 // NDOptions configures nested dissection ordering.
@@ -36,15 +38,15 @@ func NestedDissection(g *graph.Graph, opt NDOptions) ([]int32, error) {
 		leaf = 32
 	}
 	perm := make([]int32, 0, g.N())
-	if err := ndRecurse(g, nil, opt, leaf, opt.Seed, &perm); err != nil {
+	if err := ndRecurse(g, nil, opt, leaf, opt.Seed, &perm, obs.Ambient()); err != nil {
 		return nil, err
 	}
 	return perm, nil
 }
 
 // ndRecurse appends sub's vertices (original ids via ids; nil = identity)
-// to perm in nested-dissection order.
-func ndRecurse(sub *graph.Graph, ids []int32, opt NDOptions, leaf int, seed uint64, perm *[]int32) error {
+// to perm in nested-dissection order, its kernels' spans under span.
+func ndRecurse(sub *graph.Graph, ids []int32, opt NDOptions, leaf int, seed uint64, perm *[]int32, span *obs.Span) error {
 	orig := func(u int32) int32 {
 		if ids == nil {
 			return u
@@ -65,7 +67,7 @@ func ndRecurse(sub *graph.Graph, ids []int32, opt NDOptions, leaf int, seed uint
 		FM:   opt.FM,
 		Seed: seed,
 	}
-	r, err := b.Bisect(sub)
+	r, err := b.bisect(sub, span)
 	if err != nil {
 		return err
 	}
@@ -88,12 +90,12 @@ func ndRecurse(sub *graph.Graph, ids []int32, opt NDOptions, leaf int, seed uint
 		if !any {
 			continue
 		}
-		piece, old := sub.InducedSubgraph(keep)
+		piece, old := sub.InducedSubgraph(keep, par.Exec{Span: span})
 		po := make([]int32, len(old))
 		for i, u := range old {
 			po[i] = orig(u)
 		}
-		if err := ndRecurse(piece, po, opt, leaf, seed*31+uint64(side)+1, perm); err != nil {
+		if err := ndRecurse(piece, po, opt, leaf, seed*31+uint64(side)+1, perm, span); err != nil {
 			return err
 		}
 	}

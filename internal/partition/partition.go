@@ -1,11 +1,13 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 )
 
 // Result is the outcome of a multilevel bisection.
@@ -40,18 +42,23 @@ type SpectralBisector struct {
 
 // Bisect partitions g into two balanced parts.
 func (b *SpectralBisector) Bisect(g *graph.Graph) (*Result, error) {
+	return b.bisect(g, obs.Ambient())
+}
+
+// bisect is Bisect with every kernel's span opened under span.
+func (b *SpectralBisector) bisect(g *graph.Graph, span *obs.Span) (*Result, error) {
 	if g.N() == 0 {
 		return &Result{}, nil
 	}
 	t0 := time.Now()
-	h, err := b.Coarsener.Run(g)
+	h, err := b.Coarsener.RunCtx(obs.ContextWithSpan(context.Background(), span), g)
 	if err != nil {
 		return nil, fmt.Errorf("partition: coarsening: %w", err)
 	}
 	t1 := time.Now()
 
 	// Solve on the coarsest graph from a random start.
-	x, _ := Fiedler(h.Coarsest(), nil, b.Seed^0x5eed, b.Fiedler)
+	x, _ := fiedler(h.Coarsest(), nil, b.Seed^0x5eed, b.Fiedler, span)
 	t2 := time.Now()
 
 	// Interpolate and re-refine level by level.
@@ -62,14 +69,14 @@ func (b *SpectralBisector) Bisect(g *graph.Graph) (*Result, error) {
 		for u := range m {
 			xf[u] = x[m[u]]
 		}
-		x, _ = Fiedler(fineG, xf, b.Seed, b.Fiedler)
+		x, _ = fiedler(fineG, xf, b.Seed, b.Fiedler, span)
 	}
 	part := SplitByVectorTarget(g, x, b.TargetW0)
 	t3 := time.Now()
 
 	return &Result{
 		Part:        part,
-		Cut:         EdgeCut(g, part),
+		Cut:         edgeCut(g, part, span),
 		Weights:     SideWeights(g, part),
 		Levels:      h.Levels(),
 		CoarsenTime: t1.Sub(t0),
@@ -93,6 +100,11 @@ type FMBisector struct {
 
 // Bisect partitions g into two balanced parts.
 func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
+	return b.bisect(g, obs.Ambient())
+}
+
+// bisect is Bisect with every kernel's span opened under span.
+func (b *FMBisector) bisect(g *graph.Graph, span *obs.Span) (*Result, error) {
 	if g.N() == 0 {
 		return &Result{}, nil
 	}
@@ -101,7 +113,7 @@ func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
 		trials = 4
 	}
 	t0 := time.Now()
-	h, err := b.Coarsener.Run(g)
+	h, err := b.Coarsener.RunCtx(obs.ContextWithSpan(context.Background(), span), g)
 	if err != nil {
 		return nil, fmt.Errorf("partition: coarsening: %w", err)
 	}
@@ -112,8 +124,8 @@ func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
 	// RefineFM returns the exact cut of the partition it leaves, so the
 	// last call's result is the cut of the finest partition.
 	coarsest := h.Coarsest()
-	part := GreedyGrowTarget(coarsest, b.Seed^0x99, trials, b.TargetW0)
-	cut := RefineFM(coarsest, part, fm)
+	part := greedyGrowTarget(coarsest, b.Seed^0x99, trials, b.TargetW0, span)
+	cut := refineFM(coarsest, part, fm, span)
 	t2 := time.Now()
 
 	for i := len(h.Maps) - 1; i >= 0; i-- {
@@ -123,7 +135,7 @@ func (b *FMBisector) Bisect(g *graph.Graph) (*Result, error) {
 		for u := range m {
 			pf[u] = part[m[u]]
 		}
-		cut = RefineFM(fineG, pf, fm)
+		cut = refineFM(fineG, pf, fm, span)
 		part = pf
 	}
 	t3 := time.Now()

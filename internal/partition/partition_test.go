@@ -262,7 +262,7 @@ func TestGreedyGrowBalancedAndConnectedRegion(t *testing.T) {
 			count++
 		}
 	}
-	sub, _ := g.InducedSubgraph(keep)
+	sub, _ := g.InducedSubgraph(keep, par.Exec{})
 	if !sub.IsConnected() {
 		t.Error("grown region disconnected")
 	}

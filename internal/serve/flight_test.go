@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"mlcg/internal/cluster"
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
+	"mlcg/internal/partition"
 )
 
 func TestFlightRecorderKeepSlowest(t *testing.T) {
@@ -208,6 +210,65 @@ func TestBuildFlightCountersMatchDirectRun(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: flight-record counters\n%v\nwant the direct run's\n%v", workers, got, want)
+		}
+	}
+}
+
+// TestQueryFlightCountersMatchDirectCall is the query-side twin of
+// TestBuildFlightCountersMatchDirectRun: a partition query's and a cluster
+// query's flight records carry exactly the counters of a direct KWayFM or
+// Louvain call on the same coarsest graph, traced through the options'
+// Span field, so the handlers hand their request trace down without
+// losing or misplacing a count. cas_retries is compared only at p = 1.
+func TestQueryFlightCountersMatchDirectCall(t *testing.T) {
+	payload := metisBytes(t, gen.RGG(3000, 0, 11))
+	for _, workers := range []int{1, 2} {
+		s, ts := testServer(t, Config{Workers: workers})
+		gi := ingest(t, ts, payload, "")
+		st := buildWait(t, ts, buildParams{Graph: gi.ID, Seed: 5})
+		h, _, err := s.getHierarchy(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []struct {
+			kind   string
+			body   any
+			direct func(span *obs.Span) error
+		}{
+			{"partition", partitionRequest{Hierarchy: st.ID, K: 4, Seed: 3}, func(span *obs.Span) error {
+				_, err := partition.KWayFM(h.Coarsest(), 4, partition.KWayOptions{Seed: 3, Workers: workers, Span: span})
+				return err
+			}},
+			{"cluster", clusterRequest{Hierarchy: st.ID, Seed: 3}, func(span *obs.Span) error {
+				_, err := cluster.Louvain(h.Coarsest(), cluster.Options{Seed: 3, Workers: workers, Span: span})
+				return err
+			}},
+		} {
+			if code, raw := doJSON(t, http.DefaultClient, "POST", ts.URL+"/v1/"+q.kind, q.body, nil); code != http.StatusOK {
+				t.Fatalf("workers=%d %s: status %d body %s", workers, q.kind, code, raw)
+			}
+			var got map[string]int64
+			for _, rec := range s.flight.snapshot().Recent {
+				if rec.Kind == q.kind && rec.Target == st.ID {
+					got = rec.Counters
+				}
+			}
+			tr := obs.NewTrace("direct")
+			if err := q.direct(tr.Root); err != nil {
+				t.Fatal(err)
+			}
+			tr.Stop()
+			want := tr.Root.Counters()
+			if len(want) == 0 {
+				t.Fatalf("workers=%d %s: the direct call counted nothing", workers, q.kind)
+			}
+			if workers > 1 {
+				delete(got, "cas_retries")
+				delete(want, "cas_retries")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d %s: flight-record counters\n%v\nwant the direct call's\n%v", workers, q.kind, got, want)
+			}
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (*graphInfo, int
 	case "edgelist":
 		// Text ingest is CPU-bound on field parsing; shard it across the
 		// same worker budget a build gets.
-		g, err = graph.StreamEdges(body, s.cfg.Workers)
+		g, err = graph.StreamEdgesMax(body, s.cfg.Workers, int(min(s.cfg.MaxBodyBytes, graph.MaxParseVertices)))
 	case "mlcg":
 		var data []byte
 		// Uploads get the symmetry and duplicate check that ReadBinary

@@ -17,7 +17,7 @@ import (
 // the fine graph through the mapping arrays — the paper's "coarsen once,
 // solve many" split. Any number run concurrently against one hierarchy;
 // the shared state is read-only CSR plus mapping slices, and each request
-// carries its own obs trace so span trees never interleave.
+// hands its own obs trace to the solver, so span trees never interleave.
 
 // queryObs follows one query from entry to response: it runs the solve
 // under a per-request trace and, at finish, records the kind's latency
@@ -40,14 +40,12 @@ func (s *Server) startQuery(r *http.Request, kind int) *queryObs {
 	}
 }
 
-// traced runs fn with a per-request trace attached to the handler's
-// goroutine; the counters ride the flight record and are folded into the
-// /metrics aggregate.
-func (q *queryObs) traced(fn func()) {
+// traced runs fn with the root span of a per-request trace, which fn
+// passes to the solver; the counters ride the flight record and are folded
+// into the /metrics aggregate.
+func (q *queryObs) traced(fn func(span *obs.Span)) {
 	tr := obs.NewTrace(queryKindNames[q.kind] + " " + q.target)
-	detach := tr.Attach()
-	fn()
-	detach()
+	fn(tr.Root)
 	tr.Stop()
 	q.counters = tr.Root.Counters()
 	q.s.foldCounters(q.counters)
@@ -119,12 +117,20 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, status, "%v", err)
 		return
 	}
+	if n := h.Graphs[0].N(); req.K > n {
+		// KWayFM's time and memory grow with k, and parts beyond the
+		// vertex count are empty.
+		status = http.StatusBadRequest
+		reqErr = fmt.Errorf("k must be at most the graph's %d vertices (got %d)", n, req.K)
+		s.httpError(w, status, "%v", reqErr)
+		return
+	}
 	var resp partitionResponse
 	var solveErr error
-	q.traced(func() {
+	q.traced(func(span *obs.Span) {
 		t0 := time.Now()
 		res, err := partition.KWayFM(h.Coarsest(), req.K, partition.KWayOptions{
-			Seed: req.Seed, Workers: s.cfg.Workers,
+			Seed: req.Seed, Workers: s.cfg.Workers, Span: span,
 		})
 		if err != nil {
 			solveErr = err
@@ -189,10 +195,10 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp clusterResponse
 	var solveErr error
-	q.traced(func() {
+	q.traced(func(span *obs.Span) {
 		t0 := time.Now()
 		res, err := cluster.Louvain(h.Coarsest(), cluster.Options{
-			Seed: req.Seed, Workers: s.cfg.Workers,
+			Seed: req.Seed, Workers: s.cfg.Workers, Span: span,
 		})
 		if err != nil {
 			solveErr = err
@@ -258,7 +264,7 @@ func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var fine []int32
-	q.traced(func() {
+	q.traced(func(*obs.Span) {
 		fine = h.ProjectToFine(req.Labels)
 	})
 	writeJSON(w, http.StatusOK, projectResponse{Hierarchy: req.Hierarchy, Assignment: fine})

@@ -68,7 +68,10 @@ type Config struct {
 	// BuildTimeout caps one hierarchy build (default 5m). RunCtx stops at
 	// the next level boundary when it expires.
 	BuildTimeout time.Duration
-	// MaxBodyBytes caps an ingest request body (default 1 GiB).
+	// MaxBodyBytes caps an ingest request body (default 1 GiB). It also
+	// caps the vertex count an edge-list header may claim: an edge list
+	// may leave vertices isolated, so its header alone sizes the graph,
+	// while the other formats store every vertex in the body.
 	MaxBodyBytes int64
 	// MaxGraphs and MaxHierarchies cap the caches (default 256 each); at
 	// the cap, new inserts are refused with 507 Insufficient Storage so

@@ -445,3 +445,29 @@ func TestContentIDStability(t *testing.T) {
 		t.Fatal("empty id")
 	}
 }
+
+// TestHostileSizesRefused: an edge-list header may not claim more vertices
+// than MaxBodyBytes, and a partition may not ask for more parts than the
+// graph has vertices; both would otherwise make a short request cost time
+// and memory in proportion to a number it merely states.
+func TestHostileSizesRefused(t *testing.T) {
+	_, ts := testServer(t, Config{MaxBodyBytes: 1 << 16})
+	resp, err := http.Post(ts.URL+"/v1/graphs?format=edgelist", "text/plain", strings.NewReader("100000000 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "above the limit") {
+		t.Fatalf("edge-list header over MaxVertices: status %d body %s", resp.StatusCode, raw)
+	}
+	gi := ingest(t, ts, metisBytes(t, gen.Grid2D(10, 10)), "")
+	st := buildWait(t, ts, buildParams{Graph: gi.ID})
+	code, raw2 := doJSON(t, http.DefaultClient, "POST", ts.URL+"/v1/partition", partitionRequest{Hierarchy: st.ID, K: 101}, nil)
+	if code != http.StatusBadRequest || !strings.Contains(raw2, "at most") {
+		t.Fatalf("k above the vertex count: status %d body %s", code, raw2)
+	}
+	if code, raw2 = doJSON(t, http.DefaultClient, "POST", ts.URL+"/v1/partition", partitionRequest{Hierarchy: st.ID, K: 100}, nil); code != http.StatusOK {
+		t.Fatalf("k equal to the vertex count: status %d body %s", code, raw2)
+	}
+}

@@ -14,8 +14,8 @@ func TestSpGEMMAssociativity(t *testing.T) {
 		a := randCSR(8, 10, 3, s1)
 		b := randCSR(10, 9, 3, s2)
 		c := randCSR(9, 7, 3, s3)
-		left := SpGEMM(SpGEMM(a, b, 2), c, 2)
-		right := SpGEMM(a, SpGEMM(b, c, 2), 2)
+		left := SpGEMM(SpGEMM(a, b, par.Exec{P: 2}), c, par.Exec{P: 2})
+		right := SpGEMM(a, SpGEMM(b, c, par.Exec{P: 2}), par.Exec{P: 2})
 		return denseEqual(dense(left), dense(right), 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -64,7 +64,7 @@ func TestTransposeOfSymmetricIsIdentity(t *testing.T) {
 		{U: 3, V: 4, W: 5}, {U: 4, V: 5, W: 2}, {U: 5, V: 0, W: 7}, {U: 1, V: 4, W: 9},
 	})
 	a := FromGraph(g)
-	at := a.Transpose(2)
+	at := a.Transpose(par.Exec{P: 2})
 	if !denseEqual(dense(a), dense(at), 0) {
 		t.Error("adjacency transpose differs from itself")
 	}
@@ -83,10 +83,10 @@ func TestSpGEMMWithIdentity(t *testing.T) {
 		val[i] = 1
 	}
 	id := &CSR{Rows: int32(n), Cols: int32(n), Rowptr: rowptr, Col: col, Val: val}
-	if !denseEqual(dense(SpGEMM(a, id, 2)), dense(a), 1e-12) {
+	if !denseEqual(dense(SpGEMM(a, id, par.Exec{P: 2})), dense(a), 1e-12) {
 		t.Error("A·I != A")
 	}
-	if !denseEqual(dense(SpGEMM(id, a, 2)), dense(a), 1e-12) {
+	if !denseEqual(dense(SpGEMM(id, a, par.Exec{P: 2})), dense(a), 1e-12) {
 		t.Error("I·A != A")
 	}
 }

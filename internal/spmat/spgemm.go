@@ -2,6 +2,7 @@ package spmat
 
 import (
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -10,16 +11,15 @@ import (
 // with a per-row hash set, then a numeric pass accumulates values with a
 // per-row hash map. Rows are processed in parallel with dynamic
 // scheduling; each worker reuses one scratch hash table across its rows.
-func SpGEMM(a, b *CSR, p int) *CSR {
+func SpGEMM(a, b *CSR, ex par.Exec) *CSR {
 	if a.Cols != b.Rows {
 		panic("spmat: SpGEMM dimension mismatch")
 	}
 	n := int(a.Rows)
-	p = par.Workers(p, n)
 
 	// Symbolic phase: count distinct columns per output row.
 	counts := make([]int32, n)
-	par.ForChunked(n, p, 64, func(_, lo, hi int) {
+	par.ForChunked(n, ex, 64, func(_, lo, hi int) {
 		ht := newHashSet(64)
 		for i := lo; i < hi; i++ {
 			ht.reset()
@@ -35,7 +35,7 @@ func SpGEMM(a, b *CSR, p int) *CSR {
 	})
 
 	rowptr := make([]int64, n+1)
-	nnz := par.PrefixSumInt32(rowptr, counts, p)
+	nnz := par.PrefixSumInt32(rowptr, counts, ex)
 	col := make([]int32, nnz)
 	val := make([]float64, nnz)
 
@@ -43,7 +43,7 @@ func SpGEMM(a, b *CSR, p int) *CSR {
 	// reset to a capacity derived from the symbolic row count, so the slot
 	// layout — and with it the emitted column order — is a deterministic
 	// function of the row alone, independent of worker count or scheduling.
-	par.ForChunked(n, p, 64, func(_, lo, hi int) {
+	par.ForChunked(n, ex, 64, func(_, lo, hi int) {
 		hm := newHashMap(64)
 		for i := lo; i < hi; i++ {
 			hm.resetSized(int(rowptr[i+1] - rowptr[i]))
@@ -71,11 +71,11 @@ func SpGEMM(a, b *CSR, p int) *CSR {
 // PAPt computes P·A·Pᵀ, the linear-algebra formulation of coarse graph
 // construction: P is the nc×n binary aggregation matrix with
 // P(M[u], u) = 1 (Section II of the paper).
-func PAPt(a *CSR, m []int32, nc int32, p int) *CSR {
+func PAPt(a *CSR, m []int32, nc int32, ex par.Exec) *CSR {
 	pm := AggregationMatrix(m, nc, int(a.Rows))
-	pt := pm.Transpose(p)
-	apt := SpGEMM(a, pt, p)
-	return SpGEMM(pm, apt, p)
+	pt := pm.Transpose(ex)
+	apt := SpGEMM(a, pt, ex)
+	return SpGEMM(pm, apt, ex)
 }
 
 // AggregationMatrix builds the nc×n CSR matrix P with P(m[u], u) = 1.
@@ -85,7 +85,7 @@ func AggregationMatrix(m []int32, nc int32, n int) *CSR {
 		counts[a]++
 	}
 	rowptr := make([]int64, nc+1)
-	par.PrefixSumInt32(rowptr, counts, 1)
+	par.PrefixSumInt32(rowptr, counts, par.Exec{P: 1})
 	col := make([]int32, n)
 	pos := make([]int64, nc)
 	copy(pos, rowptr[:nc])
@@ -111,7 +111,7 @@ func Laplacian(g *graph.Graph) *CSR {
 	}
 	col := make([]int32, rowptr[n])
 	val := make([]float64, rowptr[n])
-	par.ForEachChunked(n, 0, 512, func(i int) {
+	par.ForEachChunked(n, par.Exec{Span: obs.Ambient()}, 512, func(i int) {
 		u := int32(i)
 		adj, wgt := g.Neighbors(u)
 		pos := rowptr[i]

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -77,7 +78,7 @@ func (a *CSR) MulVec(y, x []float64, p int) {
 	if len(x) != int(a.Cols) || len(y) != int(a.Rows) {
 		panic("spmat: MulVec dimension mismatch")
 	}
-	par.ForChunked(int(a.Rows), p, 512, func(_, lo, hi int) {
+	par.ForChunked(int(a.Rows), par.Exec{P: p, Span: obs.Ambient()}, 512, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum float64
 			for k := a.Rowptr[i]; k < a.Rowptr[i+1]; k++ {
@@ -92,11 +93,11 @@ func (a *CSR) MulVec(y, x []float64, p int) {
 // bucket-major offsets (the same stable pattern as an LSD radix-sort pass),
 // so rows of the result come out with sorted columns and the whole
 // operation is a single parallel pass over the nonzeros after counting.
-func (a *CSR) Transpose(p int) *CSR {
+func (a *CSR) Transpose(ex par.Exec) *CSR {
 	n, m := int(a.Rows), int(a.Cols)
-	p = par.Workers(p, n)
+	p := par.Workers(ex.P, n)
 	hist := make([]int64, p*m)
-	par.For(n, p, func(w, lo, hi int) {
+	par.For(n, ex, func(w, lo, hi int) {
 		h := hist[w*m : (w+1)*m]
 		for k := a.Rowptr[lo]; k < a.Rowptr[hi]; k++ {
 			h[a.Col[k]]++
@@ -116,7 +117,7 @@ func (a *CSR) Transpose(p int) *CSR {
 	rowptr[m] = running
 	col := make([]int32, a.NNZ())
 	val := make([]float64, a.NNZ())
-	par.For(n, p, func(w, lo, hi int) {
+	par.For(n, ex, func(w, lo, hi int) {
 		offs := hist[w*m : (w+1)*m]
 		for i := lo; i < hi; i++ {
 			for k := a.Rowptr[i]; k < a.Rowptr[i+1]; k++ {

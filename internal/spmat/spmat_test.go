@@ -142,7 +142,7 @@ func TestMulVecPanicsOnMismatch(t *testing.T) {
 func TestTransposeAgainstDense(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		a := randCSR(30, 50, 5, 11)
-		at := a.Transpose(p)
+		at := a.Transpose(par.Exec{P: p})
 		if err := at.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestTransposeAgainstDense(t *testing.T) {
 
 func TestTransposeInvolution(t *testing.T) {
 	a := randCSR(20, 25, 4, 13)
-	att := a.Transpose(2).Transpose(2)
+	att := a.Transpose(par.Exec{P: 2}).Transpose(par.Exec{P: 2})
 	if !denseEqual(dense(a), dense(att), 0) {
 		t.Error("double transpose is not the identity")
 	}
@@ -178,7 +178,7 @@ func TestSpGEMMAgainstDense(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		a := randCSR(25, 30, 5, 17)
 		b := randCSR(30, 20, 5, 19)
-		c := SpGEMM(a, b, p)
+		c := SpGEMM(a, b, par.Exec{P: p})
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestSpGEMMQuick(t *testing.T) {
 	f := func(seedA, seedB uint64) bool {
 		a := randCSR(12, 15, 4, seedA)
 		b := randCSR(15, 10, 4, seedB)
-		c := SpGEMM(a, b, 2)
+		c := SpGEMM(a, b, par.Exec{P: 2})
 		return denseEqual(dense(c), denseMul(dense(a), dense(b)), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -217,7 +217,7 @@ func TestSpGEMMDimensionPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SpGEMM(randCSR(3, 4, 2, 1), randCSR(5, 3, 2, 2), 1)
+	SpGEMM(randCSR(3, 4, 2, 1), randCSR(5, 3, 2, 2), par.Exec{P: 1})
 }
 
 func TestAggregationMatrix(t *testing.T) {
@@ -242,7 +242,7 @@ func TestPAPtCollapsesAggregates(t *testing.T) {
 	// joined by weight 1 plus diagonal self-weights from internal edges.
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}})
 	a := FromGraph(g)
-	c := PAPt(a, []int32{0, 0, 1, 1}, 2, 2)
+	c := PAPt(a, []int32{0, 0, 1, 1}, 2, par.Exec{P: 2})
 	d := dense(c)
 	if d[0][1] != 1 || d[1][0] != 1 {
 		t.Errorf("cross weight = %v/%v, want 1", d[0][1], d[1][0])
