@@ -164,8 +164,8 @@ bench-baseline:
 # trace_event file (load it at chrome://tracing or https://ui.perfetto.dev),
 # prints the metrics dump, and validates the trace structure. The
 # embedding trace (GOSH coarsening, then embed:level/train/project spans)
-# is checked the same way; the FM and spectral bisection traces for
-# well-formedness only.
+# and the FM and spectral bisection traces (coarsening, then
+# fm:level/spectral:level spans) are checked the same way.
 trace:
 	$(GO) run ./cmd/mlcg-coarsen -gen rmat -trace /tmp/mlcg-trace.json -metrics
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace.json
@@ -173,7 +173,7 @@ trace:
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-embed.json
 	$(GO) run ./cmd/mlcg-partition -gen trimesh -method fm -trace /tmp/mlcg-trace-fm.json
 	$(GO) run ./cmd/mlcg-partition -gen trimesh -method spectral -trace /tmp/mlcg-trace-spectral.json
-	$(GO) run ./cmd/mlcg-tracecheck /tmp/mlcg-trace-fm.json /tmp/mlcg-trace-spectral.json
+	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-fm.json /tmp/mlcg-trace-spectral.json
 
 # Regenerate the paper's tables and figures (writes to stdout).
 tables:

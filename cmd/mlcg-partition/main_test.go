@@ -69,6 +69,21 @@ func TestRunSpectralMetrics(t *testing.T) {
 	if m == nil || m[1] != strconv.Itoa(solves) {
 		t.Errorf("fiedler_capped missing or not %d (one per solve):\n%s", solves, out)
 	}
+	checkLevelSpans(t, out, "spectral")
+}
+
+// checkLevelSpans requires one "<name>:level i" span per graph of the
+// hierarchy, levels+1 in all, in the -metrics dump out.
+func checkLevelSpans(t *testing.T, out, name string) {
+	t.Helper()
+	m := regexp.MustCompile(`levels=(\d+)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no levels= in the output:\n%s", out)
+	}
+	levels, _ := strconv.Atoi(m[1])
+	if got := strings.Count(out, "  "+name+":level "); got != levels+1 {
+		t.Errorf("%d %s:level spans for %d levels, want %d:\n%s", got, name, levels, levels+1, out)
+	}
 }
 
 // TestRunFMMetrics: -metrics shows where FM time goes — one fm span per
@@ -87,6 +102,7 @@ func TestRunFMMetrics(t *testing.T) {
 	if !strings.Contains(out, "  fm ") {
 		t.Errorf("no fm span in the dump:\n%s", out)
 	}
+	checkLevelSpans(t, out, "fm")
 }
 
 func TestRunKWayWithPairwise(t *testing.T) {

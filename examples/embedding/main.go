@@ -36,20 +36,18 @@ func main() {
 	fmt.Printf("hierarchy: %d levels, coarsest n=%d\n", h.Levels(), h.Coarsest().N())
 
 	fopt := partition.FiedlerOptions{MaxIter: 600}
-	xs, _ := partition.FiedlerK(h.Coarsest(), dim, nil, 99, fopt)
-	for i := len(h.Maps) - 1; i >= 0; i-- {
-		fineG := h.Graphs[i]
-		m := h.Maps[i]
-		seeded := make([][]float64, dim)
-		for j := range xs {
-			xf := make([]float64, fineG.N())
-			for u := range m {
-				xf[u] = xs[j][m[u]]
+	xs, _ := coarsen.Uncoarsen(h, h.Levels(), nil, "embedding", par.Exec{},
+		func(_ int, lg *mlcg.Graph, xs [][]float64, _ par.Exec) ([][]float64, error) {
+			xs, _ = partition.FiedlerK(lg, dim, xs, 99, fopt)
+			return xs, nil
+		},
+		func(xs [][]float64, m []int32, ex par.Exec) [][]float64 {
+			fine := make([][]float64, len(xs))
+			for j, x := range xs {
+				fine[j] = coarsen.Project(x, m, ex)
 			}
-			seeded[j] = xf
-		}
-		xs, _ = partition.FiedlerK(fineG, dim, seeded, 99, fopt)
-	}
+			return fine
+		})
 
 	emb := make([][]float64, g.N())
 	for u := range emb {

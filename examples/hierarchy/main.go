@@ -12,7 +12,9 @@ import (
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
+	"mlcg/internal/graph"
 	"mlcg/internal/hierfmt"
+	"mlcg/internal/par"
 	"mlcg/internal/partition"
 )
 
@@ -44,18 +46,14 @@ func main() {
 	// seeds on the coarsest graph, each refined down the same hierarchy.
 	best := int64(-1)
 	for seed := uint64(0); seed < 3; seed++ {
-		part := partition.GreedyGrow(h2.Coarsest(), seed, 4)
-		partition.RefineFM(h2.Coarsest(), part, partition.FMOptions{})
-		for i := len(h2.Maps) - 1; i >= 0; i-- {
-			fineG := h2.Graphs[i]
-			m := h2.Maps[i]
-			pf := make([]int32, fineG.N())
-			for u := range m {
-				pf[u] = part[m[u]]
-			}
-			partition.RefineFM(fineG, pf, partition.FMOptions{})
-			part = pf
-		}
+		part, _ := coarsen.Uncoarsen(h2, h2.Levels(), nil, "fm", par.Exec{},
+			func(_ int, lg *graph.Graph, part []int32, _ par.Exec) ([]int32, error) {
+				if part == nil {
+					part = partition.GreedyGrow(lg, seed, 4)
+				}
+				partition.RefineFM(lg, part, partition.FMOptions{})
+				return part, nil
+			}, coarsen.Project[int32])
 		cut := partition.EdgeCut(g, part)
 		fmt.Printf("seed %d: cut %d\n", seed, cut)
 		if best < 0 || cut < best {

@@ -3,9 +3,13 @@
 // Section III.C ("we plan to use our new coarse mapping and/or graph
 // construction methods in place of the coarsening routines in well-known
 // multilevel methods for graph clustering"). The pipeline is the classic
-// multilevel scheme: coarsen until roughly the requested number of
-// clusters remain, project the coarse vertices back as cluster seeds, and
-// refine with modularity-driven local moving sweeps at every level.
+// multilevel scheme: coarsen until the requested number of clusters
+// remain, seed one cluster per vertex of the coarsest level that still has
+// that many vertices, and walk back up the hierarchy (coarsen.Uncoarsen,
+// "cluster" level spans) refining with modularity-driven local moving
+// sweeps at every level. Louvain instead contracts its own clusters round
+// by round and projects each round's labels onto the input with
+// coarsen.Project.
 package cluster
 
 import (
@@ -20,9 +24,9 @@ import (
 
 // Options configures multilevel clustering.
 type Options struct {
-	// TargetClusters stops coarsening near this cluster count (the
-	// coarsening may overshoot slightly; the refinement can merge
-	// further). Zero means 16.
+	// TargetClusters stops coarsening at this cluster count: clustering
+	// seeds from the coarsest level that still has this many vertices,
+	// and the refinement can merge further. Zero means 16.
 	TargetClusters int
 	// Mapper and Builder drive the coarsening; nil means HEC + sort, the
 	// paper's recommended pair.
@@ -80,65 +84,41 @@ func Multilevel(g *graph.Graph, opt Options) (*Result, error) {
 		Cutoff: target, DiscardBelow: -1,
 		Seed: opt.Seed, Workers: opt.Workers,
 	}
-	h, err := c.RunCtx(obs.ContextWithSpan(context.Background(), opt.span()), g)
+	span := opt.span()
+	h, err := c.RunCtx(obs.ContextWithSpan(context.Background(), span), g)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
-	// Seed from the level whose size lands nearest the target (aggressive
-	// mappers like MIS2 can overshoot far past it in the final step).
-	seedLevel := len(h.Graphs) - 1
-	for i, cg := range h.Graphs {
-		if absDiff(cg.N(), target) < absDiff(h.Graphs[seedLevel].N(), target) {
-			seedLevel = i
-		}
+	// Seed from the coarsest level that still has target vertices (level 0
+	// if the input is smaller). Coarsening stops at the first level at or
+	// below the target, and local moving can merge clusters but never split
+	// one, so a last step that overshoots far past the target (aggressive
+	// mappers like MIS2 do) would cap the result.
+	seedLevel := h.Levels()
+	for seedLevel > 0 && h.Graphs[seedLevel].N() < target {
+		seedLevel--
 	}
 
 	// Per-level self-loop weights: the intra-aggregate weight each coarse
 	// vertex carries. Local moving needs them so that coarse-level moves
 	// optimize the FINE graph's modularity (Louvain keeps self-loops for
 	// exactly this reason; this module's graphs do not store them).
-	selfW := make([][]int64, len(h.Graphs))
-	selfW[0] = make([]int64, g.N()) // fine vertices carry none
-	for i, m := range h.Maps {
-		fineG := h.Graphs[i]
-		coarseN := h.Graphs[i+1].N()
-		sw := make([]int64, coarseN)
-		// Inherited internal weight plus newly contracted edges.
-		for u := 0; u < fineG.N(); u++ {
-			sw[m[u]] += selfW[i][u]
-		}
-		for u := int32(0); u < fineG.NumV; u++ {
-			adj, wgt := fineG.Neighbors(u)
-			for k, v := range adj {
-				if u < v && m[u] == m[v] {
-					sw[m[u]] += wgt[k]
-				}
-			}
-		}
-		selfW[i+1] = sw
+	selfW := make([][]int64, seedLevel+1)
+	selfW[0] = make([]int64, n) // fine vertices carry none
+	for i := 0; i < seedLevel; i++ {
+		selfW[i+1] = carrySelfWeight(h.Graphs[i], h.Maps[i], h.Graphs[i+1].N(), selfW[i])
 	}
 
 	mTotal := float64(g.TotalEdgeWeight())
-	labels := make([]int32, h.Graphs[seedLevel].N())
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	if passes > 0 {
-		localMoving(h.Graphs[seedLevel], labels, passes, selfW[seedLevel], mTotal)
-	}
-	for i := seedLevel - 1; i >= 0; i-- {
-		fineG := h.Graphs[i]
-		m := h.Maps[i]
-		fl := make([]int32, fineG.N())
-		for u := range m {
-			fl[u] = labels[m[u]]
-		}
-		if passes > 0 {
-			localMoving(fineG, fl, passes, selfW[i], mTotal)
-		}
-		labels = fl
-	}
+	labels, _ := coarsen.Uncoarsen(h, seedLevel, identity(h.Graphs[seedLevel].N()), "cluster",
+		par.Exec{P: opt.Workers, Span: span},
+		func(i int, lg *graph.Graph, labels []int32, _ par.Exec) ([]int32, error) {
+			if passes > 0 {
+				localMoving(lg, labels, passes, selfW[i], mTotal)
+			}
+			return labels, nil
+		}, coarsen.Project[int32])
 	k := compactLabels(labels)
 	return &Result{
 		Labels:     labels,
@@ -148,11 +128,33 @@ func Multilevel(g *graph.Graph, opt Options) (*Result, error) {
 	}, nil
 }
 
-func absDiff(a, b int) int {
-	if a > b {
-		return a - b
+// carrySelfWeight returns the intra-aggregate weight each coarse vertex of
+// the mapping m (nc coarse vertices) carries: the weight its members
+// inherited in selfW plus the weight of the edges of g that m folds inside
+// it.
+func carrySelfWeight(g *graph.Graph, m []int32, nc int, selfW []int64) []int64 {
+	sw := make([]int64, nc)
+	for u, w := range selfW {
+		sw[m[u]] += w
 	}
-	return b - a
+	for u := int32(0); u < g.NumV; u++ {
+		adj, wgt := g.Neighbors(u)
+		for k, v := range adj {
+			if u < v && m[u] == m[v] {
+				sw[m[u]] += wgt[k]
+			}
+		}
+	}
+	return sw
+}
+
+// identity returns the labels 0, 1, ..., n−1: every vertex its own cluster.
+func identity(n int) []int32 {
+	labels := make([]int32, n)
+	for i := range labels {
+		labels[i] = int32(i)
+	}
+	return labels
 }
 
 // Louvain runs the full Louvain method with this module's own coarse
@@ -178,21 +180,18 @@ func Louvain(g *graph.Graph, opt Options) (*Result, error) {
 
 	cur := g
 	selfW := make([]int64, n)
-	// chain[i] maps the vertices of level i onto level i+1's clusters.
-	var chain [][]int32
+	// fine maps every input vertex onto its cluster at the current level:
+	// each round's labels are projected through it.
+	fine := identity(n)
 	levels := 0
 	prevQ := -1.0
 	for round := 0; round < 40; round++ {
-		labels := make([]int32, cur.N())
-		for i := range labels {
-			labels[i] = int32(i)
-		}
+		labels := identity(cur.N())
 		localMoving(cur, labels, passes, selfW, mTotal)
 		k := compactLabels(labels)
 		if int(k) == cur.N() {
 			break // no merge happened: converged
 		}
-		chain = append(chain, labels)
 		levels++
 
 		// Contract via the module's construction machinery.
@@ -202,23 +201,11 @@ func Louvain(g *graph.Graph, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("cluster: louvain contraction: %w", err)
 		}
 		// Carry internal weight into the next level's self-loops.
-		sw := make([]int64, k)
-		for u := 0; u < cur.N(); u++ {
-			sw[labels[u]] += selfW[u]
-		}
-		for u := int32(0); u < cur.NumV; u++ {
-			adj, wgt := cur.Neighbors(u)
-			for kk, v := range adj {
-				if u < v && labels[u] == labels[v] {
-					sw[labels[u]] += wgt[kk]
-				}
-			}
-		}
+		selfW = carrySelfWeight(cur, labels, int(k), selfW)
 		cur = next
-		selfW = sw
 
 		// Project to the fine graph and check progress.
-		fine := projectChain(chain, n)
+		fine = coarsen.Project(labels, fine, ex)
 		q := Modularity(g, fine)
 		if q <= prevQ+1e-9 {
 			break
@@ -228,34 +215,13 @@ func Louvain(g *graph.Graph, opt Options) (*Result, error) {
 			break
 		}
 	}
-	labels := projectChain(chain, n)
-	k := compactLabels(labels)
+	k := compactLabels(fine)
 	return &Result{
-		Labels:     labels,
+		Labels:     fine,
 		K:          k,
-		Modularity: Modularity(g, labels),
+		Modularity: Modularity(g, fine),
 		Levels:     levels,
 	}, nil
-}
-
-// projectChain composes the per-level cluster assignments down to the
-// finest level.
-func projectChain(chain [][]int32, n int) []int32 {
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	if len(chain) == 0 {
-		return labels
-	}
-	for u := 0; u < n; u++ {
-		l := labels[u]
-		for _, step := range chain {
-			l = step[l]
-		}
-		labels[u] = l
-	}
-	return labels
 }
 
 // Modularity returns Newman's weighted modularity

@@ -290,3 +290,23 @@ func checkAcrossWorkers(t *testing.T, cluster func(*graph.Graph, Options) (*Resu
 		}
 	}
 }
+
+// TestMultilevelSeedsAtTarget: Multilevel seeds from the coarsest level
+// that still has TargetClusters vertices. Coarsening stops at the first
+// level at or below the target, and on several suite graphs HEC and MIS2
+// overshoot it to one or a few vertices in that last step; seeding there
+// capped the result at one cluster with modularity 0.
+func TestMultilevelSeedsAtTarget(t *testing.T) {
+	for _, inst := range gen.DefaultSuite() {
+		for _, mapper := range []coarsen.Mapper{coarsen.HEC{}, coarsen.MIS2{}} {
+			res, err := Multilevel(inst.Graph, Options{TargetClusters: 16, Mapper: mapper, Seed: 1, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.K < 2 || res.Modularity <= 0 {
+				t.Errorf("%s/%s: K = %d, Q = %.4f; want K >= 2 and Q > 0",
+					inst.Name, mapper.Name(), res.K, res.Modularity)
+			}
+		}
+	}
+}

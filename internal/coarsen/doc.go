@@ -29,6 +29,15 @@ package coarsen
 //	Algorithm 15 (parallel GOSH)................ GOSH.Map
 //	Algorithm 16 (GOSH/HEC hybrid).............. GOSHHEC.Map (reconstruction)
 //
+// The way back up: every multilevel pipeline ends by solving on the
+// coarsest graph (or a seed level), then carrying the result through each
+// level's mapping and refining it on the finer graph. Uncoarsen is that
+// walk, with the pipeline supplying only its solve/refine step and its
+// projection; Project is the one gather through a mapping array
+// (fine[u] = coarse[m[u]]), which also composes mappings (Flatten,
+// ProjectToFine). Traced, the walk opens the "<pipeline>:level i" and
+// "<pipeline>:project" spans.
+//
 // Beyond the paper: Suitor.Map and BSuitor.Map implement the weighted
 // matching algorithms named in the paper's future work; BuildSegSort
 // implements the segmented global sort Section III.B sketches, and

@@ -10,7 +10,7 @@ import (
 func TestComposeMaps(t *testing.T) {
 	fineToMid := []int32{0, 0, 1, 2, 1}
 	midToCoarse := []int32{1, 0, 1}
-	got := ComposeMaps(fineToMid, midToCoarse)
+	got := Project(midToCoarse, fineToMid, par.Exec{P: 2})
 	want := []int32{1, 1, 0, 1, 0}
 	for i := range want {
 		if got[i] != want[i] {

@@ -21,6 +21,9 @@ import (
 //   - edge-weight conservation modulo self-loop folding: the directed
 //     coarse weight total equals the fine total minus the weight of edges
 //     folded inside aggregates
+//   - the projection identity: a coarse labelling (vertex id mod 3) cuts
+//     exactly the weight its projection through the mapping cuts on the
+//     fine graph, an int64 identity because construction sums weights
 //
 // The raw (pre-sort) checks run on the builder's output verbatim — some
 // builders (hash, spgemm) legitimately emit unsorted rows, so
@@ -106,6 +109,19 @@ func coarseInvariantErr(fine *graph.Graph, m *Mapping, coarse *graph.Graph) erro
 	if want := fineEW - 2*intraWeight(fine, m); coarseEW != want {
 		return fmt.Errorf("edge weight not conserved: coarse %d, want fine %d - folded %d = %d",
 			coarseEW, fineEW, fineEW-want, want)
+	}
+
+	// A cut is half the directed weight total minus the weight inside
+	// labels. Labelling coarse vertex a with a mod 3 and projecting it
+	// onto the fine graph keeps the cut exactly.
+	labels := make([]int32, coarse.NumV)
+	for a := range labels {
+		labels[a] = int32(a % 3)
+	}
+	fineLabels := Project(labels, m.M, par.Exec{P: 2})
+	coarseCut := coarseEW/2 - intraWeight(coarse, &Mapping{M: labels})
+	if fineCut := fineEW/2 - intraWeight(fine, &Mapping{M: fineLabels}); coarseCut != fineCut {
+		return fmt.Errorf("projection changed the cut: coarse labelling cuts %d, its projection %d", coarseCut, fineCut)
 	}
 	return nil
 }

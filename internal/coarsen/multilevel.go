@@ -153,47 +153,26 @@ func (h *Hierarchy) CoarseningRatio() float64 {
 // to level 0 through the mapping arrays.
 func (h *Hierarchy) ProjectToFine(coarsest []int32) []int32 {
 	ex := par.Exec{Span: obs.Ambient()}
-	cur := coarsest
 	for i := len(h.Maps) - 1; i >= 0; i-- {
-		m := h.Maps[i]
-		fine := make([]int32, len(m))
-		par.ForEach(len(m), ex, func(u int) {
-			fine[u] = cur[m[u]]
-		})
-		cur = fine
+		coarsest = Project(coarsest, h.Maps[i], ex)
 	}
-	return cur
-}
-
-// ComposeMaps composes two consecutive mapping arrays: the result maps
-// fine vertices directly onto the coarser of the two levels.
-func ComposeMaps(fineToMid, midToCoarse []int32) []int32 {
-	out := make([]int32, len(fineToMid))
-	par.ForEach(len(fineToMid), par.Exec{Span: obs.Ambient()}, func(u int) {
-		out[u] = midToCoarse[fineToMid[u]]
-	})
-	return out
+	return coarsest
 }
 
 // Flatten returns the direct fine-to-coarsest mapping of the whole
 // hierarchy as a single Mapping (the matrix P of the full multilevel
-// contraction). For a hierarchy with no levels it returns the identity.
+// contraction): the identity projected through every level's map. For a
+// hierarchy with no levels it is the identity.
 func (h *Hierarchy) Flatten() *Mapping {
-	n := h.Graphs[0].N()
-	if len(h.Maps) == 0 {
-		m := make([]int32, n)
-		for i := range m {
-			m[i] = int32(i)
-		}
-		return &Mapping{M: m, NC: int32(n)}
+	ex := par.Exec{Span: obs.Ambient()}
+	m := make([]int32, h.Graphs[0].N())
+	for u := range m {
+		m[u] = int32(u)
 	}
-	cur := h.Maps[0]
-	for i := 1; i < len(h.Maps); i++ {
-		cur = ComposeMaps(cur, h.Maps[i])
+	for _, next := range h.Maps {
+		m = Project(next, m, ex)
 	}
-	out := make([]int32, n)
-	copy(out, cur)
-	return &Mapping{M: out, NC: h.Coarsest().NumV}
+	return &Mapping{M: m, NC: h.Coarsest().NumV}
 }
 
 // Run coarsens g to completion and returns the hierarchy. The input graph

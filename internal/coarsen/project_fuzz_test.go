@@ -2,6 +2,8 @@ package coarsen
 
 import (
 	"testing"
+
+	"mlcg/internal/par"
 )
 
 // decodeHostileMaps builds a chain of level maps from fuzz bytes. Every map
@@ -53,7 +55,7 @@ func decodeHostileMaps(in []byte) (maps [][]int32, coarsestN int) {
 // FuzzProjectToFine drives Hierarchy.ProjectToFine with degenerate level
 // maps — stalled (identity-size) levels, singleton collapses, empty
 // coarsest, ragged chains — and checks it against a trivial sequential
-// reference and against the ComposeMaps shortcut (projecting through the
+// reference and against the composed-map shortcut (projecting through the
 // composed fine-to-coarsest map must agree with level-by-level projection).
 func FuzzProjectToFine(f *testing.F) {
 	f.Add([]byte{1, 8, 0, 1, 2, 3, 4, 5, 6, 7, 0, 9, 9})    // one stalled level
@@ -100,7 +102,7 @@ func FuzzProjectToFine(f *testing.F) {
 		if len(maps) > 0 {
 			composed := maps[0]
 			for i := 1; i < len(maps); i++ {
-				composed = ComposeMaps(composed, maps[i])
+				composed = Project(maps[i], composed, par.Exec{P: 2})
 			}
 			for u := range composed {
 				if got[u] != coarsest[composed[u]] {

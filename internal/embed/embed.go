@@ -2,7 +2,10 @@
 // the GOSH workload (arXiv:2008.12336) the ROADMAP names as the first
 // ML-serving scenario: train on the coarsest graph where one epoch is
 // cheap, project the embedding down the hierarchy level by level, and
-// refine with a few epochs at each finer level.
+// refine with a few epochs at each finer level. The walk is
+// coarsen.Uncoarsen's, with projectRows (coarsen.Project over whole rows)
+// as its projection; traced, level i trains under an "embed:level i" span
+// whose children are "embed:train" and "embed:project".
 //
 // The trainer is a negative-sampling SGD over edges (skip-gram with a
 // single embedding matrix, as GOSH uses), parallelized with the same
@@ -204,30 +207,21 @@ func TrainHierarchy(h *coarsen.Hierarchy, opt Options) (*Result, error) {
 	t0 := time.Now()
 
 	ws := newWorkspace()
-	span := obs.Ambient()
-	last := len(h.Graphs) - 1
-	emb := randomInit(h.Graphs[last].NumV, int32(opt.Dim), opt.Seed, par.Exec{P: opt.Workers, Span: span})
-	for i := last; i >= 0; i-- {
-		g := h.Graphs[i]
-		var lvl *obs.Span
-		if span != nil {
-			lvl = span.Child(fmt.Sprintf("embed:level %d", i))
-		}
-		st, err := trainLevel(g, emb, ws, uint64(i), epochs[i], lrs[i], opt, lvl)
-		if err != nil {
-			lvl.End()
-			return nil, fmt.Errorf("embed: level %d: %w", i, err)
-		}
-		res.Steps += st.steps
-		res.Negatives += st.negatives
-		if i > 0 {
-			// Project onto the next finer level: every fine vertex starts
-			// from its aggregate's vector.
-			proj := lvl.Child("embed:project")
-			emb = projectRows(emb, h.Maps[i-1], par.Exec{P: opt.Workers, Span: proj})
-			proj.End()
-		}
-		lvl.End()
+	ex := par.Exec{P: opt.Workers, Span: obs.Ambient()}
+	last := h.Levels()
+	emb := randomInit(h.Graphs[last].NumV, int32(opt.Dim), opt.Seed, ex)
+	emb, err := coarsen.Uncoarsen(h, last, emb, "embed", ex,
+		func(i int, g *graph.Graph, emb *Embedding, ex par.Exec) (*Embedding, error) {
+			st, err := trainLevel(g, emb, ws, uint64(i), epochs[i], lrs[i], opt, ex.Span)
+			if err != nil {
+				return nil, fmt.Errorf("embed: level %d: %w", i, err)
+			}
+			res.Steps += st.steps
+			res.Negatives += st.negatives
+			return emb, nil
+		}, projectRows)
+	if err != nil {
+		return nil, err
 	}
 	res.Emb = emb
 	res.TrainTime = time.Since(t0)

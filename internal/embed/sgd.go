@@ -453,9 +453,9 @@ func trainLevel(g *graph.Graph, emb *Embedding, ws *workspace, level uint64, epo
 }
 
 // projectRows carries a coarse embedding one level finer: every fine
-// vertex starts from its aggregate's vector. The level maps are the same
-// arrays coarsen.Hierarchy.ProjectToFine walks; here whole rows are copied
-// instead of labels.
+// vertex starts from its aggregate's vector. It is coarsen.Project over
+// whole rows instead of single values, the projection TrainHierarchy's
+// walk up the hierarchy passes to coarsen.Uncoarsen.
 func projectRows(coarse *Embedding, m []int32, ex par.Exec) *Embedding {
 	dim := int(coarse.Dim)
 	fine := &Embedding{N: int32(len(m)), Dim: coarse.Dim, Vecs: make([]float32, len(m)*dim)}

@@ -12,6 +12,11 @@ package partition
 //	                                             passes)
 //	greedy graph growing initial partition...... GreedyGrow(Target)
 //	multilevel FM pipeline (Table VI)........... FMBisector
+//	walk back up the hierarchy (solve on the
+//	  coarsest graph, project, refine).......... coarsen.Uncoarsen with a
+//	                                             per-pipeline step ("fm",
+//	                                             "spectral", "drawing"
+//	                                             level spans)
 //	Metis / mt-Metis baselines (Table VI)....... NewMetisLike, NewMtMetisLike
 //	recursive k-way (FM and spectral,
 //	  proportional targets)..................... KWayFM, KWaySpectral

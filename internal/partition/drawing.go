@@ -17,11 +17,16 @@ import (
 // Returns the vectors ordered by increasing eigenvalue and the iteration
 // count.
 func FiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOptions) ([][]float64, int) {
+	return fiedlerK(g, k, x0, seed, opt, obs.Ambient())
+}
+
+// fiedlerK is FiedlerK with its "fiedler" span opened under span.
+func fiedlerK(g *graph.Graph, k int, x0 [][]float64, seed uint64, opt FiedlerOptions, span *obs.Span) ([][]float64, int) {
 	n := g.N()
 	if n == 0 || k <= 0 {
 		return nil, 0
 	}
-	sp := obs.Ambient().Child("fiedler")
+	sp := span.Child("fiedler")
 	defer sp.End()
 	op := newLaplacianOp(g, par.Exec{P: opt.Workers, Span: sp})
 
@@ -167,20 +172,22 @@ func SpectralCoordinates(g *graph.Graph, opt DrawOptions) ([][2]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	xs, _ := FiedlerK(h.Coarsest(), 2, nil, opt.Seed^0xd4a3, opt.Fiedler)
-	for i := len(h.Maps) - 1; i >= 0; i-- {
-		fineG := h.Graphs[i]
-		m := h.Maps[i]
-		seeded := make([][]float64, len(xs))
-		for j := range xs {
-			xf := make([]float64, fineG.N())
-			for u := range m {
-				xf[u] = xs[j][m[u]]
+	xs, _ := coarsen.Uncoarsen(h, h.Levels(), nil, "drawing", par.Exec{P: opt.Coarsener.Workers, Span: obs.Ambient()},
+		func(i int, lg *graph.Graph, xs [][]float64, ex par.Exec) ([][]float64, error) {
+			seed := opt.Seed
+			if i == h.Levels() {
+				seed ^= 0xd4a3
 			}
-			seeded[j] = xf
-		}
-		xs, _ = FiedlerK(fineG, 2, seeded, opt.Seed, opt.Fiedler)
-	}
+			xs, _ = fiedlerK(lg, 2, xs, seed, opt.Fiedler, ex.Span)
+			return xs, nil
+		},
+		func(xs [][]float64, m []int32, ex par.Exec) [][]float64 {
+			fine := make([][]float64, len(xs))
+			for j, x := range xs {
+				fine[j] = coarsen.Project(x, m, ex)
+			}
+			return fine
+		})
 	coords := make([][2]float64, n)
 	for u := 0; u < n; u++ {
 		coords[u] = [2]float64{xs[0][u], xs[1][u]}

@@ -255,10 +255,7 @@ func SplitByVector(g *graph.Graph, x []float64) []int32 {
 // recursive k-way spectral partitioning.
 func SplitByVectorTarget(g *graph.Graph, x []float64, target0 int64) []int32 {
 	n := g.N()
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
+	idx := identity(n)
 	sort.Slice(idx, func(a, b int) bool {
 		if x[idx[a]] != x[idx[b]] {
 			return x[idx[a]] < x[idx[b]]

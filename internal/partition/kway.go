@@ -98,7 +98,7 @@ func kway(g *graph.Graph, k int, opt KWayOptions, bisect bisectFunc) (*KWayResul
 	}
 	t0 := time.Now()
 	part := make([]int32, g.N())
-	if err := kwayRecurse(g, k, 0, part, nil, bisect, opt.Seed, span); err != nil {
+	if err := kwayRecurse(g, k, 0, part, identity(g.N()), bisect, opt.Seed, span); err != nil {
 		return nil, err
 	}
 	if opt.PairwiseRounds > 0 && k > 2 {
@@ -116,20 +116,16 @@ func kway(g *graph.Graph, k int, opt KWayOptions, bisect bisectFunc) (*KWayResul
 	return res, nil
 }
 
-// kwayRecurse assigns parts [base, base+k) to the vertices of sub (whose
-// vertex u corresponds to original vertex ids[u]; ids == nil means
-// identity).
+// kwayRecurse assigns parts [base, base+k) to the vertices of sub, whose
+// vertex u is original vertex ids[u]. An empty piece assigns nothing, and
+// its siblings' seeds depend only on k and side, so it returns at once.
 func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32, bisect bisectFunc, seed uint64, span *obs.Span) error {
-	assign := func(u int32, p int32) {
-		if ids == nil {
-			part[u] = p
-		} else {
-			part[ids[u]] = p
-		}
+	if sub.NumV == 0 {
+		return nil
 	}
 	if k == 1 {
-		for u := int32(0); u < sub.NumV; u++ {
-			assign(u, base)
+		for _, u := range ids {
+			part[u] = base
 		}
 		return nil
 	}
@@ -141,21 +137,13 @@ func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32,
 	}
 
 	// Build the two induced subgraphs and recurse.
+	ex := par.Exec{Span: span}
 	for side := int32(0); side <= 1; side++ {
 		keep := make([]bool, sub.NumV)
 		for u := int32(0); u < sub.NumV; u++ {
 			keep[u] = r.Part[u] == side
 		}
-		piece, old := sub.InducedSubgraph(keep, par.Exec{Span: span})
-		// Compose original ids: old indexes into sub; map through ids.
-		orig := make([]int32, len(old))
-		for i, u := range old {
-			if ids == nil {
-				orig[i] = u
-			} else {
-				orig[i] = ids[u]
-			}
-		}
+		piece, old := sub.InducedSubgraph(keep, ex)
 		kk := k0
 		bb := base
 		if side == 1 {
@@ -164,11 +152,20 @@ func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32,
 		}
 		// Tiny pieces can drop below the coarsening cutoff; the recursion
 		// handles them the same way (the bisector copes with any size).
-		if err := kwayRecurse(piece, kk, bb, part, orig, bisect, seed+uint64(k)*31+uint64(side), span); err != nil {
+		if err := kwayRecurse(piece, kk, bb, part, coarsen.Project(ids, old, ex), bisect, seed+uint64(k)*31+uint64(side), span); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// identity returns the vertex ids 0, 1, ..., n−1.
+func identity(n int) []int32 {
+	ids := make([]int32, n)
+	for u := range ids {
+		ids[u] = int32(u)
+	}
+	return ids
 }
 
 // KWayEdgeCut returns the total weight of edges whose endpoints lie in

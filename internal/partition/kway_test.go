@@ -6,6 +6,8 @@ import (
 
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
+	"mlcg/internal/graph"
+	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -254,5 +256,32 @@ func TestRefineFMTargetedBalance(t *testing.T) {
 	w := SideWeights(g, part)
 	if d := w[0] - 48; d < -2 || d > 2 {
 		t.Errorf("side 0 weight %d, want 48 +/- 2", w[0])
+	}
+}
+
+// TestKWayStopsAtEmptyPieces: with k far above the vertex count most
+// recursive pieces are empty. The recursion must return on an empty piece
+// instead of bisecting it again, which made k-way time grow with k past n.
+func TestKWayStopsAtEmptyPieces(t *testing.T) {
+	g := gen.RGG(300, 0, 7)
+	const k = 1000
+	res, err := kway(g, k, KWayOptions{}, func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error) {
+		if sub.N() == 0 {
+			t.Fatal("bisect called on an empty piece")
+		}
+		b := &FMBisector{
+			Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: seed, Workers: 2},
+			Seed:      seed,
+			TargetW0:  target0,
+		}
+		return b.bisect(sub, span)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, p := range res.Part {
+		if p < 0 || p >= k {
+			t.Fatalf("vertex %d: part id %d out of range", u, p)
+		}
 	}
 }

@@ -38,25 +38,17 @@ func NestedDissection(g *graph.Graph, opt NDOptions) ([]int32, error) {
 		leaf = 32
 	}
 	perm := make([]int32, 0, g.N())
-	if err := ndRecurse(g, nil, opt, leaf, opt.Seed, &perm, obs.Ambient()); err != nil {
+	if err := ndRecurse(g, identity(g.N()), opt, leaf, opt.Seed, &perm, obs.Ambient()); err != nil {
 		return nil, err
 	}
 	return perm, nil
 }
 
-// ndRecurse appends sub's vertices (original ids via ids; nil = identity)
+// ndRecurse appends sub's vertices (vertex u is original vertex ids[u])
 // to perm in nested-dissection order, its kernels' spans under span.
 func ndRecurse(sub *graph.Graph, ids []int32, opt NDOptions, leaf int, seed uint64, perm *[]int32, span *obs.Span) error {
-	orig := func(u int32) int32 {
-		if ids == nil {
-			return u
-		}
-		return ids[u]
-	}
 	if sub.N() <= leaf {
-		for u := int32(0); u < sub.NumV; u++ {
-			*perm = append(*perm, orig(u))
-		}
+		*perm = append(*perm, ids...)
 		return nil
 	}
 	b := &FMBisector{
@@ -78,6 +70,7 @@ func ndRecurse(sub *graph.Graph, ids []int32, opt NDOptions, leaf int, seed uint
 	}
 	// Recurse on each side minus the separator, then number the
 	// separator last.
+	ex := par.Exec{Span: span}
 	for side := int32(0); side <= 1; side++ {
 		keep := make([]bool, sub.NumV)
 		any := false
@@ -90,18 +83,12 @@ func ndRecurse(sub *graph.Graph, ids []int32, opt NDOptions, leaf int, seed uint
 		if !any {
 			continue
 		}
-		piece, old := sub.InducedSubgraph(keep, par.Exec{Span: span})
-		po := make([]int32, len(old))
-		for i, u := range old {
-			po[i] = orig(u)
-		}
-		if err := ndRecurse(piece, po, opt, leaf, seed*31+uint64(side)+1, perm, span); err != nil {
+		piece, old := sub.InducedSubgraph(keep, ex)
+		if err := ndRecurse(piece, coarsen.Project(ids, old, ex), opt, leaf, seed*31+uint64(side)+1, perm, span); err != nil {
 			return err
 		}
 	}
-	for _, v := range sep {
-		*perm = append(*perm, orig(v))
-	}
+	*perm = append(*perm, coarsen.Project(ids, sep, ex)...)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
+	"mlcg/internal/par"
 )
 
 // Result is the outcome of a multilevel bisection.
@@ -57,20 +58,19 @@ func (b *SpectralBisector) bisect(g *graph.Graph, span *obs.Span) (*Result, erro
 	}
 	t1 := time.Now()
 
-	// Solve on the coarsest graph from a random start.
-	x, _ := fiedler(h.Coarsest(), nil, b.Seed^0x5eed, b.Fiedler, span)
-	t2 := time.Now()
-
-	// Interpolate and re-refine level by level.
-	for i := len(h.Maps) - 1; i >= 0; i-- {
-		fineG := h.Graphs[i]
-		m := h.Maps[i]
-		xf := make([]float64, fineG.N())
-		for u := range m {
-			xf[u] = x[m[u]]
-		}
-		x, _ = fiedler(fineG, xf, b.Seed, b.Fiedler, span)
-	}
+	// Solve on the coarsest graph from a random start, then interpolate
+	// and re-refine level by level.
+	var t2 time.Time
+	x, _ := coarsen.Uncoarsen(h, h.Levels(), nil, "spectral", par.Exec{P: b.Coarsener.Workers, Span: span},
+		func(i int, lg *graph.Graph, x []float64, ex par.Exec) ([]float64, error) {
+			if i < h.Levels() {
+				x, _ = fiedler(lg, x, b.Seed, b.Fiedler, ex.Span)
+				return x, nil
+			}
+			x, _ = fiedler(lg, nil, b.Seed^0x5eed, b.Fiedler, ex.Span)
+			t2 = time.Now()
+			return x, nil
+		}, coarsen.Project[float64])
 	part := SplitByVectorTarget(g, x, b.TargetW0)
 	t3 := time.Now()
 
@@ -121,23 +121,22 @@ func (b *FMBisector) bisect(g *graph.Graph, span *obs.Span) (*Result, error) {
 
 	fm := b.FM
 	fm.TargetW0 = b.TargetW0
-	// RefineFM returns the exact cut of the partition it leaves, so the
-	// last call's result is the cut of the finest partition.
-	coarsest := h.Coarsest()
-	part := greedyGrowTarget(coarsest, b.Seed^0x99, trials, b.TargetW0, span)
-	cut := refineFM(coarsest, part, fm, span)
-	t2 := time.Now()
-
-	for i := len(h.Maps) - 1; i >= 0; i-- {
-		fineG := h.Graphs[i]
-		m := h.Maps[i]
-		pf := make([]int32, fineG.N())
-		for u := range m {
-			pf[u] = part[m[u]]
-		}
-		cut = refineFM(fineG, pf, fm, span)
-		part = pf
-	}
+	// Greedy graph growing starts the coarsest graph. RefineFM returns the
+	// exact cut of the partition it leaves, so the last call's result is
+	// the cut of the finest partition.
+	var cut int64
+	var t2 time.Time
+	part, _ := coarsen.Uncoarsen(h, h.Levels(), nil, "fm", par.Exec{P: b.Coarsener.Workers, Span: span},
+		func(i int, lg *graph.Graph, part []int32, ex par.Exec) ([]int32, error) {
+			if i < h.Levels() {
+				cut = refineFM(lg, part, fm, ex.Span)
+				return part, nil
+			}
+			part = greedyGrowTarget(lg, b.Seed^0x99, trials, b.TargetW0, ex.Span)
+			cut = refineFM(lg, part, fm, ex.Span)
+			t2 = time.Now()
+			return part, nil
+		}, coarsen.Project[int32])
 	t3 := time.Now()
 
 	return &Result{
