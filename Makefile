@@ -28,9 +28,8 @@ race:
 # checked with enough OS threads that the p = 8 runs actually interleave,
 # plus the coarse-graph invariant harness (every mapper × builder × worker
 # count), the SGD trainer's schedule-independence sweep, and multilevel
-# spectral and FM bisection and k-way FM with and without pairwise
-# refinement and nested dissection (same partition, cut or ordering at
-# every worker count), Louvain and multilevel clustering (same labels, K
+# spectral and FM bisection and recursive k-way FM (same partition and cut
+# at every worker count), Louvain and multilevel clustering (same labels, K
 # and bit-identical modularity), and graph
 # ingest (StreamEdges and the CSR kernel bit-identical to the global-sort
 # reference), and the SGD trainer against its reference trainer at every
@@ -163,9 +162,10 @@ bench-baseline:
 # Kernel-level trace of a representative coarsening run: writes a Chrome
 # trace_event file (load it at chrome://tracing or https://ui.perfetto.dev),
 # prints the metrics dump, and validates the trace structure. The
-# embedding trace (GOSH coarsening, then embed:level/train/project spans)
-# and the FM and spectral bisection traces (coarsening, then
-# fm:level/spectral:level spans) are checked the same way.
+# embedding trace (GOSH coarsening, then embed:level/train/project spans),
+# the FM and spectral bisection traces and the recursive k-way FM trace
+# (coarsening, then fm:level/spectral:level spans) are checked the same
+# way.
 trace:
 	$(GO) run ./cmd/mlcg-coarsen -gen rmat -trace /tmp/mlcg-trace.json -metrics
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace.json
@@ -173,7 +173,8 @@ trace:
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-embed.json
 	$(GO) run ./cmd/mlcg-partition -gen trimesh -method fm -trace /tmp/mlcg-trace-fm.json
 	$(GO) run ./cmd/mlcg-partition -gen trimesh -method spectral -trace /tmp/mlcg-trace-spectral.json
-	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-fm.json /tmp/mlcg-trace-spectral.json
+	$(GO) run ./cmd/mlcg-partition -gen trimesh -k 4 -trace /tmp/mlcg-trace-kway.json
+	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-fm.json /tmp/mlcg-trace-spectral.json /tmp/mlcg-trace-kway.json
 
 # Regenerate the paper's tables and figures (writes to stdout).
 tables:

@@ -123,24 +123,6 @@ func BenchmarkMicroFMRefine(b *testing.B) {
 	}
 }
 
-func BenchmarkNestedDissection(b *testing.B) {
-	g := benchGraph(b, "channel050")
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.NestedDissection(g, partition.NDOptions{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRCM(b *testing.B) {
-	g := benchGraph(b, "channel050")
-	for i := 0; i < b.N; i++ {
-		if _, err := g.RCM(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSuitorFamily(b *testing.B) {
 	g := benchGraph(b, "delaunay24")
 	for _, m := range []coarsen.Mapper{coarsen.Suitor{}, coarsen.BSuitor{}} {

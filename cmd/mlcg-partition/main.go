@@ -1,11 +1,12 @@
 // mlcg-partition partitions a graph with the multilevel FM or spectral
-// pipeline and reports edge cut, balance, and phase timings.
+// bisection pipeline, or into k parts by recursive FM bisection, and
+// reports edge cut, balance, and phase timings.
 //
 // Usage:
 //
 //	mlcg-partition -gen trimesh -method fm
 //	mlcg-partition -in graph.txt -method spectral -mapper hem
-//	mlcg-partition -gen grid2d -k 8 -pairwise 2
+//	mlcg-partition -gen grid2d -k 8
 //	mlcg-partition -in graph.txt -method fm -out parts.txt
 package main
 
@@ -18,7 +19,6 @@ import (
 
 	"mlcg/internal/cli"
 	"mlcg/internal/coarsen"
-	"mlcg/internal/graph"
 	"mlcg/internal/partition"
 )
 
@@ -32,10 +32,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	in := fs.String("in", "", "input graph file")
 	format := fs.String("format", "edgelist", "input format: "+cli.Formats())
 	genName := fs.String("gen", "", "generate input instead: "+cli.Generators())
-	method := fs.String("method", "fm", "refinement: fm or spectral")
-	k := fs.Int("k", 2, "number of parts (k > 2 uses recursive bisection)")
-	pairwise := fs.Int("pairwise", 0, "pairwise k-way refinement rounds (k > 2)")
-	order := fs.String("order", "", "compute an elimination ordering instead: nd (nested dissection) or rcm")
+	method := fs.String("method", "fm", "refinement: fm or spectral (k > 2 takes fm only)")
+	k := fs.Int("k", 2, "number of parts, from 2 to the vertex count (k > 2 uses recursive FM bisection)")
 	mapper := fs.String("mapper", "hec", "coarse mapping: "+cli.Mappers())
 	construct := fs.String("construct", "auto", "construction policy: "+cli.ConstructPolicies())
 	seed := fs.Uint64("seed", 20210517, "random seed")
@@ -70,6 +68,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
+	// KWayFM allocates per part, and parts beyond the vertex count are
+	// empty.
+	if *k < 2 || *k > g.N() {
+		return fail(fmt.Errorf("-k %d out of range: want 2 <= k <= %d, the vertex count", *k, g.N()))
+	}
 	m, err := coarsen.MapperByName(*mapper)
 	if err != nil {
 		return fail(err)
@@ -83,46 +86,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	s := g.ComputeStats()
 	fmt.Fprintf(stdout, "input: n=%d m=%d skew=%.1f\n", s.N, s.M, s.Skew)
 
-	if *order != "" {
-		var perm []int32
-		switch *order {
-		case "nd":
-			perm, err = partition.NestedDissection(g, partition.NDOptions{
-				Mapper: m, Builder: b, Seed: seeds.Partition, Workers: *workers,
-			})
-		case "rcm":
-			perm, err = g.RCM()
-		default:
-			err = fmt.Errorf("unknown ordering %q (want nd or rcm)", *order)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "%s ordering: envelope %d (natural order: %d)\n",
-			*order, partition.EnvelopeSize(g, perm), naturalEnvelope(g))
-		if *out != "" {
-			if err := writeParts(*out, perm); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "permutation written to %s\n", *out)
-		}
-		return 0
-	}
-
 	if *k > 2 {
-		opt := partition.KWayOptions{
+		if *method != "fm" {
+			return fail(fmt.Errorf("-k %d: k-way partitioning takes -method fm only (got %q)", *k, *method))
+		}
+		kr, err := partition.KWayFM(g, *k, partition.KWayOptions{
 			Mapper: m, Builder: b, Seed: seeds.Partition, Workers: *workers,
-			PairwiseRounds: *pairwise,
-		}
-		var kr *partition.KWayResult
-		switch *method {
-		case "fm":
-			kr, err = partition.KWayFM(g, *k, opt)
-		case "spectral":
-			kr, err = partition.KWaySpectral(g, *k, opt, partition.FiedlerOptions{Workers: *workers})
-		default:
-			err = fmt.Errorf("unknown method %q (want fm or spectral)", *method)
-		}
+		})
 		if err != nil {
 			return fail(err)
 		}
@@ -172,14 +142,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "part vector written to %s\n", *out)
 	}
 	return 0
-}
-
-func naturalEnvelope(g *graph.Graph) int64 {
-	perm := make([]int32, g.N())
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	return partition.EnvelopeSize(g, perm)
 }
 
 func writeParts(path string, part []int32) error {

@@ -105,8 +105,8 @@ func TestRunFMMetrics(t *testing.T) {
 	checkLevelSpans(t, out, "fm")
 }
 
-func TestRunKWayWithPairwise(t *testing.T) {
-	out, errs, code := runCLI(t, "-gen", "grid2d", "-k", "4", "-pairwise", "1")
+func TestRunKWay(t *testing.T) {
+	out, errs, code := runCLI(t, "-gen", "grid2d", "-k", "4")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errs)
 	}
@@ -254,33 +254,25 @@ func TestRunRejectsAsymmetricMlcg(t *testing.T) {
 	}
 }
 
-func TestRunOrderings(t *testing.T) {
-	for _, order := range []string{"nd", "rcm"} {
-		out, errs, code := runCLI(t, "-gen", "trimesh", "-order", order)
-		if code != 0 {
-			t.Fatalf("%s: exit %d (%s)", order, code, errs)
-		}
-		if !strings.Contains(out, order+" ordering: envelope") {
-			t.Errorf("%s output %q", order, out)
-		}
-	}
-	if _, _, code := runCLI(t, "-gen", "trimesh", "-order", "nope"); code == 0 {
-		t.Error("unknown ordering accepted")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{},                                  // no input
 		{"-gen", "grid2d", "-method", "xx"}, // unknown method
-		{"-gen", "grid2d", "-k", "3", "-method", "xx"}, // unknown k-way method
-		{"-gen", "grid2d", "-mapper", "xx"},            // unknown mapper
-		{"-gen", "grid2d", "-construct", "xx"},         // unknown builder
-		{"-gen", "grid2d", "-construct", "probe"},      // removed probe mode
-		{"-gen", "grid2d", "-builder", "sort"},         // removed flag
-		{"-gen", "grid2d", "-parrefine"},               // removed flag
-		{"-in", "/nonexistent"},                        // missing file
-		{"-zzz"},                                       // bad flag
+		{"-gen", "grid2d", "-k", "3", "-method", "xx"},       // unknown k-way method
+		{"-gen", "grid2d", "-k", "3", "-method", "spectral"}, // removed spectral k-way
+		{"-gen", "grid2d", "-k", "1"},                        // k below 2
+		{"-gen", "grid2d", "-k", "0"},
+		{"-gen", "grid2d", "-k", "-5"},
+		{"-gen", "grid2d", "-k", "90001"},               // k above n = 90,000
+		{"-gen", "grid2d", "-k", "4", "-pairwise", "1"}, // removed flag
+		{"-gen", "trimesh", "-order", "nd"},             // removed flag
+		{"-gen", "grid2d", "-mapper", "xx"},             // unknown mapper
+		{"-gen", "grid2d", "-construct", "xx"},          // unknown builder
+		{"-gen", "grid2d", "-construct", "probe"},       // removed probe mode
+		{"-gen", "grid2d", "-builder", "sort"},          // removed flag
+		{"-gen", "grid2d", "-parrefine"},                // removed flag
+		{"-in", "/nonexistent"},                         // missing file
+		{"-zzz"},                                        // bad flag
 	}
 	for _, args := range cases {
 		if _, _, code := runCLI(t, args...); code == 0 {

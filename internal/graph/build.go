@@ -325,15 +325,6 @@ func mergeBuckets(off []int64, bk []int32, bw []int64, mlen []int32, lo, hi int,
 	}
 }
 
-// FromCSR wraps raw CSR arrays into a Graph after validating them.
-func FromCSR(n int, xadj []int64, adj []int32, wgt []int64, vwgt []int64) (*Graph, error) {
-	g := &Graph{NumV: int32(n), Xadj: xadj, Adj: adj, Wgt: wgt, VWgt: vwgt}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // SortAdjacency sorts each vertex's neighbor list ascending by id, keeping
 // weights aligned. Construction algorithms may emit unsorted adjacencies
 // (hash-based dedup); canonical form makes graphs comparable.

@@ -315,26 +315,6 @@ type Stats struct {
 	Weighted bool // any edge weight != 1
 }
 
-// DegreeHistogram returns log2-binned degree counts: bin i holds the
-// number of vertices with degree in [2^i, 2^(i+1)), with bin 0 also
-// counting isolated vertices. Useful for eyeballing the skew structure
-// the paper's regular/skewed grouping is based on.
-func (g *Graph) DegreeHistogram() []int64 {
-	var bins []int64
-	for u := int32(0); u < g.NumV; u++ {
-		d := g.Degree(u)
-		bin := 0
-		for v := d; v > 1; v >>= 1 {
-			bin++
-		}
-		for len(bins) <= bin {
-			bins = append(bins, 0)
-		}
-		bins[bin]++
-	}
-	return bins
-}
-
 // ComputeStats returns the summary statistics of g.
 func (g *Graph) ComputeStats() Stats {
 	weighted := false

@@ -330,29 +330,6 @@ func TestSortAdjacencyCanonicalizes(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	// Star with 8 leaves: 8 vertices of degree 1 (bin 0), 1 of degree 8
-	// (bin 3).
-	g := star(9)
-	h := g.DegreeHistogram()
-	if len(h) != 4 || h[0] != 8 || h[3] != 1 || h[1] != 0 || h[2] != 0 {
-		t.Errorf("histogram = %v", h)
-	}
-	// Isolated vertices land in bin 0.
-	iso := MustFromEdges(3, []Edge{{0, 1, 1}})
-	hi := iso.DegreeHistogram()
-	if hi[0] != 3 { // two degree-1 endpoints + one isolated
-		t.Errorf("histogram = %v", hi)
-	}
-	var total int64
-	for _, c := range h {
-		total += c
-	}
-	if total != int64(g.N()) {
-		t.Errorf("histogram total %d != n %d", total, g.N())
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	g := star(5)
 	s := g.ComputeStats()

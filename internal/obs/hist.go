@@ -138,47 +138,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge adds o's buckets, count, and sum into s (for folding repetitions
-// of a benchmark into one summary).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1):
-// the bound of the first bucket whose cumulative count reaches q·Count.
-// Observations in the overflow bucket report twice the last finite bound.
-// Returns 0 on an empty snapshot.
-func (s HistSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(s.Count))
-	if float64(target) < q*float64(s.Count) || target == 0 {
-		target++
-	}
-	var cum int64
-	for i, c := range s.Buckets {
-		cum += c
-		if cum >= target {
-			if i >= histFinite {
-				return time.Duration(1) << (histMinShift + histFinite)
-			}
-			return time.Duration(1) << (histMinShift + i)
-		}
-	}
-	return time.Duration(1) << (histMinShift + histFinite)
-}
-
 // HistUpperBounds returns the finite bucket upper bounds in seconds, in
 // increasing order. The exporter appends the +Inf bucket itself.
 func HistUpperBounds() []float64 {

@@ -79,35 +79,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileAndMerge(t *testing.T) {
-	h := obs.NewHistogram("q")
-	for i := 0; i < 90; i++ {
-		h.Observe(2 * time.Microsecond) // ≤ 2048ns bucket
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(time.Second)
-	}
-	s := h.Snapshot()
-	p50 := s.Quantile(0.5)
-	if p50 > 4*time.Microsecond || p50 <= 0 {
-		t.Fatalf("p50 = %v, want a low-microsecond bound", p50)
-	}
-	p99 := s.Quantile(0.99)
-	if p99 < 500*time.Millisecond {
-		t.Fatalf("p99 = %v, want ≥ the ~1s bucket", p99)
-	}
-	if q := (obs.HistSnapshot{}).Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
-	}
-
-	var merged obs.HistSnapshot
-	merged.Merge(s)
-	merged.Merge(s)
-	if merged.Count != 2*s.Count || merged.Sum != 2*s.Sum {
-		t.Fatalf("merge: count %d sum %v, want doubled", merged.Count, merged.Sum)
-	}
-}
-
 // TestHistogramNilDisabled locks in the disabled-path discipline: a nil
 // histogram records nothing and never allocates, mirroring the counter
 // path's nil-check-only cost.

@@ -181,14 +181,3 @@ func ForEachChunked(n int, ex Exec, chunk int, fn func(i int)) {
 		}
 	})
 }
-
-// ForEachChunkedWorker is ForEachChunked with the worker index exposed, for
-// element-wise loops that append to per-worker buffers (frontier and
-// worklist construction). The worker index is always < Workers(ex.P, n).
-func ForEachChunkedWorker(n int, ex Exec, chunk int, fn func(worker, i int)) {
-	ForChunked(n, ex, chunk, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(w, i)
-		}
-	})
-}

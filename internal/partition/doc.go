@@ -18,12 +18,10 @@ package partition
 //	                                             "spectral", "drawing"
 //	                                             level spans)
 //	Metis / mt-Metis baselines (Table VI)....... NewMetisLike, NewMtMetisLike
-//	recursive k-way (FM and spectral,
-//	  proportional targets)..................... KWayFM, KWaySpectral
-//	pairwise KL k-way cleanup................... RefineKWayPairwise
-//	vertex separators / nested dissection....... VertexSeparator, NestedDissection
+//	recursive k-way FM (proportional
+//	  targets; every serve partition query)..... KWayFM
 //	metrics..................................... EdgeCut, KWayEdgeCut,
-//	                                             Imbalance, EnvelopeSize
+//	                                             Imbalance, KWayImbalance
 //
 // Balance conventions: bisections are reported at the paper's no-imbalance
 // setting (|w0 − w1| bounded by the largest vertex weight, which for

@@ -242,17 +242,11 @@ func (op *laplacianOp) applyRange(_, lo, hi int) {
 	}
 }
 
-// SplitByVector bisects g at the weighted median of the given per-vertex
-// values: vertices are sorted by value and assigned to side 0 until half
-// the total vertex weight is reached. The result is balanced up to the
-// weight of a single vertex, matching the paper's no-imbalance reporting.
-func SplitByVector(g *graph.Graph, x []float64) []int32 {
-	return SplitByVectorTarget(g, x, 0)
-}
-
-// SplitByVectorTarget splits at the prefix whose weight is closest to
-// target0 (0 means half the total), for the proportional splits of
-// recursive k-way spectral partitioning.
+// SplitByVectorTarget bisects g at a prefix of its vertices sorted by the
+// given per-vertex values: the prefix whose weight is closest to target0
+// (0 means half the total, the weighted median) is side 0. At the median
+// the result is balanced up to the weight of a single vertex, matching the
+// paper's no-imbalance reporting.
 func SplitByVectorTarget(g *graph.Graph, x []float64, target0 int64) []int32 {
 	n := g.N()
 	idx := identity(n)

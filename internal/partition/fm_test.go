@@ -357,25 +357,23 @@ func TestFMBisectDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestKWayFMDeterminismAcrossWorkers is the same pin for recursive k-way
-// FM, with and without pairwise refinement.
+// FM.
 func TestKWayFMDeterminismAcrossWorkers(t *testing.T) {
 	for _, in := range fmDeterminismGraphs() {
 		for _, k := range []int{4, 8} {
-			for _, rounds := range []int{0, 2} {
-				var want *KWayResult
-				for _, p := range oracleWorkers {
-					res, err := KWayFM(in.g, k, KWayOptions{Seed: 3, Workers: p, PairwiseRounds: rounds})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = res
-						continue
-					}
-					if res.Cut != want.Cut || !slices.Equal(res.Part, want.Part) {
-						t.Fatalf("%s k=%d pairwise=%d: p=%d gives cut %d, p=1 cut %d (or the parts differ)",
-							in.name, k, rounds, p, res.Cut, want.Cut)
-					}
+			var want *KWayResult
+			for _, p := range oracleWorkers {
+				res, err := KWayFM(in.g, k, KWayOptions{Seed: 3, Workers: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = res
+					continue
+				}
+				if res.Cut != want.Cut || !slices.Equal(res.Part, want.Part) {
+					t.Fatalf("%s k=%d: p=%d gives cut %d, p=1 cut %d (or the parts differ)",
+						in.name, k, p, res.Cut, want.Cut)
 				}
 			}
 		}

@@ -19,9 +19,6 @@ type KWayOptions struct {
 	FM      FMOptions
 	Seed    uint64
 	Workers int
-	// PairwiseRounds runs KL-style pairwise FM refinement between
-	// adjacent parts after the recursive bisection (0 disables).
-	PairwiseRounds int
 	// Span is the span every kernel of the partition opens its span
 	// under; nil means obs.Ambient().
 	Span *obs.Span
@@ -35,62 +32,20 @@ type KWayResult struct {
 	Elapsed time.Duration
 }
 
-// bisectFunc bisects sub with the given side-0 weight target, its kernels'
-// spans under span.
-type bisectFunc func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error)
-
 // KWayFM partitions g into k parts by recursive multilevel FM bisection —
 // the standard Metis-style construction on top of the paper's bisection
 // case study. Non-power-of-two k is handled with proportional split
 // targets: a k-part problem peels off ceil(k/2)/k of the weight and
 // recurses on both sides.
 func KWayFM(g *graph.Graph, k int, opt KWayOptions) (*KWayResult, error) {
-	if opt.Mapper == nil {
-		opt.Mapper = coarsen.HEC{}
-	}
-	if opt.Builder == nil {
-		opt.Builder = coarsen.BuildSort{}
-	}
-	return kway(g, k, opt, func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error) {
-		b := &FMBisector{
-			Coarsener: coarsen.Coarsener{
-				Mapper: opt.Mapper, Builder: opt.Builder,
-				Seed: seed, Workers: opt.Workers,
-			},
-			FM:       opt.FM,
-			Seed:     seed,
-			TargetW0: target0,
-		}
-		return b.bisect(sub, span)
-	})
-}
-
-// KWaySpectral partitions g into k parts by recursive multilevel spectral
-// bisection (the paper's primary case-study pipeline, lifted to k-way).
-func KWaySpectral(g *graph.Graph, k int, opt KWayOptions, fopt FiedlerOptions) (*KWayResult, error) {
-	if opt.Mapper == nil {
-		opt.Mapper = coarsen.HEC{}
-	}
-	if opt.Builder == nil {
-		opt.Builder = coarsen.BuildSort{}
-	}
-	return kway(g, k, opt, func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error) {
-		b := &SpectralBisector{
-			Coarsener: coarsen.Coarsener{
-				Mapper: opt.Mapper, Builder: opt.Builder,
-				Seed: seed, Workers: opt.Workers,
-			},
-			Fiedler:  fopt,
-			Seed:     seed,
-			TargetW0: target0,
-		}
-		return b.bisect(sub, span)
-	})
-}
-
-func kway(g *graph.Graph, k int, opt KWayOptions, bisect bisectFunc) (*KWayResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k = %d", k)
+	}
+	if opt.Mapper == nil {
+		opt.Mapper = coarsen.HEC{}
+	}
+	if opt.Builder == nil {
+		opt.Builder = coarsen.BuildSort{}
 	}
 	span := opt.Span
 	if span == nil {
@@ -98,11 +53,8 @@ func kway(g *graph.Graph, k int, opt KWayOptions, bisect bisectFunc) (*KWayResul
 	}
 	t0 := time.Now()
 	part := make([]int32, g.N())
-	if err := kwayRecurse(g, k, 0, part, identity(g.N()), bisect, opt.Seed, span); err != nil {
+	if err := kwayRecurse(g, k, 0, part, identity(g.N()), &opt, opt.Seed, span); err != nil {
 		return nil, err
-	}
-	if opt.PairwiseRounds > 0 && k > 2 {
-		refineKWayPairwise(g, part, k, opt.FM, opt.PairwiseRounds, span)
 	}
 	res := &KWayResult{
 		Part:    part,
@@ -117,9 +69,10 @@ func kway(g *graph.Graph, k int, opt KWayOptions, bisect bisectFunc) (*KWayResul
 }
 
 // kwayRecurse assigns parts [base, base+k) to the vertices of sub, whose
-// vertex u is original vertex ids[u]. An empty piece assigns nothing, and
-// its siblings' seeds depend only on k and side, so it returns at once.
-func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32, bisect bisectFunc, seed uint64, span *obs.Span) error {
+// vertex u is original vertex ids[u], by multilevel FM bisection with
+// seed. An empty piece assigns nothing, and its siblings' seeds depend
+// only on k and side, so it returns at once.
+func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32, opt *KWayOptions, seed uint64, span *obs.Span) error {
 	if sub.NumV == 0 {
 		return nil
 	}
@@ -130,8 +83,16 @@ func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32,
 		return nil
 	}
 	k0 := (k + 1) / 2
-	target0 := sub.TotalVertexWeight() * int64(k0) / int64(k)
-	r, err := bisect(sub, target0, seed, span)
+	b := &FMBisector{
+		Coarsener: coarsen.Coarsener{
+			Mapper: opt.Mapper, Builder: opt.Builder,
+			Seed: seed, Workers: opt.Workers,
+		},
+		FM:       opt.FM,
+		Seed:     seed,
+		TargetW0: sub.TotalVertexWeight() * int64(k0) / int64(k),
+	}
+	r, err := b.bisect(sub, span)
 	if err != nil {
 		return fmt.Errorf("partition: k-way bisection (k=%d): %w", k, err)
 	}
@@ -152,7 +113,7 @@ func kwayRecurse(sub *graph.Graph, k int, base int32, part []int32, ids []int32,
 		}
 		// Tiny pieces can drop below the coarsening cutoff; the recursion
 		// handles them the same way (the bisector copes with any size).
-		if err := kwayRecurse(piece, kk, bb, part, coarsen.Project(ids, old, ex), bisect, seed+uint64(k)*31+uint64(side), span); err != nil {
+		if err := kwayRecurse(piece, kk, bb, part, coarsen.Project(ids, old, ex), opt, seed+uint64(k)*31+uint64(side), span); err != nil {
 			return err
 		}
 	}

@@ -7,8 +7,6 @@ import (
 	"mlcg/internal/coarsen"
 	"mlcg/internal/gen"
 	"mlcg/internal/graph"
-	"mlcg/internal/obs"
-	"mlcg/internal/par"
 )
 
 func TestKWayFMPowersOfTwo(t *testing.T) {
@@ -90,29 +88,6 @@ func TestKWayWithAlternateMapper(t *testing.T) {
 	}
 }
 
-func TestKWaySpectral(t *testing.T) {
-	g := gridGraph(20, 20)
-	for _, k := range []int{2, 4} {
-		res, err := KWaySpectral(g, k, KWayOptions{Seed: 7},
-			FiedlerOptions{MaxIter: 800, Workers: 1})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if imb := KWayImbalance(g, res.Part, k); imb > 0.06 {
-			t.Errorf("k=%d: imbalance %.3f", k, imb)
-		}
-		if res.Cut <= 0 {
-			t.Errorf("k=%d: cut %d", k, res.Cut)
-		}
-	}
-	// Spectral 4-way of a grid should be in the same ballpark as FM.
-	sp, _ := KWaySpectral(g, 4, KWayOptions{Seed: 7}, FiedlerOptions{MaxIter: 800})
-	fm, _ := KWayFM(g, 4, KWayOptions{Seed: 7})
-	if float64(sp.Cut) > 2.5*float64(fm.Cut) {
-		t.Errorf("spectral 4-way cut %d vs FM %d", sp.Cut, fm.Cut)
-	}
-}
-
 func TestSplitByVectorTargetProportional(t *testing.T) {
 	g := gridGraph(10, 10)
 	x := make([]float64, g.N())
@@ -132,97 +107,10 @@ func TestSplitByVectorTargetProportional(t *testing.T) {
 	}
 }
 
-func TestKWayPairwiseRefinementNeverWorsens(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		g := randGraph(600, seed)
-		base, err := KWayFM(g, 6, KWayOptions{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refined, err := KWayFM(g, 6, KWayOptions{Seed: seed, PairwiseRounds: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refined.Cut > base.Cut {
-			t.Errorf("seed %d: pairwise refinement worsened %d -> %d", seed, base.Cut, refined.Cut)
-		}
-		if imb := KWayImbalance(g, refined.Part, 6); imb > 0.12 {
-			t.Errorf("seed %d: imbalance %.3f after refinement", seed, imb)
-		}
-	}
-}
-
-func TestRefineKWayPairwiseDirect(t *testing.T) {
-	// A deliberately bad 4-way assignment on a grid: stripes of width 1
-	// assigned round-robin. Pairwise refinement must improve it a lot.
-	g := gridGraph(16, 16)
-	part := make([]int32, g.N())
-	for i := range part {
-		part[i] = int32((i / 16) % 4) // row mod 4
-	}
-	before := KWayEdgeCut(g, part)
-	after := RefineKWayPairwise(g, part, 4, FMOptions{}, 4)
-	if after >= before {
-		t.Errorf("no improvement: %d -> %d", before, after)
-	}
-	if after != KWayEdgeCut(g, part) {
-		t.Errorf("returned cut %d != actual %d", after, KWayEdgeCut(g, part))
-	}
-	// All four parts still present and roughly balanced.
-	if imb := KWayImbalance(g, part, 4); imb > 0.10 {
-		t.Errorf("imbalance %.3f", imb)
-	}
-}
-
-// TestKWayPairwiseDeterminism: pairwise refinement visits the adjacent
-// part pairs in a fixed order, so repeated runs on one input agree. On a
-// random 8-way start every one of the 28 pairs is adjacent, and the order
-// changes which refinements see which parts.
-func TestKWayPairwiseDeterminism(t *testing.T) {
-	g := gen.BA(2000, 4, 3)
-	start := make([]int32, g.N())
-	for u := range start {
-		start[u] = int32(par.Mix64(uint64(u)) % 8)
-	}
-	var want []int32
-	var wantCut int64
-	for run := 0; run < 6; run++ {
-		part := slices.Clone(start)
-		cut := RefineKWayPairwise(g, part, 8, FMOptions{}, 3)
-		if want == nil {
-			want, wantCut = part, cut
-			continue
-		}
-		if cut != wantCut || !slices.Equal(part, want) {
-			t.Fatalf("run %d: cut %d, first run %d (or the parts differ)", run, cut, wantCut)
-		}
-	}
-}
-
 func TestKWayRejectsBadK(t *testing.T) {
 	g := gridGraph(4, 4)
 	if _, err := KWayFM(g, 0, KWayOptions{}); err == nil {
 		t.Error("k=0 accepted")
-	}
-}
-
-func TestKWaySpectralNonPowerOfTwo(t *testing.T) {
-	g := gridGraph(15, 20)
-	res, err := KWaySpectral(g, 3, KWayOptions{Seed: 5}, FiedlerOptions{MaxIter: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imb := KWayImbalance(g, res.Part, 3); imb > 0.10 {
-		t.Errorf("imbalance %.3f", imb)
-	}
-	seen := make([]bool, 3)
-	for _, p := range res.Part {
-		seen[p] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Errorf("part %d empty", i)
-		}
 	}
 }
 
@@ -265,23 +153,63 @@ func TestRefineFMTargetedBalance(t *testing.T) {
 func TestKWayStopsAtEmptyPieces(t *testing.T) {
 	g := gen.RGG(300, 0, 7)
 	const k = 1000
-	res, err := kway(g, k, KWayOptions{}, func(sub *graph.Graph, target0 int64, seed uint64, span *obs.Span) (*Result, error) {
-		if sub.N() == 0 {
-			t.Fatal("bisect called on an empty piece")
-		}
-		b := &FMBisector{
-			Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: seed, Workers: 2},
-			Seed:      seed,
-			TargetW0:  target0,
-		}
-		return b.bisect(sub, span)
-	})
+	res, err := KWayFM(g, k, KWayOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u, p := range res.Part {
 		if p < 0 || p >= k {
 			t.Fatalf("vertex %d: part id %d out of range", u, p)
+		}
+	}
+	// A bisection allocates its result and each side's induced subgraph,
+	// so an empty piece that returns at once allocates nothing.
+	empty := graph.MustFromEdges(0, nil)
+	opt := KWayOptions{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Workers: 2}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := kwayRecurse(empty, k, 0, nil, nil, &opt, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("k-way recursion on an empty piece: %v allocations, want 0", allocs)
+	}
+}
+
+// TestKWayFMTwoWayIsFMBisection pins the k-way recursion to the kept
+// bisector: at k = 2 it runs one FMBisector (HEC + sort) with the
+// partition's seed and a half-weight target, so its parts and cut are
+// exactly that bisection's at every worker count.
+func TestKWayFMTwoWayIsFMBisection(t *testing.T) {
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rgg", gen.RGG(3000, 0, 1)},
+		{"ba", gen.BA(2000, 3, 5)},
+		{"grid", gridGraph(30, 40)},
+	}
+	for _, in := range inputs {
+		for _, seed := range []uint64{1, 2, 3} {
+			for _, p := range oracleWorkers {
+				kr, err := KWayFM(in.g, 2, KWayOptions{Seed: seed, Workers: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := &FMBisector{
+					Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: seed, Workers: p},
+					Seed:      seed,
+					TargetW0:  in.g.TotalVertexWeight() / 2,
+				}
+				br, err := b.Bisect(in.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kr.Cut != br.Cut || !slices.Equal(kr.Part, br.Part) {
+					t.Fatalf("%s seed %d p=%d: k-way cut %d, bisection cut %d (or the parts differ)",
+						in.name, seed, p, kr.Cut, br.Cut)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
 	"mlcg/internal/par"
 )
@@ -93,8 +94,11 @@ func TestBisectionNeverBeatsBruteForce(t *testing.T) {
 			if fm.Cut < opt {
 				t.Fatalf("%s seed %d: FM cut %d below optimum %d", name, seed, fm.Cut, opt)
 			}
-			sp := NewSpectralHEC(seed, 1)
-			sp.Fiedler.MaxIter = 2000
+			sp := &SpectralBisector{
+				Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: seed, Workers: 1},
+				Fiedler:   FiedlerOptions{MaxIter: 2000, Workers: 1},
+				Seed:      seed,
+			}
 			spr, err := sp.Bisect(g)
 			if err != nil {
 				t.Fatal(err)

@@ -36,9 +36,6 @@ type SpectralBisector struct {
 	Coarsener coarsen.Coarsener
 	Fiedler   FiedlerOptions
 	Seed      uint64
-	// TargetW0 is the desired side-0 vertex weight (0 = half), used by
-	// the recursive k-way partitioner for proportional splits.
-	TargetW0 int64
 }
 
 // Bisect partitions g into two balanced parts.
@@ -71,7 +68,7 @@ func (b *SpectralBisector) bisect(g *graph.Graph, span *obs.Span) (*Result, erro
 			t2 = time.Now()
 			return x, nil
 		}, coarsen.Project[float64])
-	part := SplitByVectorTarget(g, x, b.TargetW0)
+	part := SplitByVectorTarget(g, x, 0)
 	t3 := time.Now()
 
 	return &Result{
@@ -191,20 +188,5 @@ func NewHECFM(seed uint64, workers int) *FMBisector {
 			Workers: workers,
 		},
 		Seed: seed,
-	}
-}
-
-// NewSpectralHEC returns the paper's GPU spectral pipeline (Table V):
-// parallel HEC coarsening with multilevel power-iteration refinement.
-func NewSpectralHEC(seed uint64, workers int) *SpectralBisector {
-	return &SpectralBisector{
-		Coarsener: coarsen.Coarsener{
-			Mapper:  coarsen.HEC{},
-			Builder: coarsen.BuildSort{},
-			Seed:    seed,
-			Workers: workers,
-		},
-		Fiedler: FiedlerOptions{Workers: workers},
-		Seed:    seed,
 	}
 }

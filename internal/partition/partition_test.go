@@ -121,7 +121,7 @@ func TestFiedlerOnPath(t *testing.T) {
 	if iters == 0 {
 		t.Fatal("no iterations performed")
 	}
-	part := SplitByVector(g, x)
+	part := SplitByVectorTarget(g, x, 0)
 	if cut := EdgeCut(g, part); cut != 1 {
 		t.Errorf("path spectral cut = %d, want 1", cut)
 	}
@@ -156,7 +156,7 @@ func TestFiedlerAgainstExactEigenvalue(t *testing.T) {
 func TestFiedlerSeparatesClusters(t *testing.T) {
 	g := twoClusters(10)
 	x, _ := Fiedler(g, nil, 3, FiedlerOptions{MaxIter: 5000, Workers: 2})
-	part := SplitByVector(g, x)
+	part := SplitByVectorTarget(g, x, 0)
 	if cut := EdgeCut(g, part); cut != 1 {
 		t.Errorf("two-cluster spectral cut = %d, want 1 (the bridge)", cut)
 	}
@@ -176,7 +176,7 @@ func TestSplitByVectorWeighted(t *testing.T) {
 	g := pathGraph(4)
 	g.MaterializeVWgt()
 	g.VWgt = []int64{3, 1, 1, 1}
-	part := SplitByVector(g, []float64{0.1, 0.2, 0.3, 0.4})
+	part := SplitByVectorTarget(g, []float64{0.1, 0.2, 0.3, 0.4}, 0)
 	// Total 6; prefix {0} weighs 3 == half: best split is after vertex 0.
 	if part[0] != 0 || part[1] != 1 || part[2] != 1 || part[3] != 1 {
 		t.Errorf("weighted split = %v", part)
@@ -281,8 +281,11 @@ func TestGreedyGrowOnClusters(t *testing.T) {
 
 func TestSpectralBisectorEndToEnd(t *testing.T) {
 	g := gridGraph(24, 24)
-	b := NewSpectralHEC(3, 2)
-	b.Fiedler.MaxIter = 2000
+	b := &SpectralBisector{
+		Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: 3, Workers: 2},
+		Fiedler:   FiedlerOptions{MaxIter: 2000, Workers: 2},
+		Seed:      3,
+	}
 	r, err := b.Bisect(g)
 	if err != nil {
 		t.Fatal(err)
@@ -358,8 +361,11 @@ func TestFMBeatsOrMatchesSpectralOnGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := NewSpectralHEC(11, 2)
-	sp.Fiedler.MaxIter = 2000
+	sp := &SpectralBisector{
+		Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: 11, Workers: 2},
+		Fiedler:   FiedlerOptions{MaxIter: 2000, Workers: 2},
+		Seed:      11,
+	}
 	spr, err := sp.Bisect(g)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +404,12 @@ func TestBisectEmptyGraph(t *testing.T) {
 	if _, err := NewHECFM(1, 1).Bisect(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSpectralHEC(1, 1).Bisect(g); err != nil {
+	sp := &SpectralBisector{
+		Coarsener: coarsen.Coarsener{Mapper: coarsen.HEC{}, Builder: coarsen.BuildSort{}, Seed: 1, Workers: 1},
+		Fiedler:   FiedlerOptions{Workers: 1},
+		Seed:      1,
+	}
+	if _, err := sp.Bisect(g); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,13 +7,17 @@
 // pipeline:
 //
 //   - CSR graphs (NewGraph, ReadEdgeList, ReadBinary) and synthetic
-//     generators (RGG, Grid3D, RMAT, ...);
+//     generators (Grid2D, Grid3D, TriMesh, RGG, RMAT, BA, Mycielskian);
 //   - thirteen coarse-mapping algorithms (Mapper / MapperByName) including
 //     the paper's lock-free parallel HEC, and six coarse-graph
 //     construction strategies (Builder / BuilderByName);
 //   - the multilevel driver (Coarsen / Coarsener);
 //   - multilevel spectral and Fiduccia–Mattheyses bisection
-//     (SpectralBisect, FMBisect) plus the Metis-style baselines.
+//     (SpectralBisect, FMBisect) plus the Metis-style baselines
+//     (MetisLike, MtMetisLike);
+//   - recursive k-way FM partitioning (KWayPartition), multilevel
+//     modularity clustering (Cluster) and spectral drawing
+//     (SpectralCoordinates).
 //
 // A minimal end-to-end use:
 //
@@ -59,12 +63,8 @@ type (
 
 	// BisectResult is the outcome of a bisection.
 	BisectResult = partition.Result
-	// SpectralBisector is the multilevel spectral partitioner.
-	SpectralBisector = partition.SpectralBisector
 	// FMBisector is the multilevel FM partitioner.
 	FMBisector = partition.FMBisector
-	// FiedlerOptions tunes the power iteration.
-	FiedlerOptions = partition.FiedlerOptions
 	// FMOptions tunes Fiduccia–Mattheyses refinement.
 	FMOptions = partition.FMOptions
 )
@@ -95,9 +95,6 @@ var (
 	BA = gen.BA
 	// Mycielskian returns the k-th Mycielskian of a triangle.
 	Mycielskian = gen.Mycielskian
-	// PowerLaw returns an erased configuration-model graph with a
-	// prescribed power-law degree exponent.
-	PowerLaw = gen.PowerLaw
 )
 
 // MapperByName returns one of the registered coarse-mapping algorithms:
@@ -250,19 +247,6 @@ func SpectralCoordinates(g *Graph, opt BisectOptions) ([][2]float64, error) {
 		Coarsener: c,
 		Fiedler:   partition.FiedlerOptions{Workers: opt.Workers},
 		Seed:      opt.Seed,
-	})
-}
-
-// NestedDissection computes a fill-reducing elimination ordering by
-// recursive bisection with vertex separators numbered last. Returns perm
-// with perm[newPosition] = oldVertex.
-func NestedDissection(g *Graph, opt BisectOptions) ([]int32, error) {
-	c, err := opt.coarsener()
-	if err != nil {
-		return nil, err
-	}
-	return partition.NestedDissection(g, partition.NDOptions{
-		Mapper: c.Mapper, Builder: c.Builder, Seed: opt.Seed, Workers: opt.Workers,
 	})
 }
 

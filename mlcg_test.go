@@ -130,20 +130,6 @@ func TestFacadeKWayAndCluster(t *testing.T) {
 	if len(coords) != g.N() {
 		t.Errorf("coords %d", len(coords))
 	}
-	perm, err := NestedDissection(g, BisectOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make([]bool, g.N())
-	for _, v := range perm {
-		if seen[v] {
-			t.Fatal("ND not a permutation")
-		}
-		seen[v] = true
-	}
-	if _, err := NestedDissection(g, BisectOptions{Mapper: "nope"}); err == nil {
-		t.Error("bad mapper accepted by ND")
-	}
 	if _, err := KWayPartition(g, 2, BisectOptions{Mapper: "nope"}); err == nil {
 		t.Error("bad mapper accepted")
 	}
