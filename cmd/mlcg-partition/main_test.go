@@ -162,6 +162,32 @@ func TestRunRejectsWeightOverflow(t *testing.T) {
 	}
 }
 
+// TestRunHugeEdgeWeight: a valid 40-vertex path whose edge {20, 21}
+// weighs 2^40 bisects with -method fm and partitions with -k 4. FM's gain
+// store once took its size from the weighted degree and asked for 2^42
+// bucket heads, which killed the process.
+func TestRunHugeEdgeWeight(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("40 39\n")
+	for i := 0; i < 39; i++ {
+		w := int64(1)
+		if i == 20 {
+			w = 1 << 40
+		}
+		fmt.Fprintf(&b, "%d %d %d\n", i, i+1, w)
+	}
+	in := filepath.Join(t.TempDir(), "heavy.txt")
+	if err := os.WriteFile(in, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-method", "fm"}, {"-k", "4"}} {
+		out, errs, code := runCLI(t, append([]string{"-in", in}, args...)...)
+		if code != 0 || !strings.Contains(out, "edge cut:") {
+			t.Errorf("%v: exit %d, stderr %q:\n%s", args, code, errs, out)
+		}
+	}
+}
+
 // TestRunRejectsBadVertexWeights: an 80-vertex unit path with a vertex
 // weight of -1000, all-zero weights, or two weights of 2^62 (whose total
 // overflows int64) is refused in the binary and mlcg formats. Unchecked,

@@ -298,6 +298,47 @@ func TestBuildQueryLifecycle(t *testing.T) {
 	}
 }
 
+// TestPartitionHugeEdgeWeight: a 40-vertex path whose edge {20, 21} weighs
+// 2^40 is at or below the cutoff, so its hierarchy has no level and the
+// partition query refines the input itself. FM's gain store once took
+// its size from the weighted degree and asked for 2^42 bucket heads,
+// which killed the process; the query must answer with a valid two-way
+// assignment that keeps the heavy edge uncut.
+func TestPartitionHugeEdgeWeight(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	var b strings.Builder
+	b.WriteString("40 39\n")
+	for i := 0; i < 39; i++ {
+		w := int64(1)
+		if i == 20 {
+			w = 1 << 40
+		}
+		fmt.Fprintf(&b, "%d %d %d\n", i, i+1, w)
+	}
+	gi := ingest(t, ts, []byte(b.String()), "edgelist")
+	st := buildWait(t, ts, buildParams{Graph: gi.ID})
+	if st.Levels != 0 {
+		t.Fatalf("hierarchy has %d levels, want 0", st.Levels)
+	}
+	var pr partitionResponse
+	code, raw := doJSON(t, http.DefaultClient, "POST", ts.URL+"/v1/partition",
+		partitionRequest{Hierarchy: st.ID, K: 2, Assignment: true}, &pr)
+	if code != http.StatusOK {
+		t.Fatalf("partition: %d %s", code, raw)
+	}
+	var w [2]int
+	for _, p := range pr.Assignment {
+		if p < 0 || p > 1 {
+			t.Fatalf("part id %d out of range", p)
+		}
+		w[p]++
+	}
+	if len(pr.Assignment) != 40 || w != [2]int{20, 20} || pr.Cut <= 0 || pr.Cut >= 1<<40 {
+		t.Fatalf("partition: cut %d, side sizes %v over %d vertices; want a balanced split of 40 with the heavy edge uncut",
+			pr.Cut, w, len(pr.Assignment))
+	}
+}
+
 func TestBuildRejections(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	g := gen.Grid2D(16, 16)

@@ -8,9 +8,10 @@
 # instance on the same -cache-dir must answer the same build and query
 # from the spilled .mlcg container — no re-ingest, no recoarsening —
 # which the /metrics counters prove (mlcg_hier_disk_hits_total 1,
-# mlcg_builds_completed_total 0). Exits non-zero on any failure. Used by
-# `make serve-smoke` and CI (which re-lints the scrape via
-# `make metrics-lint`).
+# mlcg_builds_completed_total 0), and then partitions a path with one
+# 2^40 edge and must still answer /healthz. Exits non-zero on any
+# failure. Used by `make serve-smoke` and CI (which re-lints the scrape
+# via `make metrics-lint`).
 set -eu
 
 ADDR="${MLCG_SERVE_ADDR:-127.0.0.1:18080}"
@@ -164,6 +165,32 @@ grep -q "mlcg_hier_disk_hits_total 1" "$TMP/metrics2.prom" || fail "warm restart
 grep -q "mlcg_builds_completed_total 0" "$TMP/metrics2.prom" || fail "warm restart recoarsened instead of loading"
 grep -q "mlcg_hier_load_errors_total 0" "$TMP/metrics2.prom" || fail "warm restart hit load errors"
 
+# A valid graph with one huge edge weight: a 40-vertex path whose edge
+# {20, 21} weighs 2^40. It is at or below the cutoff, so the partition
+# query refines the input itself, and FM must not size anything by that
+# weight.
+echo "serve-smoke: partition query on a path with one 2^40 edge"
+{
+    echo "40 39"
+    i=0
+    while [ "$i" -lt 39 ]; do
+        W=1
+        [ "$i" -eq 20 ] && W=1099511627776
+        echo "$i $((i + 1)) $W"
+        i=$((i + 1))
+    done
+} >"$TMP/heavy.txt"
+HGID=$(curl -sf --data-binary @"$TMP/heavy.txt" "$BASE/v1/graphs?format=edgelist" \
+    | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$HGID" ] || fail "heavy-edge ingest returned no graph id"
+HHID=$(curl -sf -d "{\"graph\":\"$HGID\"}" "$BASE/v1/hierarchies?wait=1" \
+    | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$HHID" ] || fail "heavy-edge build returned no hierarchy id"
+HCUT=$(curl -s -d "{\"hierarchy\":\"$HHID\",\"k\":2}" "$BASE/v1/partition" \
+    | sed -n 's/.*"cut":\([0-9-]*\).*/\1/p')
+[ -n "$HCUT" ] || fail "heavy-edge partition returned no cut"
+curl -sf "$BASE/healthz" >/dev/null || fail "server stopped answering after the heavy-edge partition"
+
 echo "serve-smoke: graceful drain of the restarted server (SIGTERM)"
 kill -TERM "$PID"
 i=0
@@ -176,4 +203,4 @@ wait "$PID" 2>/dev/null || fail "restarted server exited non-zero on SIGTERM dra
 grep -q "drained cleanly" "$TMP/serve2.log" || fail "no clean-drain log line after warm restart"
 PID=""
 
-echo "serve-smoke: OK (graph=$GID hierarchy=$HID cut=$CUT warm-restart=hit)"
+echo "serve-smoke: OK (graph=$GID hierarchy=$HID cut=$CUT warm-restart=hit heavy-edge cut=$HCUT)"
