@@ -7,9 +7,11 @@ package partition
 //	  1e-10 stopping rule)...................... Fiedler, SpectralBisector
 //	multiple eigenvectors (drawing/embedding)... FiedlerK, SpectralCoordinates
 //	Fiduccia–Mattheyses refinement [27]......... RefineFM, fmState (one per
-//	                                             call: gain buckets, move
-//	                                             log, gains carried across
-//	                                             passes)
+//	                                             call: an O(n) gain store,
+//	                                             move log, gains carried
+//	                                             across passes; passes end
+//	                                             after a run of cut-raising
+//	                                             moves, as Metis's do)
 //	greedy graph growing initial partition...... GreedyGrow(Target)
 //	multilevel FM pipeline (Table VI)........... FMBisector
 //	walk back up the hierarchy (solve on the
