@@ -25,9 +25,9 @@ const (
 	// extreme that the SpGEMM dense accumulator stays flat while every
 	// sort-based strategy pays for each duplicate. The densest calibrated
 	// level (the mycielskian17 analog's final level, density 571) had
-	// spgemm beating per-bin sort and segsort but still losing to the
-	// global radix sort, so the threshold sits above everything measured
-	// and the branch covers only the asymptotic clique-collapse regime.
+	// spgemm beating per-bin sort but still losing to the global radix
+	// sort, so the threshold sits above everything measured and the
+	// branch covers only the asymptotic clique-collapse regime.
 	// Values far above 1 are possible because the estimate counts fine
 	// edges before deduplication.
 	autoCliqueDensity = 1000.0
@@ -47,8 +47,7 @@ const (
 // Choice records one per-level decision of the AutoConstruct policy:
 // Builder is the name of the dispatched builder and Reason the stable
 // decision-rule code that selected it (trivial-level, tiny-level,
-// near-clique, dense-fold, serial-default, skewed-parallel,
-// regular-parallel).
+// near-clique, dense-fold, serial-default, parallel-default).
 type Choice struct {
 	Builder string
 	Reason  string
@@ -61,7 +60,7 @@ type Choice struct {
 // the statistics and the worker count, so the policy inherits the
 // schedule-independence guarantee of the underlying builders: branches
 // that depend on the worker count only ever switch between builders that
-// emit byte-identical canonical CSR (sort, segsort, globalsort), while the
+// emit byte-identical canonical CSR (globalsort and sort), while the
 // branches selecting hash or spgemm — whose adjacency order differs — are
 // worker-count-independent.
 type AutoConstruct struct {
@@ -87,7 +86,6 @@ func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex 
 		return nil, err
 	}
 	n, edges, nc := g.NumV, g.M(), m.NC
-	skew := degreeSkew(g, ex.Span)
 	dens := 0.0
 	if nc > 0 {
 		dens = 2 * float64(edges) / (float64(nc) * float64(nc))
@@ -97,7 +95,7 @@ func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex 
 	// the actual degree). n bounds it the same way par.Workers does for
 	// the builders themselves.
 	rp := par.Workers(ex.P, int(n))
-	name, reason := decideConstruct(edges, nc, skew, dens, rp)
+	name, reason := decideConstruct(edges, nc, dens, rp)
 	t, ok := autoTargets[name]
 	if !ok {
 		return nil, fmt.Errorf("coarsen: auto policy chose unregistered builder %q", name)
@@ -120,14 +118,16 @@ func (b *AutoConstruct) BuildWith(ws *Workspace, g *graph.Graph, m *Mapping, ex 
 // autoTargets maps every builder name decideConstruct returns to the
 // builder it dispatches to (reusing the caller's workspace, the
 // builder-switching path TestWorkspaceReuseAcrossBuilderSwitch exercises)
-// and the construct_auto counter that records the pick.
+// and the construct_auto counter that records the pick. The policy's sort
+// always writes both-sided: on two cores the one-sided write speeds the
+// sort up by only 0.50–1.44× (EXPERIMENTS.md, one-sided ablation), and
+// the skew scan that would decide it costs an O(n) pass per level.
 var autoTargets = map[string]struct {
 	builder Builder
 	counter obs.Counter
 }{
-	"sort":       {BuildSort{}, obs.CtrAutoSort},
+	"sort":       {BuildSort{OneSided: OneSidedOff}, obs.CtrAutoSort},
 	"hash":       {BuildHash{}, obs.CtrAutoHash},
-	"segsort":    {BuildSegSort{}, obs.CtrAutoSegSort},
 	"spgemm":     {BuildSpGEMM{}, obs.CtrAutoSpGEMM},
 	"globalsort": {BuildGlobalSort{}, obs.CtrAutoGlobalSort},
 }
@@ -156,12 +156,13 @@ var autoTargets = map[string]struct {
 //  5. Serial (p == 1): globalsort — one global radix sort avoids all
 //     partitioning overhead and won 19 of 21 calibrated levels on the
 //     reference host.
-//  6. Parallel and skewed (Δ/(2m/n) >= DefaultSkewThreshold): segsort —
-//     the segmented global sort load-balances hub bins instead of leaving
-//     one worker holding the hub (the paper's device-role result).
-//  7. Parallel and regular: sort — per-bin dedup with the contention-free
-//     scatter, the paper's Table II winner.
-func decideConstruct(m int64, nc int32, skew, dens float64, p int) (name, reason string) {
+//  6. Parallel: sort with the both-sided write — per-bin dedup with the
+//     contention-free scatter, the paper's Table II winner. Skewed levels
+//     take it too: the paper's segmented global sort answers GPU hub-bin
+//     serialization, and on two CPU cores it took 2.2× as long as this
+//     sort on fm-skewed's skewed levels (DESIGN.md, "Adaptive
+//     construction").
+func decideConstruct(m int64, nc int32, dens float64, p int) (name, reason string) {
 	switch {
 	case m == 0 || nc <= 1:
 		return "sort", "trivial-level"
@@ -173,10 +174,8 @@ func decideConstruct(m int64, nc int32, skew, dens float64, p int) (name, reason
 		return "hash", "dense-fold"
 	case p == 1:
 		return "globalsort", "serial-default"
-	case skew >= DefaultSkewThreshold:
-		return "segsort", "skewed-parallel"
 	default:
-		return "sort", "regular-parallel"
+		return "sort", "parallel-default"
 	}
 }
 

@@ -180,6 +180,47 @@ func TestHierarchyDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestAutoHierarchyDeterminismAcrossWorkers covers the auto policy's one
+// worker-count switch: sorted-family levels build with globalsort at p = 1
+// and with sort at p >= 2. Both emit the same canonical CSR, so HEC + auto
+// hierarchies of the skewed suite must be byte-identical at every worker
+// count, and some level must take each side of the switch.
+func TestAutoHierarchyDeterminismAcrossWorkers(t *testing.T) {
+	picks := map[int]int{}
+	for _, inst := range gen.DefaultSuite() {
+		if !inst.Skewed {
+			continue
+		}
+		var ref *Hierarchy
+		for _, p := range determinismWorkers {
+			c := &Coarsener{Mapper: HEC{}, Builder: &AutoConstruct{}, Seed: 20210517, Workers: p}
+			h, err := c.Run(inst.Graph)
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", inst.Name, p, err)
+			}
+			want := "sort"
+			if p == 1 {
+				want = "globalsort"
+			}
+			for _, st := range h.Stats {
+				if st.Builder == want {
+					picks[p]++
+				}
+			}
+			if ref == nil {
+				ref = h
+				continue
+			}
+			compareHierarchies(t, inst.Name, p, ref, h)
+		}
+	}
+	for _, p := range determinismWorkers {
+		if picks[p] == 0 {
+			t.Errorf("p=%d: no level of the skewed suite took the sorted-family branch", p)
+		}
+	}
+}
+
 // compareHierarchies asserts h is byte-identical to ref.
 func compareHierarchies(t *testing.T, inst string, p int, ref, h *Hierarchy) {
 	t.Helper()

@@ -48,7 +48,6 @@ const (
 	// without new plumbing.
 	CtrAutoSort
 	CtrAutoHash
-	CtrAutoSegSort
 	CtrAutoSpGEMM
 	CtrAutoGlobalSort
 
@@ -108,7 +107,6 @@ var counterNames = [numCounters]string{
 
 	CtrAutoSort:       "construct_auto_sort",
 	CtrAutoHash:       "construct_auto_hash",
-	CtrAutoSegSort:    "construct_auto_segsort",
 	CtrAutoSpGEMM:     "construct_auto_spgemm",
 	CtrAutoGlobalSort: "construct_auto_globalsort",
 
