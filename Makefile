@@ -162,13 +162,16 @@ bench-baseline:
 # Kernel-level trace of a representative coarsening run: writes a Chrome
 # trace_event file (load it at chrome://tracing or https://ui.perfetto.dev),
 # prints the metrics dump, and validates the trace structure. The
-# embedding trace (GOSH coarsening, then embed:level/train/project spans),
-# the FM and spectral bisection traces and the recursive k-way FM trace
-# (coarsening, then fm:level/spectral:level spans) are checked the same
-# way.
+# one-worker run takes the auto policy's serial globalsort branch, whose
+# build must open kernel spans too. The embedding trace (GOSH coarsening,
+# then embed:level/train/project spans), the FM and spectral bisection
+# traces and the recursive k-way FM trace (coarsening, then
+# fm:level/spectral:level spans) are checked the same way.
 trace:
 	$(GO) run ./cmd/mlcg-coarsen -gen rmat -trace /tmp/mlcg-trace.json -metrics
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace.json
+	$(GO) run ./cmd/mlcg-coarsen -gen rmat -workers 1 -trace /tmp/mlcg-trace-serial.json
+	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-serial.json
 	$(GO) run ./cmd/mlcg-embed -gen rgg -epochs 4 -trace /tmp/mlcg-trace-embed.json
 	$(GO) run ./cmd/mlcg-tracecheck -coarsen /tmp/mlcg-trace-embed.json
 	$(GO) run ./cmd/mlcg-partition -gen trimesh -method fm -trace /tmp/mlcg-trace-fm.json

@@ -18,7 +18,9 @@ func writeTrace(t *testing.T, dir string) string {
 	}
 	lvl := obs.StartKernel("level 0")
 	obs.StartKernel("map:hec").Done()
-	obs.StartKernel("build:sort").Done()
+	build := obs.StartKernel("build:sort")
+	obs.StartKernel("dedup:sort").Done()
+	build.Done()
 	lvl.Done()
 	tr.Stop()
 	path := filepath.Join(dir, "trace.json")
