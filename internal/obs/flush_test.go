@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"runtime"
 	"testing"
 
 	"mlcg/internal/coarsen"
@@ -37,6 +38,9 @@ func TestTracedBuildAllocsIndependentOfSortedSegments(t *testing.T) {
 			id.M[v] = int32(v)
 		}
 		var tr *obs.Trace
+		// A collection that starts mid-measurement adds the runtime's own
+		// mallocs to the count, so start from a fresh cycle.
+		runtime.GC()
 		allocs[i] = testing.AllocsPerRun(20, func() {
 			tr = obs.NewTrace("build")
 			if _, err := (coarsen.BuildSort{}).Build(g, id, par.Exec{P: 1, Span: tr.Root}); err != nil {
