@@ -123,19 +123,6 @@ func BenchmarkMicroFMRefine(b *testing.B) {
 	}
 }
 
-func BenchmarkSuitorFamily(b *testing.B) {
-	g := benchGraph(b, "delaunay24")
-	for _, m := range []coarsen.Mapper{coarsen.Suitor{}, coarsen.BSuitor{}} {
-		b.Run(m.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Map(g, uint64(i), par.Exec{P: 0}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkCluster(b *testing.B) {
 	g := benchGraph(b, "products")
 	for i := 0; i < b.N; i++ {

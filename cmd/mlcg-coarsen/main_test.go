@@ -196,7 +196,7 @@ func TestRunTraceAndMetrics(t *testing.T) {
 }
 
 func TestRunAllMappersSmoke(t *testing.T) {
-	for _, mapper := range []string{"hecseq", "hem", "twohop", "mis2", "mis2fast", "suitor"} {
+	for _, mapper := range []string{"hecseq", "hem", "twohop", "mis2", "mis2fast"} {
 		_, errs, code := runCLI(t, "-gen", "trimesh", "-mapper", mapper, "-verify")
 		if code != 0 && mapper != "twohop" {
 			t.Errorf("%s: exit %d (%s)", mapper, code, errs)

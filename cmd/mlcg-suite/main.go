@@ -50,6 +50,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mlcg-suite:", err)
 		return 1
 	}
+	// Resolve the names before starting the profile and the trace, so a
+	// bad name returns with neither running.
+	mapper, err := coarsen.MapperByName(*mapperName)
+	if err != nil {
+		return fail(err)
+	}
+	builder, err := coarsen.BuilderByName(*construct)
+	if err != nil {
+		return fail(err)
+	}
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)
@@ -60,14 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// main exits via os.Exit, which skips defers — finish the profiles
 	// explicitly rather than deferring.
-	mapper, err := coarsen.NewMapper(*mapperName)
-	if err != nil {
-		return fail(err)
-	}
-	builder, err := coarsen.BuilderByName(*construct)
-	if err != nil {
-		return fail(err)
-	}
 	code := export(*dir, *format, *scale, cli.DeriveSeeds(*seed), *workers, mapper, builder, *stallcheck, *asJSON, stdout, fail)
 	if perr := stopProfiles(); perr != nil && code == 0 {
 		return fail(perr)

@@ -76,3 +76,33 @@ func TestRunBadFormat(t *testing.T) {
 		t.Error("bad flag accepted")
 	}
 }
+
+// TestRunBadNameStartsNothing checks that a bad -mapper or -construct fails
+// before the trace and CPU profile start, so a later run in the same
+// process can start its own.
+func TestRunBadNameStartsNothing(t *testing.T) {
+	dir := t.TempDir()
+	obsFlags := func(name string) []string {
+		return []string{
+			"-dir", dir,
+			"-trace", filepath.Join(dir, name+".json"),
+			"-cpuprofile", filepath.Join(dir, name+".pprof"),
+		}
+	}
+	for _, bad := range [][]string{{"-mapper", "nope"}, {"-construct", "nope"}} {
+		var out, errb bytes.Buffer
+		if code := run(append(obsFlags(bad[0][1:]), bad...), &out, &errb); code == 0 {
+			t.Fatalf("%v accepted", bad)
+		}
+		if !strings.Contains(errb.String(), "nope") {
+			t.Errorf("%v: error %q does not name the value", bad, errb.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run(obsFlags("good"), &out, &errb); code != 0 {
+		t.Fatalf("run after bad names: exit %d (%s)", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "trace written to") {
+		t.Error("trace not written")
+	}
+}

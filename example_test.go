@@ -86,6 +86,4 @@ func ExampleMapperNames() {
 	// mis2fast
 	// gosh
 	// goshhec
-	// suitor
-	// bsuitor
 }

@@ -178,12 +178,3 @@ func decideConstruct(m int64, nc int32, dens float64, p int) (name, reason strin
 		return "sort", "parallel-default"
 	}
 }
-
-// PolicyBuilder is implemented by builders that make per-level dispatch
-// decisions. Coarsener.Run uses it to record the chosen builder and reason
-// in LevelStats.
-type PolicyBuilder interface {
-	Builder
-	// LastChoice reports the most recent decision (nil before the first).
-	LastChoice() *Choice
-}

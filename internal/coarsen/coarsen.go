@@ -25,9 +25,8 @@
 //   - BuildSpGEMM     — the P·A·Pᵀ triple product via internal/spmat
 //   - BuildGlobalSort — global edge-triple sort baseline
 //
-// BuilderNames lists every registered strategy, including BuildSegSort
-// (segmented global sort) and AutoConstruct (the adaptive per-level policy
-// that dispatches among the four above).
+// BuilderNames lists every registered strategy: the four above and
+// AutoConstruct, the adaptive per-level policy that dispatches among them.
 //
 // The Coarsener type drives the multilevel loop (Algorithm 1) with the
 // paper's cutoff-50 / discard-below-10 rules.
@@ -118,7 +117,7 @@ type Builder interface {
 // mapper registered here appears everywhere at once and cannot drift.
 var mapperRegistry = []Mapper{
 	HEC{}, HECSeq{}, HEC2{}, HEC3{}, HEM{}, HEMSeq{}, TwoHop{},
-	MIS2{}, MIS2Fast{}, GOSH{}, GOSHHEC{}, Suitor{}, BSuitor{},
+	MIS2{}, MIS2Fast{}, GOSH{}, GOSHHEC{},
 }
 
 // AllMappers returns one instance of every registered mapping algorithm in
@@ -141,10 +140,6 @@ func MapperByName(name string) (Mapper, error) {
 	return nil, fmt.Errorf("coarsen: unknown mapper %q", name)
 }
 
-// NewMapper is MapperByName under the constructor-style name used by the
-// CLIs and examples.
-func NewMapper(name string) (Mapper, error) { return MapperByName(name) }
-
 // MapperNames lists the registered mapping algorithms in registry order.
 func MapperNames() []string {
 	out := make([]string, len(mapperRegistry))
@@ -166,7 +161,6 @@ var builderRegistry = []struct {
 	{"hash", func() Builder { return BuildHash{} }},
 	{"spgemm", func() Builder { return BuildSpGEMM{} }},
 	{"globalsort", func() Builder { return BuildGlobalSort{} }},
-	{"segsort", func() Builder { return BuildSegSort{} }},
 	{"auto", func() Builder { return &AutoConstruct{} }},
 }
 

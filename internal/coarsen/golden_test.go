@@ -51,8 +51,6 @@ func TestGoldenDemoOutcomes(t *testing.T) {
 		"mis2fast": 3,
 		"gosh":     4,
 		"goshhec":  5,
-		"suitor":   8,
-		"bsuitor":  3,
 	}
 	g := fig1Demo()
 	for _, name := range MapperNames() {

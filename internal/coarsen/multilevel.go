@@ -59,7 +59,7 @@ type LevelStats struct {
 
 	// Builder is the construction strategy that built this level's coarse
 	// graph — the configured builder's name, or the dispatched builder
-	// when the configured builder is a PolicyBuilder (then BuildReason
+	// when the configured builder is an *AutoConstruct (then BuildReason
 	// carries the decision-rule code that selected it).
 	Builder     string
 	BuildReason string
@@ -226,7 +226,7 @@ func (c *Coarsener) RunCtx(ctx context.Context, g *graph.Graph) (*Hierarchy, err
 		ws = NewWorkspace()
 	}
 	wm, mapReuse := c.Mapper.(WorkspaceMapper)
-	policy, adaptive := c.Builder.(PolicyBuilder)
+	policy, adaptive := c.Builder.(*AutoConstruct)
 	for cur.N() > cutoff && h.Levels() < maxLevels {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("coarsen: canceled before level %d: %w", h.Levels()+1, err)

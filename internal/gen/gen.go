@@ -234,20 +234,6 @@ func ChainLike(n int, seed uint64) *graph.Graph {
 	return connect(graph.MustFromEdges(n, edges))
 }
 
-// ER returns an Erdős–Rényi G(n, m) multigraph collapsed to a simple graph
-// (duplicates merged), largest component extracted.
-func ER(n int, m int64, seed uint64) *graph.Graph {
-	rng := par.NewRNG(seed)
-	edges := make([]graph.Edge, 0, m)
-	for int64(len(edges)) < m {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			edges = append(edges, graph.Edge{U: int32(u), V: int32(v), W: 1})
-		}
-	}
-	return connect(graph.MustFromEdges(n, edges))
-}
-
 // RMAT returns a Kronecker/R-MAT graph with 2^scale vertices and roughly
 // edgeFactor*2^scale undirected edges, with the canonical skew parameters
 // (a,b,c) = (0.57, 0.19, 0.19). Stand-in for kron21 and web/social graphs.

@@ -131,17 +131,6 @@ func TestChainLike(t *testing.T) {
 	}
 }
 
-func TestER(t *testing.T) {
-	g := ER(1000, 4000, 13)
-	mustValid(t, g, "er")
-	if !g.IsConnected() {
-		t.Error("er disconnected after LCC")
-	}
-	if g.M() < 3500 {
-		t.Errorf("er too few edges after dedup: %d", g.M())
-	}
-}
-
 func TestRMAT(t *testing.T) {
 	g := RMAT(10, 8, 17)
 	mustValid(t, g, "rmat")

@@ -13,8 +13,8 @@
 //     worker's busy time to the span in the loop's par.Exec handle.
 //   - Named atomic counters (Counter) for the hot-path events that exist in
 //     the algorithms but were previously uncounted: CAS retries in the
-//     reservation rounds, suitor spin iterations, epoch-hash probes and
-//     collisions, radix-sort passes, workspace bytes reused vs. allocated.
+//     reservation rounds, epoch-hash probes and collisions, radix-sort
+//     passes, workspace bytes reused vs. allocated.
 //   - Exporters: a Chrome trace_event-compatible JSON trace (export.go), a
 //     flat text metrics dump, and pprof labels on worker goroutines (applied
 //     by internal/par when a loop carries a span).

@@ -16,9 +16,6 @@ const (
 	// atomic-min reservation rounds (HEC/HEM/two-hop) and the canonical
 	// renumber scatter — the direct measure of reservation contention.
 	CtrCASRetry Counter = iota
-	// CtrSuitorSpin counts spin iterations on the per-vertex locks of the
-	// parallel Suitor proposal loop.
-	CtrSuitorSpin
 	// CtrHashProbe counts slot probes of the epoch-stamped dedup hash
 	// tables (one per insert plus one per collision step).
 	CtrHashProbe
@@ -96,7 +93,6 @@ const (
 // the metrics dump, the JSON trace args, and LevelStats.Counters keys).
 var counterNames = [numCounters]string{
 	CtrCASRetry:      "cas_retries",
-	CtrSuitorSpin:    "suitor_spins",
 	CtrHashProbe:     "hash_probes",
 	CtrHashCollision: "hash_collisions",
 	CtrRadixPass:     "radix_passes",

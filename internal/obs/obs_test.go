@@ -328,10 +328,10 @@ func TestCounterAggregation(t *testing.T) {
 	}
 	// Zero counters are omitted from the map view but present in the dense
 	// view.
-	if _, ok := totals["suitor_spins"]; ok {
+	if _, ok := totals["fm_rollbacks"]; ok {
 		t.Fatal("zero counter present in Counters() map")
 	}
-	if dense[obs.CtrSuitorSpin] != 0 {
+	if dense[obs.CtrFMRollbacks] != 0 {
 		t.Fatal("dense view lost a zero counter")
 	}
 }
@@ -410,7 +410,7 @@ func TestExportersAndChecker(t *testing.T) {
 		t.Fatalf("WriteMetrics: %v", err)
 	}
 	dump := metrics.String()
-	for _, want := range []string{"== spans ==", "== counters (whole trace) ==", "cas_retries", "suitor_spins", "map:hec", "imb", "== kernels (by total busy) =="} {
+	for _, want := range []string{"== spans ==", "== counters (whole trace) ==", "cas_retries", "fm_rollbacks", "map:hec", "imb", "== kernels (by total busy) =="} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("metrics dump missing %q", want)
 		}

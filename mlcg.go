@@ -8,8 +8,8 @@
 //
 //   - CSR graphs (NewGraph, ReadEdgeList, ReadBinary) and synthetic
 //     generators (Grid2D, Grid3D, TriMesh, RGG, RMAT, BA, Mycielskian);
-//   - thirteen coarse-mapping algorithms (Mapper / MapperByName) including
-//     the paper's lock-free parallel HEC, and six coarse-graph
+//   - eleven coarse-mapping algorithms (Mapper / MapperByName) including
+//     the paper's lock-free parallel HEC, and five coarse-graph
 //     construction strategies (Builder / BuilderByName);
 //   - the multilevel driver (Coarsen / Coarsener);
 //   - multilevel spectral and Fiduccia–Mattheyses bisection
@@ -99,7 +99,7 @@ var (
 
 // MapperByName returns one of the registered coarse-mapping algorithms:
 // hec, hecseq, hec2, hec3, hem, hemseq, twohop, mis2, mis2fast, gosh,
-// goshhec, suitor, bsuitor.
+// goshhec.
 func MapperByName(name string) (Mapper, error) { return coarsen.MapperByName(name) }
 
 // BuilderByName returns one of the registered construction strategies

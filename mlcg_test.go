@@ -60,10 +60,10 @@ func TestFacadeGraphConstruction(t *testing.T) {
 }
 
 func TestFacadeRegistries(t *testing.T) {
-	if len(MapperNames()) != 13 {
-		t.Errorf("%d mappers, want 13", len(MapperNames()))
+	if len(MapperNames()) != 11 {
+		t.Errorf("%d mappers, want 11", len(MapperNames()))
 	}
-	if got, want := strings.Join(BuilderNames(), " "), "sort hash spgemm globalsort segsort auto"; got != want {
+	if got, want := strings.Join(BuilderNames(), " "), "sort hash spgemm globalsort auto"; got != want {
 		t.Errorf("BuilderNames() = %s, want %s", got, want)
 	}
 	for _, n := range MapperNames() {
