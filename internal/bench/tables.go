@@ -289,7 +289,7 @@ type BuilderShootoutRow struct {
 
 // BuilderShootout measures every registered construction strategy — the
 // paper's sort/hash/SpGEMM/global-sort comparison extended to the
-// adaptive auto policy.
+// segmented sort and the adaptive auto policy.
 func BuilderShootout(opt Options) []BuilderShootoutRow {
 	workers := opt.workers()
 	var rows []BuilderShootoutRow

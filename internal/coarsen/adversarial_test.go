@@ -157,11 +157,11 @@ func TestHugeWeightsNoOverflow(t *testing.T) {
 }
 
 // TestAutoPolicyEdgeCases drives every registered builder (the policy's
-// targets and the policy itself) through the degenerate inputs that break
-// dispatch surfaces: the empty graph, a single vertex, a star, an
-// already-coarsest identity mapping, and a level that densifies to
-// near-clique. Each output must satisfy the full coarse-graph invariant
-// battery.
+// targets, the segmented sort and the policy itself) through the
+// degenerate inputs that break dispatch surfaces: the empty graph, a
+// single vertex, a star, an already-coarsest identity mapping, and a level
+// that densifies to near-clique. Each output must satisfy the full
+// coarse-graph invariant battery.
 func TestAutoPolicyEdgeCases(t *testing.T) {
 	star := func(leaves int) *graph.Graph {
 		var e []graph.Edge
@@ -286,7 +286,7 @@ func TestWorkspaceReuseAcrossBuilderSwitch(t *testing.T) {
 		{"starOfStars", starOfStars(4, 5)},
 		{"chain", increasingChain(500)},
 	}
-	order := []string{"sort", "hash", "spgemm", "globalsort", "hash", "sort"}
+	order := []string{"sort", "hash", "segsort", "spgemm", "globalsort", "hash", "sort", "segsort"}
 	shared := NewWorkspace()
 	for round := 0; round < 2; round++ {
 		// Interleave graphs of different sizes so buffers are grown, then

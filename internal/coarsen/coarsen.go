@@ -25,8 +25,9 @@
 //   - BuildSpGEMM     — the P·A·Pᵀ triple product via internal/spmat
 //   - BuildGlobalSort — global edge-triple sort baseline
 //
-// BuilderNames lists every registered strategy: the four above and
-// AutoConstruct, the adaptive per-level policy that dispatches among them.
+// BuilderNames lists every registered strategy, including BuildSegSort
+// (segmented global sort) and AutoConstruct (the adaptive per-level policy
+// that dispatches among the four above).
 //
 // The Coarsener type drives the multilevel loop (Algorithm 1) with the
 // paper's cutoff-50 / discard-below-10 rules.
@@ -161,6 +162,7 @@ var builderRegistry = []struct {
 	{"hash", func() Builder { return BuildHash{} }},
 	{"spgemm", func() Builder { return BuildSpGEMM{} }},
 	{"globalsort", func() Builder { return BuildGlobalSort{} }},
+	{"segsort", func() Builder { return BuildSegSort{} }},
 	{"auto", func() Builder { return &AutoConstruct{} }},
 }
 

@@ -84,6 +84,7 @@ func TestBuildSortOneSidedMatchesBothSided(t *testing.T) {
 	}{
 		{"sort", dedupSortSegments},
 		{"hash", dedupHashSegments},
+		{"segsort", dedupSegmentedSort},
 	}
 	for gname, g := range testGraphs() {
 		m, err := HEC{}.Map(g, 5, par.Exec{P: 2})

@@ -63,7 +63,7 @@ func TestFacadeRegistries(t *testing.T) {
 	if len(MapperNames()) != 11 {
 		t.Errorf("%d mappers, want 11", len(MapperNames()))
 	}
-	if got, want := strings.Join(BuilderNames(), " "), "sort hash spgemm globalsort auto"; got != want {
+	if got, want := strings.Join(BuilderNames(), " "), "sort hash spgemm globalsort segsort auto"; got != want {
 		t.Errorf("BuilderNames() = %s, want %s", got, want)
 	}
 	for _, n := range MapperNames() {
