@@ -35,15 +35,18 @@ race:
 # reference), and the SGD trainer against its reference trainer at every
 # worker count, and the serving layer (every response of an ingest, build
 # and query sequence byte-identical, timings aside, at every Workers ×
-# BuildWorkers setting). The embed, partition, cluster, graph and serve
+# BuildWorkers setting; served cut, imbalance and modularity equal to the
+# level-0 formula, after a warm restart too and under a cold concurrent
+# start), with the projection identities those answers rest on. The
+# embed, partition, cluster, graph and serve
 # sweeps additionally run under -race (they are cheap enough); the full
 # coarsen suite keeps its race coverage in `make race` where the
 # per-package timeout budget is not shared with a p=8 interleaving sweep.
 test-determinism:
 	GOMAXPROCS=8 $(GO) test -run 'Determinism|Deterministic|Canonicalize|CoarseInvariants|WorkspaceReuse' ./internal/par/... ./internal/coarsen/...
 	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|SeedSensitivity|WorkspaceReuse|MatchesReference' ./internal/embed/...
-	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|Deterministic' ./internal/partition/... ./internal/cluster/...
-	GOMAXPROCS=8 $(GO) test -race -run 'Determinism' ./internal/graph/... ./internal/serve/...
+	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|Deterministic|ProjectionIdentities' ./internal/partition/... ./internal/cluster/...
+	GOMAXPROCS=8 $(GO) test -race -run 'Determinism|MatchLevelZero|ColdConcurrent' ./internal/graph/... ./internal/serve/...
 
 # Static analysis: vet always; staticcheck when it is installed (the
 # pinned dev container has no network to fetch it, CI installs it).

@@ -100,15 +100,11 @@ func Multilevel(g *graph.Graph, opt Options) (*Result, error) {
 		seedLevel--
 	}
 
-	// Per-level self-loop weights: the intra-aggregate weight each coarse
-	// vertex carries. Local moving needs them so that coarse-level moves
-	// optimize the FINE graph's modularity (Louvain keeps self-loops for
-	// exactly this reason; this module's graphs do not store them).
-	selfW := make([][]int64, seedLevel+1)
-	selfW[0] = make([]int64, n) // fine vertices carry none
-	for i := 0; i < seedLevel; i++ {
-		selfW[i+1] = carrySelfWeight(h.Graphs[i], h.Maps[i], h.Graphs[i+1].N(), selfW[i])
-	}
+	// Local moving needs each coarse vertex's self-weight so that
+	// coarse-level moves optimize the FINE graph's modularity (Louvain keeps
+	// self-loops for exactly this reason; this module's graphs do not store
+	// them).
+	selfW := SelfWeights(h, seedLevel)
 
 	mTotal := float64(g.TotalEdgeWeight())
 	labels, _ := coarsen.Uncoarsen(h, seedLevel, identity(h.Graphs[seedLevel].N()), "cluster",
@@ -128,24 +124,48 @@ func Multilevel(g *graph.Graph, opt Options) (*Result, error) {
 	}, nil
 }
 
-// carrySelfWeight returns the intra-aggregate weight each coarse vertex of
-// the mapping m (nc coarse vertices) carries: the weight its members
-// inherited in selfW plus the weight of the edges of g that m folds inside
-// it.
-func carrySelfWeight(g *graph.Graph, m []int32, nc int, selfW []int64) []int64 {
-	sw := make([]int64, nc)
-	for u, w := range selfW {
-		sw[m[u]] += w
+// SelfWeights returns, for levels 0..to of h, the intra-aggregate weight
+// each vertex carries: the total weight of the level-0 edges that the
+// mappings below it fold inside its aggregate. Level 0 carries none, so its
+// entry is nil. ModularityCarried on level i with SelfWeights(h, i)[i] is
+// Modularity of the labeling projected to level 0.
+func SelfWeights(h *coarsen.Hierarchy, to int) [][]int64 {
+	selfW := make([][]int64, to+1)
+	for i := 0; i < to; i++ {
+		selfW[i+1] = carrySelfWeight(h.Graphs[i], h.Maps[i], h.Graphs[i+1], selfW[i])
 	}
+	return selfW
+}
+
+// carrySelfWeight returns the intra-aggregate weight each vertex of
+// coarse, the contraction of g by the mapping m, carries: the weight its
+// members inherited in selfW plus the weight of the edges of g that m
+// folds inside it. It counts the folded edges from weighted degrees, with
+// no branch per edge: the members' degrees count each folded edge twice
+// and each edge that leaves the aggregate once, and the aggregate's degree
+// in coarse counts the leaving edges once.
+func carrySelfWeight(g *graph.Graph, m []int32, coarse *graph.Graph, selfW []int64) []int64 {
+	sw := make([]int64, coarse.NumV)
 	for u := int32(0); u < g.NumV; u++ {
-		adj, wgt := g.Neighbors(u)
-		for k, v := range adj {
-			if u < v && m[u] == m[v] {
-				sw[m[u]] += wgt[k]
-			}
-		}
+		sw[m[u]] += weightedDegree(g, u)
+	}
+	for u, w := range selfW {
+		sw[m[u]] += 2 * w
+	}
+	for a := range sw {
+		sw[a] = (sw[a] - weightedDegree(coarse, int32(a))) / 2
 	}
 	return sw
+}
+
+// weightedDegree returns the total weight of u's edges.
+func weightedDegree(g *graph.Graph, u int32) int64 {
+	_, wgt := g.Neighbors(u)
+	var d int64
+	for _, w := range wgt {
+		d += w
+	}
+	return d
 }
 
 // identity returns the labels 0, 1, ..., n−1: every vertex its own cluster.
@@ -201,7 +221,7 @@ func Louvain(g *graph.Graph, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("cluster: louvain contraction: %w", err)
 		}
 		// Carry internal weight into the next level's self-loops.
-		selfW = carrySelfWeight(cur, labels, int(k), selfW)
+		selfW = carrySelfWeight(cur, labels, next, selfW)
 		cur = next
 
 		// Project to the fine graph and check progress.
@@ -227,9 +247,26 @@ func Louvain(g *graph.Graph, opt Options) (*Result, error) {
 // Modularity returns Newman's weighted modularity
 // Q = Σ_c [ in_c/m − (tot_c / 2m)² ], where in_c is the intra-cluster
 // edge weight, tot_c the total weighted degree of c, and m the total edge
-// weight. Q ∈ [−1/2, 1).
+// weight. Q ∈ [−1/2, 1). It is ModularityCarried with no self-weights, so
+// it sums in int64 and each value is exact up to the final float64
+// formula; for 2m < 2^53 that is the value float64 sums give too.
 func Modularity(g *graph.Graph, labels []int32) float64 {
-	m := float64(g.TotalEdgeWeight())
+	return ModularityCarried(g, labels, nil)
+}
+
+// ModularityCarried is the modularity of labels on a graph whose vertex u
+// stands for an aggregate with internal edge weight selfW[u] (nil means
+// none): in_c adds Σ_{u∈c} selfW[u], tot_c adds 2·selfW[u] per member, and
+// m adds Σ selfW. in_c, tot_c and m accumulate in int64 and are converted
+// once each, so the value is the exact sums' formula. On level i of a
+// hierarchy with SelfWeights(h, i)[i] the three sums equal those of the
+// labeling projected to level 0, so the two evaluations agree bit for bit.
+func ModularityCarried(g *graph.Graph, labels []int32, selfW []int64) float64 {
+	mInt := g.TotalEdgeWeight()
+	for _, w := range selfW {
+		mInt += w
+	}
+	m := float64(mInt)
 	if m == 0 {
 		return 0
 	}
@@ -239,21 +276,26 @@ func Modularity(g *graph.Graph, labels []int32) float64 {
 			k = l + 1
 		}
 	}
-	in := make([]float64, k)
-	tot := make([]float64, k)
+	in := make([]int64, k)
+	tot := make([]int64, k)
 	for u := int32(0); u < g.NumV; u++ {
+		c := labels[u]
 		adj, wgt := g.Neighbors(u)
 		for kk, v := range adj {
-			w := float64(wgt[kk])
-			tot[labels[u]] += w
-			if labels[u] == labels[v] && u < v {
-				in[labels[u]] += w
+			tot[c] += wgt[kk]
+			if c == labels[v] && u < v {
+				in[c] += wgt[kk]
 			}
+		}
+		if selfW != nil {
+			in[c] += selfW[u]
+			tot[c] += 2 * selfW[u]
 		}
 	}
 	var q float64
 	for c := int32(0); c < k; c++ {
-		q += in[c]/m - (tot[c]/(2*m))*(tot[c]/(2*m))
+		inC, totC := float64(in[c]), float64(tot[c])
+		q += inC/m - (totC/(2*m))*(totC/(2*m))
 	}
 	return q
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 
 	"mlcg/internal/graph"
-	"mlcg/internal/obs"
 	"mlcg/internal/par"
 )
 
@@ -22,12 +21,6 @@ func GreedyGrow(g *graph.Graph, seed uint64, trials int) []int32 {
 // (0 means half the total), for the proportional splits of recursive
 // k-way partitioning.
 func GreedyGrowTarget(g *graph.Graph, seed uint64, trials int, target0 int64) []int32 {
-	return greedyGrowTarget(g, seed, trials, target0, obs.Ambient())
-}
-
-// greedyGrowTarget is GreedyGrowTarget with its cut evaluations charged to
-// span.
-func greedyGrowTarget(g *graph.Graph, seed uint64, trials int, target0 int64, span *obs.Span) []int32 {
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -42,8 +35,7 @@ func greedyGrowTarget(g *graph.Graph, seed uint64, trials int, target0 int64, sp
 	var best []int32
 	var bestCut int64 = -1
 	for t := 0; t < trials; t++ {
-		part := growOnce(g, rng.Intn(n), target0)
-		cut := edgeCut(g, part, span)
+		part, cut := growOnce(g, rng.Intn(n), target0)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			best = part
@@ -73,7 +65,11 @@ func (h *frontierHeap) Pop() interface{} {
 	return it
 }
 
-func growOnce(g *graph.Graph, start int, target int64) []int32 {
+// growOnce grows one region from start and returns the bisection and its
+// cut. The cut is tracked as the region grows: absorbing v stops its edges
+// into the region from crossing and starts its edges to the outside, so the
+// cut changes by −gain[v].
+func growOnce(g *graph.Graph, start int, target int64) ([]int32, int64) {
 	n := g.N()
 	part := make([]int32, n)
 	for i := range part {
@@ -92,7 +88,9 @@ func growOnce(g *graph.Graph, start int, target int64) []int32 {
 	}
 
 	h := &frontierHeap{}
+	var cut int64
 	add := func(v int32) {
+		cut -= gain[v]
 		inRegion[v] = true
 		part[v] = 0
 		adj, wgt := g.Neighbors(v)
@@ -135,5 +133,5 @@ func growOnce(g *graph.Graph, start int, target int64) []int32 {
 		regionW += g.VertexWeight(v)
 		add(v)
 	}
-	return part
+	return part, cut
 }

@@ -129,7 +129,7 @@ func (b *FMBisector) bisect(g *graph.Graph, span *obs.Span) (*Result, error) {
 				cut = refineFM(lg, part, fm, ex.Span)
 				return part, nil
 			}
-			part = greedyGrowTarget(lg, b.Seed^0x99, trials, b.TargetW0, ex.Span)
+			part = GreedyGrowTarget(lg, b.Seed^0x99, trials, b.TargetW0)
 			cut = refineFM(lg, part, fm, ex.Span)
 			t2 = time.Now()
 			return part, nil

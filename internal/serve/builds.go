@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"mlcg/internal/cluster"
 	"mlcg/internal/coarsen"
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
@@ -79,6 +80,12 @@ type build struct {
 	err      error
 	elapsed  time.Duration
 	counters map[string]int64
+
+	// selfW is the coarsest level's carried self-weights
+	// (cluster.SelfWeights), computed once, at the hierarchy's first
+	// cluster query.
+	selfOnce sync.Once
+	selfW    []int64
 }
 
 func newBuild(p buildParams, g *graph.Graph) *build {
@@ -109,6 +116,15 @@ func (b *build) snapshot() (status string, h *coarsen.Hierarchy, err error, elap
 	b.stateMu.Lock()
 	defer b.stateMu.Unlock()
 	return b.status, b.h, b.err, b.elapsed, b.counters
+}
+
+// coarsestSelfWeights returns the self-weights of the coarsest level of h,
+// b's finished hierarchy, computing them at the first call.
+func (b *build) coarsestSelfWeights(h *coarsen.Hierarchy) []int64 {
+	b.selfOnce.Do(func() {
+		b.selfW = cluster.SelfWeights(h, h.Levels())[h.Levels()]
+	})
+	return b.selfW
 }
 
 // errShuttingDown is the terminal error builds receive when the server

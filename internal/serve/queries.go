@@ -8,15 +8,22 @@ import (
 	"time"
 
 	"mlcg/internal/cluster"
+	"mlcg/internal/coarsen"
 	"mlcg/internal/obs"
+	"mlcg/internal/par"
 	"mlcg/internal/partition"
 )
 
 // Query endpoints operate on finished hierarchies without mutating them:
-// they solve on the (small) coarsest graph and project the answer back to
-// the fine graph through the mapping arrays — the paper's "coarsen once,
-// solve many" split. Any number run concurrently against one hierarchy;
-// the shared state is read-only CSR plus mapping slices, and each request
+// they solve on the (small) coarsest graph and evaluate the answer there —
+// the paper's "coarsen once, solve many" split. Contraction conserves
+// vertex weight and cut weight, and the coarsest level's carried
+// self-weights complete modularity, so cut, imbalance and modularity on
+// the coarsest graph equal those of the answer projected to level 0. The
+// answer projects back to the fine graph through the mapping arrays only
+// when the client asks for the assignment. Any number of queries run
+// concurrently against one hierarchy; the shared state is read-only CSR
+// plus mapping slices and the once-computed self-weights, and each request
 // hands its own obs trace to the solver, so span trees never interleave.
 
 // queryObs follows one query from entry to response: it runs the solve
@@ -49,6 +56,23 @@ func (q *queryObs) traced(fn func(span *obs.Span)) {
 	tr.Stop()
 	q.counters = tr.Root.Counters()
 	q.s.foldCounters(q.counters)
+}
+
+// projectToFine carries labels on h's coarsest graph to level 0, one
+// coarsen.Project per level at the server's worker count, under a
+// "<kind>:project" child of span (the name coarsen.Uncoarsen gives a
+// walk's projections). A hierarchy without levels opens no span and
+// returns labels itself.
+func (q *queryObs) projectToFine(h *coarsen.Hierarchy, labels []int32, span *obs.Span) []int32 {
+	if h.Levels() == 0 {
+		return labels
+	}
+	ex := par.Exec{P: q.s.cfg.Workers, Span: span.Child(queryKindNames[q.kind] + ":project")}
+	for i := h.Levels() - 1; i >= 0; i-- {
+		labels = coarsen.Project(labels, h.Maps[i], ex)
+	}
+	ex.Span.End()
+	return labels
 }
 
 // finish closes out the query's telemetry. Deferred by every handler, so
@@ -89,8 +113,8 @@ type partitionResponse struct {
 	Assignment []int32 `json:"assignment,omitempty"`
 }
 
-// handlePartition k-way partitions the coarsest graph and projects the
-// parts to level 0; cut and imbalance are reported on the fine graph.
+// handlePartition k-way partitions the coarsest graph and reports its cut
+// and imbalance, which equal those of the parts projected to level 0.
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	s.stats.queriesPartition.Add(1)
 	q := s.startQuery(r, qPartition)
@@ -136,18 +160,16 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 			solveErr = err
 			return
 		}
-		fine := h.ProjectToFine(res.Part)
-		g0 := h.Graphs[0]
 		resp = partitionResponse{
 			Hierarchy: req.Hierarchy,
 			K:         req.K,
-			Cut:       partition.KWayEdgeCut(g0, fine),
-			Imbalance: partition.KWayImbalance(g0, fine, req.K),
-			ElapsedMS: float64(time.Since(t0)) / float64(time.Millisecond),
+			Cut:       res.Cut,
+			Imbalance: partition.KWayImbalance(h.Coarsest(), res.Part, req.K),
 		}
 		if req.Assignment {
-			resp.Assignment = fine
+			resp.Assignment = q.projectToFine(h, res.Part, span)
 		}
+		resp.ElapsedMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	})
 	if solveErr != nil {
 		status, reqErr = http.StatusUnprocessableEntity, solveErr
@@ -171,8 +193,9 @@ type clusterResponse struct {
 	Assignment []int32 `json:"assignment,omitempty"`
 }
 
-// handleCluster runs Louvain on the coarsest graph, projects labels to the
-// fine graph, and reports fine-graph modularity.
+// handleCluster runs Louvain on the coarsest graph and reports the
+// modularity of its labels with the coarsest level's self-weights, which
+// equals the modularity of the labels projected to level 0.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	s.stats.queriesCluster.Add(1)
 	q := s.startQuery(r, qCluster)
@@ -187,7 +210,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q.target = req.Hierarchy
-	h, _, err := s.getHierarchy(req.Hierarchy)
+	h, b, err := s.getHierarchy(req.Hierarchy)
 	if err != nil {
 		status, reqErr = http.StatusNotFound, err
 		s.httpError(w, status, "%v", err)
@@ -204,16 +227,15 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			solveErr = err
 			return
 		}
-		fine := h.ProjectToFine(res.Labels)
 		resp = clusterResponse{
 			Hierarchy:  req.Hierarchy,
 			K:          res.K,
-			Modularity: cluster.Modularity(h.Graphs[0], fine),
-			ElapsedMS:  float64(time.Since(t0)) / float64(time.Millisecond),
+			Modularity: cluster.ModularityCarried(h.Coarsest(), res.Labels, b.coarsestSelfWeights(h)),
 		}
 		if req.Assignment {
-			resp.Assignment = fine
+			resp.Assignment = q.projectToFine(h, res.Labels, span)
 		}
+		resp.ElapsedMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	})
 	if solveErr != nil {
 		status, reqErr = http.StatusUnprocessableEntity, solveErr
@@ -264,8 +286,8 @@ func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var fine []int32
-	q.traced(func(*obs.Span) {
-		fine = h.ProjectToFine(req.Labels)
+	q.traced(func(span *obs.Span) {
+		fine = q.projectToFine(h, req.Labels, span)
 	})
 	writeJSON(w, http.StatusOK, projectResponse{Hierarchy: req.Hierarchy, Assignment: fine})
 }
