@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"mlcg/internal/coarsen"
-	"mlcg/internal/gen"
 	"mlcg/internal/obs"
 	"mlcg/internal/par"
 	"mlcg/internal/partition"
@@ -289,7 +287,7 @@ type BuilderShootoutRow struct {
 
 // BuilderShootout measures every registered construction strategy — the
 // paper's sort/hash/SpGEMM/global-sort comparison extended to the
-// segmented sort and the adaptive auto policy.
+// adaptive auto policy.
 func BuilderShootout(opt Options) []BuilderShootoutRow {
 	workers := opt.workers()
 	var rows []BuilderShootoutRow
@@ -411,14 +409,4 @@ func GroupGeoMeans[T any](rows []T, skewed func(T) bool, val func(T) float64) (r
 		}
 	}
 	return geoMean(rs), geoMean(ss)
-}
-
-// instanceByName finds a suite instance (helper for focused benches).
-func instanceByName(insts []gen.Instance, name string) (gen.Instance, error) {
-	for _, inst := range insts {
-		if inst.Name == name {
-			return inst, nil
-		}
-	}
-	return gen.Instance{}, fmt.Errorf("bench: no suite instance named %q", name)
 }

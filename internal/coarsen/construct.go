@@ -1,8 +1,6 @@
 package coarsen
 
 import (
-	"fmt"
-
 	"mlcg/internal/graph"
 	"mlcg/internal/obs"
 	"mlcg/internal/par"
@@ -499,19 +497,4 @@ func (t *weightTable) add(k int32, v int64) {
 		t.collisions++
 		s = (s + 1) & mask
 	}
-}
-
-// checkCoarse validates invariants shared by all builders; used in tests
-// via buildAndCheck but cheap enough for defensive use.
-func checkCoarse(fine, coarse *graph.Graph, m *Mapping) error {
-	if coarse.NumV != m.NC {
-		return fmt.Errorf("coarsen: coarse graph has %d vertices, mapping says %d", coarse.NumV, m.NC)
-	}
-	var fineVW, coarseVW int64
-	fineVW = fine.TotalVertexWeight()
-	coarseVW = coarse.TotalVertexWeight()
-	if fineVW != coarseVW {
-		return fmt.Errorf("coarsen: vertex weight not conserved: fine %d coarse %d", fineVW, coarseVW)
-	}
-	return nil
 }

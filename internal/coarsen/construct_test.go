@@ -56,7 +56,7 @@ func TestBuildersAgreeAndConserve(t *testing.T) {
 				if err := cg.Validate(); err != nil {
 					t.Fatalf("%s/%s/%s: invalid coarse graph: %v", gname, mapper.Name(), b.Name(), err)
 				}
-				if err := checkCoarse(g, cg, m); err != nil {
+				if err := coarseInvariantErr(g, m, cg); err != nil {
 					t.Fatalf("%s/%s/%s: %v", gname, mapper.Name(), b.Name(), err)
 				}
 				// Edge weight conservation: coarse total = fine total - intra.
@@ -84,7 +84,6 @@ func TestBuildSortOneSidedMatchesBothSided(t *testing.T) {
 	}{
 		{"sort", dedupSortSegments},
 		{"hash", dedupHashSegments},
-		{"segsort", dedupSegmentedSort},
 	}
 	for gname, g := range testGraphs() {
 		m, err := HEC{}.Map(g, 5, par.Exec{P: 2})

@@ -38,9 +38,8 @@ package coarsen
 // ProjectToFine). Traced, the walk opens the "<pipeline>:level i" and
 // "<pipeline>:project" spans.
 //
-// Beyond the paper: BuildSegSort implements the segmented global sort
-// Section III.B sketches, and AutoConstruct picks among the sort, hash,
-// SpGEMM and global-sort builders per level.
+// Beyond the paper: AutoConstruct picks among the sort, hash, SpGEMM and
+// global-sort builders per level.
 //
 // The tech-report pseudocode for Algorithms 9 and 16 was not available to
 // this reproduction; HEC2 and GOSHHEC are reconstructions from the

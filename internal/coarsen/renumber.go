@@ -25,9 +25,9 @@ import (
 // The kernel runs a handful of O(n) passes over two int32 scratch arrays:
 //
 //  1. minPos[a] = min over members u of a of pos[u]. The scatter uses
-//     par.AtomicMinInt32, which is order-insensitive (min is commutative),
-//     so the array is identical for every worker count and interleaving —
-//     the one place the kernel touches an atomic.
+//     par.AtomicMinInt32Retries, which is order-insensitive (min is
+//     commutative), so the array is identical for every worker count and
+//     interleaving — the one place the kernel touches an atomic.
 //  2. flag[q] = 1 iff q == minPos[a] for some aggregate a. Distinct
 //     aggregates have distinct minimum positions (pos is a permutation and
 //     aggregates partition the vertices), so every write targets a

@@ -50,7 +50,7 @@ type Workspace struct {
 	tables    []*weightTable
 	sortBufs  []*par.SortScratch
 
-	// Radix-sort builder scratch (segsort dedup, global-sort baseline).
+	// Radix-sort builder scratch (global-sort baseline).
 	keys64 []uint64
 	vals64 []uint64
 	offs   []int64

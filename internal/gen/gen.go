@@ -15,7 +15,6 @@ package gen
 
 import (
 	"math"
-	"sort"
 
 	"mlcg/internal/graph"
 	"mlcg/internal/par"
@@ -511,14 +510,4 @@ func PowerLaw(n int, gamma float64, minDeg, maxDeg int, seed uint64) *graph.Grap
 		}
 	}
 	return connect(graph.MustFromEdges(n, edges))
-}
-
-// sortEdgesDeterministic is used by tests that need stable edge ordering.
-func sortEdgesDeterministic(edges []graph.Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
 }

@@ -14,8 +14,8 @@ type CheckOptions struct {
 	// RequireCoarsen additionally demands the span names a multilevel
 	// coarsening run must produce: a run root, at least one "level" span,
 	// a "map:"/"build:" phase pair under every level, and under every
-	// "build:" span a kernel span other than the auto policy's "policy:"
-	// marker, so no build's time goes unattributed.
+	// "build:" span the "dedup:" kernel span that every builder opens, so
+	// no build's deduplication goes unattributed.
 	RequireCoarsen bool
 }
 
@@ -102,20 +102,18 @@ func CheckTrace(r io.Reader, opt CheckOptions) error {
 			return fmt.Errorf("trace: %d level spans but only %d build phases", levels, builds)
 		}
 		// After the sort, the spans a build contains follow it and start
-		// before it ends. A policy marker is a leaf, so the first span
-		// after a build's policy markers is a kernel child if it starts
-		// inside the build.
+		// before it ends.
 		for _, ivs := range byTid {
 			for i, b := range ivs {
 				if !strings.HasPrefix(b.name, "build:") {
 					continue
 				}
 				j := i + 1
-				for j < len(ivs) && ivs[j].start < b.end && strings.HasPrefix(ivs[j].name, "policy:") {
+				for j < len(ivs) && ivs[j].start < b.end && !strings.HasPrefix(ivs[j].name, "dedup:") {
 					j++
 				}
 				if j == len(ivs) || ivs[j].start >= b.end {
-					return fmt.Errorf("trace: span %q [%.1f, %.1f] has no kernel span under it", b.name, b.start, b.end)
+					return fmt.Errorf("trace: span %q [%.1f, %.1f] has no dedup kernel span under it", b.name, b.start, b.end)
 				}
 			}
 		}

@@ -130,13 +130,6 @@ func (c Counter) String() string {
 	return "unknown"
 }
 
-// CounterNames lists every counter's stable name in enum order.
-func CounterNames() []string {
-	out := make([]string, numCounters)
-	copy(out, counterNames[:])
-	return out
-}
-
 // maxBusySlots bounds the per-span busy-time array. Worker ids beyond the
 // bound fold into the last slot; with the library's GOMAXPROCS-capped
 // worker counts this is never hit on real machines.

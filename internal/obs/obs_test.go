@@ -440,9 +440,9 @@ func TestCheckerRejectsBadTraces(t *testing.T) {
 	if err := obs.CheckTrace(strings.NewReader(flat), obs.CheckOptions{RequireCoarsen: true}); err == nil {
 		t.Error("RequireCoarsen accepted a trace with no level spans")
 	}
-	// It also demands a kernel span under every build: a build whose only
-	// child is the policy marker is dark. The same trace with a kernel
-	// beside the marker passes.
+	// It also demands a dedup kernel span under every build: a build whose
+	// only children are the policy marker or construction steps is dark.
+	// The same trace with a dedup kernel beside the marker passes.
 	level := func(buildChildren string) string {
 		return `{"traceEvents":[
 			{"name":"run","ph":"X","ts":0,"dur":100,"pid":1,"tid":1},
@@ -453,6 +453,8 @@ func TestCheckerRejectsBadTraces(t *testing.T) {
 	marker := `,{"name":"policy:globalsort:serial-default","ph":"X","ts":79,"dur":0.001,"pid":1,"tid":1}`
 	early := `,{"name":"policy:sort:parallel-default","ph":"X","ts":30,"dur":0.001,"pid":1,"tid":1}`
 	kernel := `,{"name":"dedup:globalsort","ph":"X","ts":31,"dur":40,"pid":1,"tid":1}`
+	cons := `,{"name":"cons:count","ph":"X","ts":31,"dur":10,"pid":1,"tid":1}` +
+		`,{"name":"cons:scatter","ph":"X","ts":42,"dur":10,"pid":1,"tid":1}`
 	for _, c := range []struct {
 		name, children string
 		ok             bool
@@ -462,13 +464,14 @@ func TestCheckerRejectsBadTraces(t *testing.T) {
 		{"kernel and marker", kernel + marker, true},
 		{"two markers", early + marker, false},
 		{"marker before kernel", early + kernel, true},
+		{"construction steps only", cons, false},
 	} {
 		err := obs.CheckTrace(strings.NewReader(level(c.children)), obs.CheckOptions{RequireCoarsen: true})
 		if c.ok && err != nil {
 			t.Errorf("%s: checker rejected the trace: %v", c.name, err)
 		}
 		if !c.ok && err == nil {
-			t.Errorf("%s: checker accepted a build with no kernel span", c.name)
+			t.Errorf("%s: checker accepted a build with no dedup kernel span", c.name)
 		}
 	}
 }

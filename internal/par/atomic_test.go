@@ -4,15 +4,15 @@ import "testing"
 
 func TestAtomicMinInt32Sequential(t *testing.T) {
 	x := int32(10)
-	AtomicMinInt32(&x, 12)
+	AtomicMinInt32Retries(&x, 12)
 	if x != 10 {
 		t.Errorf("min(10, 12) = %d", x)
 	}
-	AtomicMinInt32(&x, 3)
+	AtomicMinInt32Retries(&x, 3)
 	if x != 3 {
 		t.Errorf("min(10, 3) = %d", x)
 	}
-	AtomicMinInt32(&x, 3)
+	AtomicMinInt32Retries(&x, 3)
 	if x != 3 {
 		t.Errorf("min(3, 3) = %d", x)
 	}
@@ -28,7 +28,7 @@ func TestAtomicMinInt32Concurrent(t *testing.T) {
 		cells[i] = int32(k + 1)
 	}
 	ForEach(k, Exec{P: 8}, func(i int) {
-		AtomicMinInt32(&cells[i%n], int32(i))
+		AtomicMinInt32Retries(&cells[i%n], int32(i))
 	})
 	for c := 0; c < n; c++ {
 		if cells[c] != int32(c) {

@@ -76,8 +76,12 @@ func TestConcurrentSharedHierarchyQueries(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				for _, pk := range partReqs {
 					var pr partitionResponse
-					code, raw := doJSON(t, client, "POST", ts.URL+"/v1/partition",
+					code, raw, err := requestJSON(client, "POST", ts.URL+"/v1/partition",
 						partitionRequest{Hierarchy: st.ID, K: pk.k, Seed: pk.seed, Assignment: true}, &pr)
+					if err != nil {
+						errs <- fmt.Errorf("g%d partition %+v: %v", gid, pk, err)
+						continue
+					}
 					if code != http.StatusOK {
 						errs <- fmt.Errorf("g%d partition %+v: %d %s", gid, pk, code, raw)
 						continue
@@ -89,18 +93,22 @@ func TestConcurrentSharedHierarchyQueries(t *testing.T) {
 					}
 				}
 				var cr clusterResponse
-				code, raw := doJSON(t, client, "POST", ts.URL+"/v1/cluster",
+				code, raw, err := requestJSON(client, "POST", ts.URL+"/v1/cluster",
 					clusterRequest{Hierarchy: st.ID, Seed: 2, Assignment: true}, &cr)
-				if code != http.StatusOK {
+				if err != nil {
+					errs <- fmt.Errorf("g%d cluster: %v", gid, err)
+				} else if code != http.StatusOK {
 					errs <- fmt.Errorf("g%d cluster: %d %s", gid, code, raw)
 				} else if cr.K != wantClust.K || cr.Modularity != wantClust.Modularity || !eq(cr.Assignment, wantClust.Assignment) {
 					errs <- fmt.Errorf("g%d cluster: k=%d q=%v differ from serial k=%d q=%v",
 						gid, cr.K, cr.Modularity, wantClust.K, wantClust.Modularity)
 				}
 				var prj projectResponse
-				code, raw = doJSON(t, client, "POST", ts.URL+"/v1/project",
+				code, raw, err = requestJSON(client, "POST", ts.URL+"/v1/project",
 					projectRequest{Hierarchy: st.ID, Labels: labels}, &prj)
-				if code != http.StatusOK {
+				if err != nil {
+					errs <- fmt.Errorf("g%d project: %v", gid, err)
+				} else if code != http.StatusOK {
 					errs <- fmt.Errorf("g%d project: %d %s", gid, code, raw)
 				} else if !eq(prj.Assignment, wantProj.Assignment) {
 					errs <- fmt.Errorf("g%d project: assignment differs from serial", gid)
@@ -136,8 +144,12 @@ func TestConcurrentBuildsDistinctGraphs(t *testing.T) {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			code, _ := doJSON(t, &http.Client{}, "POST", ts.URL+"/v1/hierarchies",
+			code, _, err := requestJSON(&http.Client{}, "POST", ts.URL+"/v1/hierarchies",
 				buildParams{Graph: id, Seed: uint64(i)}, nil)
+			if err != nil {
+				t.Errorf("build %d: %v", i, err)
+				return
+			}
 			mu.Lock()
 			counts[code]++
 			mu.Unlock()
@@ -174,8 +186,12 @@ func TestConcurrentDuplicateBuildsDedupe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var st buildStatus
-			code, raw := doJSON(t, &http.Client{}, "POST", ts.URL+"/v1/hierarchies?wait=1",
+			code, raw, err := requestJSON(&http.Client{}, "POST", ts.URL+"/v1/hierarchies?wait=1",
 				buildParams{Graph: gi.ID, Seed: 77}, &st)
+			if err != nil {
+				t.Errorf("dup build: %v", err)
+				return
+			}
 			if code != http.StatusOK || st.Status != "done" {
 				t.Errorf("dup build: %d %s", code, raw)
 				return

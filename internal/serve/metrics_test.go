@@ -179,8 +179,11 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			labels := make([]int32, st.CoarseN)
 			for i := 0; i < 10; i++ {
-				doJSON(t, http.DefaultClient, "POST", ts.URL+"/v1/project",
-					projectRequest{Hierarchy: st.ID, Labels: labels}, nil)
+				if _, _, err := requestJSON(http.DefaultClient, "POST", ts.URL+"/v1/project",
+					projectRequest{Hierarchy: st.ID, Labels: labels}, nil); err != nil {
+					t.Errorf("project: %v", err)
+					return
+				}
 			}
 		}()
 	}

@@ -50,35 +50,48 @@ func testServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func doJSON(t testing.TB, client *http.Client, method, url string, body any, out any) (int, string) {
-	t.Helper()
+// requestJSON sends body as JSON and decodes a 2xx response into out. It
+// reports failures as an error, so worker goroutines can call it: testing
+// allows t.Fatal only on the test's own goroutine.
+func requestJSON(client *http.Client, method, url string, body any, out any) (int, string, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			t.Fatal(err)
+			return 0, "", err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		t.Fatal(err)
+		return 0, "", err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, "", err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, "", err
 	}
 	if out != nil && resp.StatusCode < 300 {
 		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("%s %s: bad JSON %q: %v", method, url, raw, err)
+			return 0, "", fmt.Errorf("%s %s: bad JSON %q: %v", method, url, raw, err)
 		}
 	}
-	return resp.StatusCode, string(raw)
+	return resp.StatusCode, string(raw), nil
+}
+
+// doJSON is requestJSON for the test's own goroutine: a failure ends the
+// test.
+func doJSON(t testing.TB, client *http.Client, method, url string, body any, out any) (int, string) {
+	t.Helper()
+	code, raw, err := requestJSON(client, method, url, body, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, raw
 }
 
 func ingest(t testing.TB, ts *httptest.Server, payload []byte, format string) graphInfo {

@@ -9,7 +9,7 @@
 //   - CSR graphs (NewGraph, ReadEdgeList, ReadBinary) and synthetic
 //     generators (Grid2D, Grid3D, TriMesh, RGG, RMAT, BA, Mycielskian);
 //   - eleven coarse-mapping algorithms (Mapper / MapperByName) including
-//     the paper's lock-free parallel HEC, and six coarse-graph
+//     the paper's lock-free parallel HEC, and five coarse-graph
 //     construction strategies (Builder / BuilderByName);
 //   - the multilevel driver (Coarsen / Coarsener);
 //   - multilevel spectral and Fiduccia–Mattheyses bisection
